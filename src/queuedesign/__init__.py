@@ -3,10 +3,11 @@
 from .cohorts import (
     Cohort,
     EstimateReport,
-    Unit,
     default_h_law,
     generate_bias_cohort,
     generate_cohort,
+    outcome_variances,
+    residual_variance,
     wald_report,
 )
 from .config import (
@@ -41,12 +42,13 @@ from .estimation import (
     LateDecomposition,
     NuisanceSet,
     dr_influence,
+    dr_variance_terms,
     estimate_dr_ate,
     estimate_iv_ratio,
     estimate_pliv,
     fit_nuisances,
+    instrument_information,
     late_decomposition,
-    multiplier_band,
     multiplier_bootstrap,
     oracle_nuisances,
     split_indices,
@@ -70,10 +72,7 @@ from .propensity import (
     PropensityTable,
     alpha_from_target,
     alpha_vector,
-    asymptotic_table,
     finite_instrument,
-    instrument_residual,
+    instrument_variance,
     marginal_propensity,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+DGP_TAGS = ("bernoulli", "partially_linear")
 ESTIMATOR_METHODS = ("dr_ate", "pliv", "iv_ratio")
 
 # h law: maps (rng, n) -> array of risk scores in (0, 1)
@@ -38,18 +39,6 @@ def default_h_law(rng: np.random.Generator, n: int) -> np.ndarray:
     for moderate effect sizes and inverse-variance weights stay finite.
     """
     return 0.1 + 0.8 * rng.beta(2.0, 5.0, size=n)
-
-
-@dataclass(frozen=True)
-class Unit:
-    """Single-unit view of a cohort row."""
-
-    id: int
-    h: float
-    arrival: float
-    y0: float
-    y1: float
-    confounder: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -82,7 +71,7 @@ class Cohort:
         for name, arr in (("arrival", arrival), ("y0", y0), ("y1", y1)):
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
-        if self.dgp_tag not in ("bernoulli", "partially_linear"):
+        if self.dgp_tag not in DGP_TAGS:
             raise ValueError(f"unknown dgp_tag {self.dgp_tag!r}")
         if not (isinstance(self.tau, (int, np.integer)) and self.tau >= 1):
             raise ValueError("tau must be a positive integer number of periods")
@@ -99,21 +88,6 @@ class Cohort:
     @property
     def n(self) -> int:
         return self.h.shape[0]
-
-    @property
-    def ids(self) -> np.ndarray:
-        return np.arange(self.n)
-
-    def unit(self, i: int) -> Unit:
-        conf = None if self.confounder is None else float(self.confounder[i])
-        return Unit(
-            id=int(i),
-            h=float(self.h[i]),
-            arrival=float(self.arrival[i]),
-            y0=float(self.y0[i]),
-            y1=float(self.y1[i]),
-            confounder=conf,
-        )
 
 
 def generate_cohort(
@@ -188,6 +162,31 @@ def generate_bias_cohort(
         dgp_tag="partially_linear",
         confounder=u,
     )
+
+
+def outcome_variances(dgp_tag: str, psi: float) -> tuple[Callable, Callable]:
+    """Conditional outcome variances (Var(Y(1) | h), Var(Y(0) | h)) of a DGP."""
+    if dgp_tag == "bernoulli":
+        var1 = lambda h: np.maximum((h + psi) * (1.0 - h - psi), 0.0)
+        var0 = lambda h: h * (1.0 - h)
+        return var1, var0
+    # U | h ~ Uniform(-0.2h, 0.2h) in both arms: Var = (0.4h)^2 / 12.
+    var = lambda h: (0.2 * np.asarray(h, dtype=float)) ** 2 / 3.0
+    return var, var
+
+
+def residual_variance(
+    dgp_tag: str, psi: float, h: np.ndarray, pi: np.ndarray | float
+) -> np.ndarray:
+    """Residual variance sigma(h) of Y when P(Z=1 | h) = pi.
+
+    The bernoulli pi-mix is written out, not built from ``outcome_variances``:
+    its operation order fixes the last bits of every sigma-weighted output.
+    """
+    h = np.asarray(h, dtype=float)
+    if dgp_tag == "bernoulli":
+        return pi * (h + psi) * (1 - h - psi) + (1 - pi) * h * (1 - h)
+    return outcome_variances(dgp_tag, psi)[0](h)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,10 @@ from typing import Optional
 import numpy as np
 import yaml
 
-DGP_TAGS = ("bernoulli", "partially_linear")
-MODES = ("strict", "rationed")
-OBJECTIVES = ("exogenous", "endogenous")
-NUISANCE_METHODS = ("oracle", "binned", "polynomial")
-ESTIMATORS = ("dr_ate", "pliv", "iv_ratio")
+from .cohorts import DGP_TAGS, ESTIMATOR_METHODS as ESTIMATORS
+from .design import OBJECTIVES, REGULARIZERS
+from .estimation import NUISANCE_METHODS
+from .mechanism import MODES
 
 
 class ConfigError(ValueError):
@@ -111,9 +110,9 @@ class DesignConfig:
             self.objective in OBJECTIVES, "design.objective", f"must be one of {OBJECTIVES}"
         )
         _require(
-            self.regularizer in ("neg_entropy", "l2_to_p"),
+            self.regularizer in REGULARIZERS,
             "design.regularizer",
-            "must be 'neg_entropy' or 'l2_to_p'",
+            f"must be one of {REGULARIZERS}",
         )
         _require(int(self.c_grid_size) >= 1, "design.c_grid_size", "must be >= 1")
         if self.c_grid is not None:

@@ -175,7 +175,6 @@ def mc_propensities(
     reps: int,
     seed: int = 0,
     forced: bool = True,
-    arrival_resampling: bool = True,
     max_cells: int = 500_000_000,
 ) -> PropensityTable:
     """Monte Carlo queue-conditional propensities for one cohort and policy.
@@ -183,9 +182,8 @@ def mc_propensities(
     With ``forced=True`` every replication contributes one observation to
     every (unit, queue) cell via the counterfactual treatment map; with
     ``forced=False`` only realized cells are tallied and unvisited cells are
-    flagged absent (NaN).  ``arrival_resampling`` redraws arrival times
-    uniformly on [0, tau] each replication, matching the exogenous-arrival
-    law; switch it off to condition on the cohort's realized arrival order.
+    flagged absent (NaN).  Every replication redraws arrival times
+    uniformly on [0, tau], matching the exogenous-arrival law.
     """
     theta = validate_policy(theta, spec.k)
     n, k = theta.shape
@@ -195,24 +193,19 @@ def mc_propensities(
     if cells > max_cells:
         raise ValueError(
             f"simulation would touch {cells:.2e} cells (cap {max_cells:.2e}); "
-            "reduce reps or fall back to the asymptotic table"
+            "reduce reps or use the limiting alpha rates"
         )
     shares = None
     if spec.mode == "rationed":
         shares = rationed_shares(spec.budgets, spec.alpha_target, spec.p)
-    base_s = arrival_periods(cohort.arrival, spec.tau)
-    base_ranks = arrival_ranks(cohort.arrival)
     hits = np.zeros((n, k), dtype=np.int64)
     visits = np.zeros((n, k), dtype=np.int64)
     rows = np.arange(n)
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), rep]))
-        if arrival_resampling:
-            a = rng.uniform(0.0, spec.tau, size=n)
-            s = arrival_periods(a, spec.tau)
-            ranks = arrival_ranks(a)
-        else:
-            s, ranks = base_s, base_ranks
+        a = rng.uniform(0.0, spec.tau, size=n)
+        s = arrival_periods(a, spec.tau)
+        ranks = arrival_ranks(a)
         queues = sample_queues(theta, rng)
         if forced:
             if spec.mode == "strict":

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.optimize
 
-from .propensity import AlphaVector
+from .propensity import AlphaVector, instrument_variance
 from .estimation import variance_dr_formula, variance_pliv_formula
 from .policies import assortative_policy
 
@@ -134,13 +134,10 @@ def default_kappa(problem: DesignProblem) -> float:
     Small enough not to move the frontier visibly, large enough that the
     regularized inner problems are strictly convex with a unique optimum.
     """
-    a = problem.alpha.alpha
-    p = problem.p
-    beta = float(a @ p)
     if problem.objective == "exogenous":
-        scale = 1.0 / max(beta, _PI_EPS) + 1.0 / max(1.0 - beta, _PI_EPS)
+        scale = float(_overlap(problem.alpha.alpha @ problem.p))
     else:
-        scale = float(p @ a**2 - beta**2)
+        scale = float(instrument_variance(problem.p, problem.alpha))
     return 1e-3 * max(scale, 1e-3)
 
 
@@ -260,25 +257,23 @@ def _regularizer_value(theta: np.ndarray, p: np.ndarray, regularizer: str) -> np
     return 0.5 * np.sum((theta - p[None, :]) ** 2, axis=1)
 
 
+def _overlap(s):
+    """Overlap penalty 1/pi + 1/(1-pi) with pi clamped to (0, 1)."""
+    sc = np.clip(s, _PI_EPS, 1.0 - _PI_EPS)
+    return 1.0 / sc + 1.0 / (1.0 - sc)
+
+
 def _phi_functions(objective: str, alpha: np.ndarray):
     """(phi, phi', linear offset) for the scalarized channel s = alpha.theta."""
     if objective == "exogenous":
-
-        def phi(s):
-            sc = np.clip(s, _PI_EPS, 1.0 - _PI_EPS)
-            return 1.0 / sc + 1.0 / (1.0 - sc)
 
         def phi_prime(s):
             sc = np.clip(s, _PI_EPS, 1.0 - _PI_EPS)
             return -1.0 / sc**2 + 1.0 / (1.0 - sc) ** 2
 
-        offset = np.zeros_like(alpha)
-    else:
-        # maximize sum alpha^2 theta - s^2  ==  minimize s^2 - (alpha^2).theta
-        phi = lambda s: s**2
-        phi_prime = lambda s: 2.0 * s
-        offset = alpha**2
-    return phi, phi_prime, offset
+        return _overlap, phi_prime, np.zeros_like(alpha)
+    # maximize sum alpha^2 theta - s^2  ==  minimize s^2 - (alpha^2).theta
+    return (lambda s: s**2), (lambda s: 2.0 * s), alpha**2
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +305,12 @@ def _dual_state(x: np.ndarray, problem: DesignProblem, phi, phi_prime, offset):
 
 def exogenous_objective(theta: np.ndarray, alpha: AlphaVector) -> float:
     """Mean overlap penalty E_n[1/pi + 1/(1-pi)], pi clamped to (0, 1)."""
-    s = np.asarray(theta, dtype=float) @ alpha.alpha
-    sc = np.clip(s, _PI_EPS, 1.0 - _PI_EPS)
-    return float(np.mean(1.0 / sc + 1.0 / (1.0 - sc)))
+    return float(np.mean(_overlap(np.asarray(theta, dtype=float) @ alpha.alpha)))
 
 
 def endogenous_objective(theta: np.ndarray, alpha: AlphaVector) -> float:
     """Mean conditional instrument variance E_n[Var(alpha_Q | X)]."""
-    theta = np.asarray(theta, dtype=float)
-    a = alpha.alpha
-    s = theta @ a
-    return float(np.mean(theta @ a**2 - s**2))
+    return float(np.mean(instrument_variance(theta, alpha)))
 
 
 def _primal_from(theta: np.ndarray, s: np.ndarray, problem: DesignProblem):

@@ -22,15 +22,21 @@ sample itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .cohorts import Cohort, EstimateReport, wald_report
+from .cohorts import Cohort, EstimateReport, residual_variance, wald_report
 from .counterfactual import ExactOracle
-from .propensity import AlphaVector, finite_instrument, marginal_propensity
+from .propensity import (
+    AlphaVector,
+    finite_instrument,
+    instrument_variance,
+    marginal_propensity,
+)
 
 SIGMA_FLOOR = 1e-6
+NUISANCE_METHODS = ("oracle", "binned", "polynomial")
 
 Fn = Callable[[np.ndarray], np.ndarray]
 
@@ -56,8 +62,8 @@ class NuisanceSet:
     fit_tag: str
 
     def __post_init__(self):
-        if self.fit_tag not in ("oracle", "binned", "polynomial"):
-            raise ValueError("fit_tag must be oracle, binned, or polynomial")
+        if self.fit_tag not in NUISANCE_METHODS:
+            raise ValueError(f"fit_tag must be one of {NUISANCE_METHODS}")
 
 
 def oracle_nuisances(
@@ -66,35 +72,20 @@ def oracle_nuisances(
     """Analytic nuisance functions for the synthetic data generating processes.
 
     ``marginal_pi`` maps the risk score to the design's marginal treatment
-    probability pi(X); it enters E[Y|X] = mu0 + pi*psi.  For the bernoulli
-    DGP the residual variance is the propensity-weighted binomial variance;
-    for the partially linear DGP it is Var(U | h) = (0.4h)^2 / 12.
+    probability pi(X); it enters E[Y|X] = mu0 + pi*psi and the residual
+    variance ``cohorts.residual_variance``.
     """
-    if cohort.dgp_tag == "bernoulli":
-        mu0 = lambda h: np.asarray(h, dtype=float)
-        mu1 = lambda h: np.asarray(h, dtype=float) + psi
+    mu0 = lambda h: np.asarray(h, dtype=float)
+    mu1 = lambda h: np.asarray(h, dtype=float) + psi
 
-        def m(h):
-            h = np.asarray(h, dtype=float)
-            return h + psi * marginal_pi(h)
+    def m(h):
+        h = np.asarray(h, dtype=float)
+        return h + psi * marginal_pi(h)
 
-        def sigma(h):
-            h = np.asarray(h, dtype=float)
-            pi = marginal_pi(h)
-            v = pi * (h + psi) * (1 - h - psi) + (1 - pi) * h * (1 - h)
-            return np.maximum(v, sigma_floor)
-
-    else:
-        mu0 = lambda h: np.asarray(h, dtype=float)
-        mu1 = lambda h: np.asarray(h, dtype=float) + psi
-
-        def m(h):
-            h = np.asarray(h, dtype=float)
-            return h + psi * marginal_pi(h)
-
-        def sigma(h):
-            h = np.asarray(h, dtype=float)
-            return np.maximum((0.2 * h) ** 2 / 3.0, sigma_floor)
+    def sigma(h):
+        h = np.asarray(h, dtype=float)
+        v = residual_variance(cohort.dgp_tag, psi, h, marginal_pi(h))
+        return np.maximum(v, sigma_floor)
 
     return NuisanceSet(mu0=mu0, mu1=mu1, m=m, sigma=sigma, fit_tag="oracle")
 
@@ -289,26 +280,23 @@ def estimate_pliv(
     queues = np.asarray(queues, dtype=int)
     theta = np.asarray(theta, dtype=float)
     n = h.shape[0]
-    a = alpha.alpha
-    pi = theta @ a
-    resid = a[None, :] - pi[:, None]
-    expected_sq = float(np.einsum("ik,ik->", theta, resid**2) / n)
+    pi = marginal_propensity(theta, alpha)
+    expected_sq = float(np.mean(instrument_variance(theta, alpha)))
     if expected_sq < relevance_floor:
         raise ValueError(
             f"instrument relevance failure: mean expected squared residual "
             f"{expected_sq:.3e} < floor {relevance_floor:.3e}; the design has "
             "no usable queue randomization"
         )
-    zeta = a[queues - 1] - pi
     sig = nuisances.sigma(h)
-    f = zeta / sig
+    f = (alpha.alpha[queues - 1] - pi) / sig
     den = float(np.mean(f * (z - pi)))
     if den == 0.0:
         raise ValueError("realized instrument-treatment covariance is zero")
     num = float(np.mean(f * (y - nuisances.m(h))))
     point = num / den
     # asymptotic variance: inverse of the design-expected information
-    info = float(np.einsum("ik,ik->", theta, resid**2 / sig[:, None]) / n)
+    info = float(np.mean(instrument_information(theta, alpha, sig)))
     se = float(np.sqrt(1.0 / info / n))
     return wald_report(point, se, n, "pliv")
 
@@ -437,6 +425,23 @@ def late_decomposition(oracle: ExactOracle, cohort: Cohort) -> LateDecomposition
 # ---------------------------------------------------------------------------
 
 
+def dr_variance_terms(
+    h: np.ndarray, theta: np.ndarray, alpha: AlphaVector, var1: Fn, var0: Fn, cate: Fn
+) -> np.ndarray:
+    """Per-unit terms of the DR ATE's asymptotic variance under (theta, alpha).
+
+    Var(Y|1,X)/pi + Var(Y|0,X)/(1-pi) + (tau(X) - mean tau)^2 at each of the
+    cohort's risk scores; their mean is ``variance_dr_formula``.
+    """
+    h = np.asarray(h, dtype=float)
+    pi = marginal_propensity(theta, alpha)
+    pi = np.broadcast_to(np.asarray(pi, dtype=float), h.shape)
+    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
+        raise ValueError("propensities on the boundary: DR variance undefined")
+    effects = cate(h)
+    return var1(h) / pi + var0(h) / (1.0 - pi) + (effects - effects.mean()) ** 2
+
+
 def variance_dr_formula(
     h: np.ndarray,
     theta: np.ndarray,
@@ -450,15 +455,18 @@ def variance_dr_formula(
     E[Var(Y|1,X)/pi + Var(Y|0,X)/(1-pi)] + Var(E[Y|1,X] - E[Y|0,X]),
     evaluated over the cohort's empirical risk scores.
     """
-    h = np.asarray(h, dtype=float)
-    pi = marginal_propensity(theta, alpha)
-    pi = np.broadcast_to(np.asarray(pi, dtype=float), h.shape)
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
-        raise ValueError("propensities on the boundary: DR variance undefined")
-    tau_x = cate(h)
-    return float(
-        np.mean(var1(h) / pi + var0(h) / (1 - pi)) + np.var(tau_x)
-    )
+    return float(np.mean(dr_variance_terms(h, theta, alpha, var1, var0, cate)))
+
+
+def instrument_information(
+    theta: np.ndarray, alpha: AlphaVector, sigma: np.ndarray
+) -> np.ndarray:
+    """Per-unit information Var(alpha_Q | X) / sigma(X) of the queue instrument.
+
+    ``sigma`` holds the residual variances at the units' risk scores; the
+    mean over units is the inverse of the weighted-IV asymptotic variance.
+    """
+    return instrument_variance(theta, alpha) / sigma
 
 
 def variance_pliv_formula(
@@ -466,15 +474,11 @@ def variance_pliv_formula(
 ) -> float:
     """Asymptotic variance of the weighted-IV estimator.
 
-    Inverse of the expected information E[(alpha_Q - pi)^2 / sigma(X)], with
-    Q drawn row-wise from theta and X over the empirical risk scores.
+    Inverse of the mean ``instrument_information`` over the empirical risk
+    scores.
     """
-    h = np.asarray(h, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    a = alpha.alpha
-    pi = theta @ a
-    resid = a[None, :] - pi[:, None]
-    info = float(np.einsum("ik,ik->", theta, resid**2 / sigma(h)[:, None]) / h.shape[0])
+    sig = sigma(np.asarray(h, dtype=float))
+    info = float(np.mean(instrument_information(theta, alpha, sig)))
     if info <= 0.0:
         raise ValueError(
             "instrument relevance failure: expected squared residual is zero "
@@ -536,32 +540,3 @@ def multiplier_bootstrap(
         ci_high=point + float(hi),
         reps=int(reps),
     )
-
-
-def multiplier_band(
-    columns: np.ndarray, reps: int = 10_000, seed: int = 0
-) -> np.ndarray:
-    """Pointwise 95% bands for several mean statistics sharing multipliers.
-
-    ``columns`` is (n, G): one column of influence values per grid point.
-    Returns (G, 2) low/high bands.  Sharing the multiplier draws across the
-    grid keeps neighboring band points positively coupled, as a frontier
-    band should be.
-    """
-    columns = np.asarray(columns, dtype=float)
-    n, g = columns.shape
-    points = columns.mean(axis=0)
-    centered = columns - points[None, :]
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3]))
-    perturbed = np.empty((reps, g))
-    chunk = max(1, int(2_000_000 // max(n, 1)))
-    done = 0
-    while done < reps:
-        take = min(chunk, reps - done)
-        xi = rng.standard_normal((take, n))
-        perturbed[done : done + take] = xi @ centered / n
-        done += take
-    qs = np.quantile(perturbed, [0.025, 0.975], axis=0)
-    lo = points + qs[0]
-    hi = points + qs[1]
-    return np.stack([lo, hi], axis=1)

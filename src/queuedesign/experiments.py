@@ -7,11 +7,12 @@ pool, so the emitted rows are byte-identical for any --threads value.
 
 Stream ids used here (0..3 are reserved by cohorts/estimation):
   100 covariate draw for the fixed-design bias study
-  101/102 per-replication bias-study cohort and queue draws
+  101/102 per-replication bias-study cohort and endogenous-design queue draws
   103/104/105 propensity-check cohorts, forced MC, treated-mass reps
   106 queue draw for the single-run estimate command
   107 band bootstrap seeds on the frontier
   108 treated-mass queue draws
+  109 per-replication bias-study queue draw for the exogenous design
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohorts import Cohort, default_h_law, generate_bias_cohort, generate_cohort
+from .cohorts import (
+    Cohort,
+    default_h_law,
+    generate_bias_cohort,
+    generate_cohort,
+    outcome_variances,
+    residual_variance,
+)
 from .config import RunConfig
 from .design import (
     DesignProblem,
@@ -32,10 +40,12 @@ from .design import (
 )
 from .estimation import (
     SIGMA_FLOOR,
+    dr_variance_terms,
     estimate_dr_ate,
     estimate_iv_ratio,
     estimate_pliv,
     fit_nuisances,
+    instrument_information,
     multiplier_bootstrap,
     oracle_nuisances,
     split_indices,
@@ -45,7 +55,6 @@ from .policies import greedy_softmax_policy, rct_policy, switch_policy
 from .propensity import (
     alpha_from_target,
     alpha_vector,
-    instrument_residual,
     marginal_propensity,
 )
 from .counterfactual import mc_propensities
@@ -107,36 +116,6 @@ def _alpha_for(config: RunConfig):
     return alpha_vector(float(mech.beta), np.asarray(mech.p, float))
 
 
-def _variance_fns(dgp: str, psi: float):
-    """Oracle conditional outcome variances and the (constant) effect curve."""
-    if dgp == "bernoulli":
-        var1 = lambda h: np.maximum((h + psi) * (1.0 - h - psi), 0.0)
-        var0 = lambda h: h * (1.0 - h)
-    else:
-        # U | h ~ Uniform(-0.2h, 0.2h) in both arms: Var = (0.4h)^2 / 12.
-        var1 = lambda h: (0.2 * np.asarray(h)) ** 2 / 3.0
-        var0 = var1
-    cate = lambda h: np.full(np.shape(h), psi, dtype=float)
-    return var1, var0, cate
-
-
-def _sigma_fn(dgp: str, psi: float, beta: float):
-    """Marginal-outcome variance proxy used by the instrument-variance lens.
-
-    For the uniform-noise outcome model this is the exact conditional
-    variance.  For bernoulli outcomes the variance depends on the realized
-    treatment share, so the budget-level blend stands in: it is policy
-    independent, which keeps the lens comparable across frontier rows.
-    """
-    if dgp == "bernoulli":
-        def sigma(h):
-            h = np.asarray(h, dtype=float)
-            blend = beta * (h + psi) * (1.0 - h - psi) + (1.0 - beta) * h * (1.0 - h)
-            return np.maximum(blend, SIGMA_FLOOR)
-        return sigma
-    return lambda h: np.maximum((0.2 * np.asarray(h, dtype=float)) ** 2 / 3.0, SIGMA_FLOOR)
-
-
 def _map_indexed(worker, reps: int, threads: int, initargs):
     """Run worker(rep) for rep in range(reps), reducing in index order."""
     if threads <= 1:
@@ -162,22 +141,6 @@ def _set_context(ctx: dict):
 # ---------------------------------------------------------------------------
 
 
-def _dr_contributions(h, theta, alpha, var1, var0, cate):
-    pi = marginal_propensity(theta, alpha)
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
-        raise ValueError("boundary propensity: variance undefined")
-    effects = cate(h)
-    return var1(h) / pi + var0(h) / (1.0 - pi) + (effects - effects.mean()) ** 2
-
-
-def _pliv_contributions(h, theta, alpha, sigma):
-    zeta = instrument_residual(theta, alpha)
-    info = np.sum(theta * zeta**2, axis=1) / sigma(h)
-    if info.mean() <= 0.0:
-        raise ValueError("relevance failure: instrument variance is zero")
-    return info
-
-
 def _frontier_row(method, param, theta, h, alpha, lens, band_reps, band_seed):
     """Score one policy under the configured variance lens, with a band.
 
@@ -188,13 +151,15 @@ def _frontier_row(method, param, theta, h, alpha, lens, band_reps, band_seed):
     utility = float(np.mean(h * marginal_propensity(theta, alpha)))
     try:
         if lens["objective"] == "exogenous":
-            contrib = _dr_contributions(h, theta, alpha, lens["var1"], lens["var0"], lens["cate"])
-            boot = multiplier_bootstrap(contrib, reps=band_reps, seed=band_seed)
-            proxy, lo, hi = float(contrib.mean()), boot.ci_low, boot.ci_high
+            terms = dr_variance_terms(h, theta, alpha, lens["var1"], lens["var0"], lens["cate"])
+            boot = multiplier_bootstrap(terms, reps=band_reps, seed=band_seed)
+            proxy, lo, hi = boot.point, boot.ci_low, boot.ci_high
         else:
-            info = _pliv_contributions(h, theta, alpha, lens["sigma"])
+            info = instrument_information(theta, alpha, lens["sigma"](h))
+            if np.mean(info) <= 0.0:
+                raise ValueError("relevance failure: instrument variance is zero")
             boot = multiplier_bootstrap(info, reps=band_reps, seed=band_seed)
-            proxy = 1.0 / float(info.mean())
+            proxy = 1.0 / boot.point
             lo = 1.0 / boot.ci_high if boot.ci_high > 0 else float("inf")
             hi = 1.0 / boot.ci_low if boot.ci_low > 0 else float("inf")
         status = "ok"
@@ -208,10 +173,9 @@ def run_pareto(config: RunConfig):
     """Sweep the optimized design plus heuristic baselines over one cohort.
 
     Returns (frontier_rows, band_rows).  All methods are scored under the
-    configured objective's variance formula so the frontier is comparable
-    within a run: mean[v1/pi + v0/(1-pi)] + Var(effect) for the exogenous
-    objective, 1 / mean[sum_k theta_k zeta_k^2 / sigma^2] for the endogenous
-    one.
+    configured objective's estimator variance so the frontier is comparable
+    within a run: ``variance_dr_formula`` for the exogenous objective,
+    ``variance_pliv_formula`` for the endogenous one.
     """
     cfg_c, cfg_d, cfg_e = config.cohort, config.design, config.execution
     psi, beta = float(cfg_c.psi), float(config.mechanism.beta)
@@ -220,14 +184,17 @@ def run_pareto(config: RunConfig):
     h = cohort.h
     alpha = _alpha_for(config)
 
-    var1, var0, cate = _variance_fns(cfg_c.dgp, psi)
+    var1, var0 = outcome_variances(cfg_c.dgp, psi)
+    # the instrument lens evaluates sigma at the budget share beta: it is
+    # policy independent, which keeps the lens comparable across rows
+    sigma = lambda x: np.maximum(residual_variance(cfg_c.dgp, psi, x, beta), SIGMA_FLOOR)
     lens = {
-        "objective": cfg_d.objective, "var1": var1, "var0": var0, "cate": cate,
-        "sigma": _sigma_fn(cfg_c.dgp, psi, beta),
+        "objective": cfg_d.objective, "var1": var1, "var0": var0,
+        "cate": lambda x: np.full(np.shape(x), psi, dtype=float), "sigma": sigma,
     }
     band_reps = int(config.estimation.bootstrap_reps)
 
-    c_lo, c_hi = feasible_utility_range(h, alpha, p)
+    c_hi = feasible_utility_range(h, alpha, p)[1]
     c_rct = beta * float(h.mean())
     if cfg_d.c_grid is not None:
         c_grid = np.asarray(cfg_d.c_grid, dtype=float)
@@ -239,42 +206,25 @@ def run_pareto(config: RunConfig):
         regularizer=cfg_d.regularizer, kappa=cfg_d.kappa, objective=cfg_d.objective,
     )
     points = pareto_sweep(
-        problem, c_grid, var1=var1, var0=var0, cate=cate, sigma=lens["sigma"]
+        problem, c_grid, var1=var1, var0=var0, cate=lens["cate"], sigma=sigma
     )
 
-    rows = []
-    row_id = 0
-    for c, pt in zip(c_grid, points):
-        if pt.solution is None:
-            rows.append(("optimized", float(c), float("nan"), float("nan"),
-                         float("nan"), float("nan"), pt.status))
-        else:
-            rows.append(_frontier_row(
-                "optimized", c, pt.solution.policy, h, alpha, lens,
-                band_reps, _derived_seed(cfg_e.seed, 107, row_id),
-            ))
-        row_id += 1
+    # (method, parameter, policy); an infeasible floor has no policy
+    candidates = [("optimized", c, None if pt.solution is None else pt.solution.policy)
+                  for c, pt in zip(c_grid, points)]
+    candidates.append(("rct", c_rct, rct_policy(cohort.n, p)))
+    candidates += [("switch", s, switch_policy(h, p, float(s))) for s in cfg_d.switch_strengths]
+    cap = float(cfg_d.greedy_cap)
+    candidates += [("greedy", g, greedy_softmax_policy(h, p, float(g), cap=cap))
+                   for g in cfg_d.greedy_scales]
 
-    rows.append(_frontier_row(
-        "rct", c_rct, rct_policy(cohort.n, p), h, alpha, lens,
-        band_reps, _derived_seed(cfg_e.seed, 107, row_id),
-    ))
-    row_id += 1
-    for strength in cfg_d.switch_strengths:
-        theta = switch_policy(h, p, float(strength))
-        rows.append(_frontier_row(
-            "switch", strength, theta, h, alpha, lens,
-            band_reps, _derived_seed(cfg_e.seed, 107, row_id),
-        ))
-        row_id += 1
-    for scale in cfg_d.greedy_scales:
-        theta = greedy_softmax_policy(h, p, float(scale), cap=float(cfg_d.greedy_cap))
-        rows.append(_frontier_row(
-            "greedy", scale, theta, h, alpha, lens,
-            band_reps, _derived_seed(cfg_e.seed, 107, row_id),
-        ))
-        row_id += 1
-
+    nan = float("nan")
+    rows = [
+        (method, float(param), nan, nan, nan, nan, "infeasible") if theta is None
+        else _frontier_row(method, param, theta, h, alpha, lens,
+                           band_reps, _derived_seed(cfg_e.seed, 107, row_id))
+        for row_id, (method, param, theta) in enumerate(candidates)
+    ]
     band_rows = [(m, c, lo, hi) for (m, c, _, _, lo, hi, _) in rows]
     return rows, band_rows
 
@@ -464,7 +414,6 @@ def run_propensity_check(config: RunConfig):
         table = mc_propensities(
             cohort, theta, spec, reps=int(cfg_e.propensity_reps),
             seed=_derived_seed(cfg_e.seed, 104, n), forced=True,
-            arrival_resampling=True,
         )
         pi_tilde = table.queue_conditional.mean(axis=0)
 
@@ -565,8 +514,7 @@ def run_estimate(config: RunConfig):
                     relevance_floor=float(est.relevance_floor),
                 )
             else:
-                zeta = instrument_residual(theta, alpha)
-                r = zeta[np.arange(n), queues - 1][eval_idx]
+                r = alpha.alpha[qe - 1] - pe
                 report = estimate_iv_ratio(ye, ze, r)
             rows.append((
                 name, report.point, report.se, report.ci_low, report.ci_high,

@@ -47,11 +47,10 @@ def assortative_policy(
     order = _descending_order(u if best_first else -u)
     edges = np.concatenate([[0.0], n * np.cumsum(p)])
     edges[-1] = float(n)  # guard against cumulative rounding
-    theta = np.zeros((n, k))
-    for j, unit in enumerate(order):
-        lo = np.clip(edges[:-1], j, j + 1)
-        hi = np.clip(edges[1:], j, j + 1)
-        theta[unit] = np.maximum(hi - lo, 0.0)
+    # the unit in sorted slot j owns the mass of [j, j + 1] inside each queue's span
+    j = np.arange(n)[:, None]
+    theta = np.empty((n, k))
+    theta[order] = np.maximum(np.clip(edges[1:], j, j + 1) - np.clip(edges[:-1], j, j + 1), 0.0)
     return validate_policy(theta)
 
 

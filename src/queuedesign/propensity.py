@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-PROPENSITY_SOURCES = ("asymptotic", "monte_carlo", "exact")
+PROPENSITY_SOURCES = ("monte_carlo", "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +116,17 @@ def marginal_propensity(theta: np.ndarray, alpha: AlphaVector | np.ndarray) -> n
     return float(out) if out.ndim == 0 else out
 
 
-def instrument_residual(theta: np.ndarray, alpha: AlphaVector | np.ndarray) -> np.ndarray:
-    """Centered instrument zeta(q) = alpha_q - pi(theta), one column per queue.
+def instrument_variance(theta: np.ndarray, alpha: AlphaVector) -> np.ndarray:
+    """Per-unit Var(alpha_Q | X) = sum_k theta_k alpha_k^2 - pi(theta)^2, Q ~ theta.
 
-    For each unit the residual has mean zero under its own assignment row:
-    sum_q theta_q (alpha_q - pi(theta)) = 0, so queue draws shift treatment
+    This is the variance of the centered queue instrument alpha_Q - pi(theta),
+    whose mean is zero under each unit's own row: queue draws shift treatment
     probability without shifting anything correlated with covariates.
     """
-    a = alpha.alpha if isinstance(alpha, AlphaVector) else np.asarray(alpha, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    pi = theta @ a
-    if theta.ndim == 1:
-        return a - pi
-    return a[None, :] - pi[:, None]
+    a = alpha.alpha
+    s = theta @ a
+    return theta @ a**2 - s**2
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +142,8 @@ class PropensityTable:
     Monte Carlo run never visited.  ``marginal`` aggregates the conditional
     cells through the policy, marginal_i = sum_k theta_ik * qc_ik, and is NaN
     wherever a needed cell is absent.  ``source`` records how the numbers
-    were produced; exact and asymptotic tables are additionally guaranteed
-    monotone in queue priority.
+    were produced; exact tables are additionally guaranteed monotone in
+    queue priority.
     """
 
     queue_conditional: np.ndarray
@@ -176,11 +174,11 @@ class PropensityTable:
                 raise ValueError("monte_carlo tables must record a positive rep count")
         elif np.any(~finite):
             raise ValueError(f"{self.source} tables cannot contain absent cells")
-        if self.source in ("exact", "asymptotic"):
+        if self.source == "exact":
             if np.any(np.diff(qc, axis=1) > 1e-9):
                 raise ValueError(
                     "queue-conditional propensities must be nonincreasing in the "
-                    "queue index for exact/asymptotic tables"
+                    "queue index for exact tables"
                 )
         # Aggregation consistency where every needed cell is present.
         needed = self.theta > 0.0
@@ -202,17 +200,6 @@ class PropensityTable:
         return self.queue_conditional.shape[1]
 
 
-def asymptotic_table(theta: np.ndarray, alpha: AlphaVector) -> PropensityTable:
-    """Propensity table in which every unit faces the limiting alpha rates."""
-    theta = np.asarray(theta, dtype=float)
-    n = theta.shape[0]
-    qc = np.broadcast_to(alpha.alpha, (n, alpha.k)).copy()
-    marginal = theta @ alpha.alpha
-    return PropensityTable(
-        queue_conditional=qc, marginal=marginal, theta=theta, source="asymptotic"
-    )
-
-
 def finite_instrument(table: PropensityTable) -> np.ndarray:
     """Finite-population instrument r(i, q) = pi_tilde(i, q) - pi(i).
 
@@ -229,6 +216,6 @@ def finite_instrument(table: PropensityTable) -> np.ndarray:
         i, k = np.argwhere(missing)[0]
         raise ValueError(
             f"queue-conditional propensity absent for unit {int(i)}, queue {int(k) + 1}; "
-            "increase Monte Carlo replications or use an exact/asymptotic table"
+            "increase Monte Carlo replications or use an exact table"
         )
     return qc - table.marginal[:, None]

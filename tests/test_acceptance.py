@@ -3,8 +3,8 @@
 Each test pins one end-to-end behavior at realistic scale and asserts a
 wall-clock budget next to the statistical tolerance, so a regression in
 either correctness or cost fails loudly.  The endogeneity study is the slow
-one: 750-818 s of its 900 s budget on a 2-core Linux VM (Python 3.11.7,
-numpy 2.4.6, 2026-10-17, two runs).  Everything else finishes within
+one: about 460 s of its 900 s budget on a 2-core Linux VM (Python 3.11.7,
+numpy 2.4.6, 2026-10-18).  Everything else finishes within
 seconds.  The CLI tests run ``python -m queuedesign`` from this checkout's
 ``src``, so the suite needs no install.
 
@@ -90,8 +90,7 @@ class TestQueueingLimits:
         cohort = generate_cohort(n, tau=1, psi=PSI, seed=41)
         spec = QueueSpec.auto(n, k=3, p=p, beta=0.5, tau=1)
         table = mc_propensities(
-            cohort, rct_policy(n, p), spec, reps=reps, seed=42,
-            forced=True, arrival_resampling=True,
+            cohort, rct_policy(n, p), spec, reps=reps, seed=42, forced=True,
         )
         pi_tilde = table.queue_conditional.mean(axis=0)
         np.testing.assert_allclose(pi_tilde, alpha.alpha, atol=0.03)

@@ -116,13 +116,6 @@ class TestValidation:
                 dgp_tag="gaussian",
             )
 
-    def test_unit_view_round_trips(self):
-        c = generate_bias_cohort(50, 2, psi=-0.1, seed=1)
-        u = c.unit(7)
-        assert u.id == 7
-        assert u.h == c.h[7]
-        assert u.confounder == c.confounder[7]
-
 
 class TestEstimateReport:
     def test_wald_interval_is_exact(self):

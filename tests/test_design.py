@@ -30,6 +30,20 @@ def random_utilities(n, seed):
     return 0.1 + 0.8 * rng.beta(2.0, 5.0, size=n)
 
 
+def assortative_loop(u, p, best_first):
+    """Per-unit reference implementation of ``assortative_policy``."""
+    n, k = u.shape[0], p.shape[0]
+    order = np.argsort(-(u if best_first else -u), kind="stable")
+    edges = np.concatenate([[0.0], n * np.cumsum(p)])
+    edges[-1] = float(n)
+    theta = np.zeros((n, k))
+    for j, unit in enumerate(order):
+        lo = np.clip(edges[:-1], j, j + 1)
+        hi = np.clip(edges[1:], j, j + 1)
+        theta[unit] = np.maximum(hi - lo, 0.0)
+    return theta
+
+
 def tv_distance(a, b):
     return float(np.mean(0.5 * np.abs(a - b).sum(axis=1)))
 
@@ -86,6 +100,18 @@ class TestPolicies:
         assert theta.shape == (7, 3)
         assert np.allclose(theta, p[None, :])
         assert np.allclose(theta.mean(axis=0), p, atol=1e-12)
+
+    @pytest.mark.parametrize("best_first", [True, False])
+    @pytest.mark.parametrize(
+        "p", [[0.37, 0.63], [0.25, 0.45, 0.30], [0.1, 0.4, 0.3, 0.2]]
+    )
+    def test_assortative_matches_per_unit_loop(self, p, best_first):
+        u = np.round(random_utilities(101, seed=6), 2)  # rounding creates ties
+        p = np.asarray(p)
+        assert np.array_equal(
+            assortative_policy(u, p, best_first=best_first),
+            assortative_loop(u, p, best_first),
+        )
 
     def test_quantile_assignment_orders_by_utility(self):
         u = np.array([0.9, 0.2, 0.6, 0.4])

@@ -26,7 +26,6 @@ from queuedesign import (
     fit_nuisances,
     generate_cohort,
     late_decomposition,
-    multiplier_band,
     multiplier_bootstrap,
     oracle_nuisances,
     sample_queues,
@@ -343,6 +342,14 @@ class TestPliv:
         assert r1.point == pytest.approx(r2.point, abs=1e-10)
         assert r2.se == pytest.approx(np.sqrt(10.0) * r1.se, rel=1e-9)
 
+    def test_se_is_the_formula_variance(self):
+        n = 400
+        cohort, theta, alpha, queues, z, y = self.make_run(n, seed=14)
+        nuis = oracle_nuisances(cohort, PSI, lambda hh: 0.5)
+        rep = estimate_pliv(cohort.h, z, y, queues, theta, alpha, nuis)
+        v = variance_pliv_formula(cohort.h, theta, alpha, nuis.sigma)
+        assert rep.se == np.sqrt(v / n)
+
     def test_deterministic_policy_fails_relevance(self):
         n = 50
         cohort = exogenous_linear_cohort(n, PSI, seed=15)
@@ -648,15 +655,6 @@ class TestMultiplierBootstrap:
         target = phi.std(ddof=1) / np.sqrt(2_000)
         assert out.se == pytest.approx(target, rel=0.1)
         assert out.ci_high - out.ci_low == pytest.approx(2 * 1.96 * target, rel=0.1)
-
-    def test_band_shares_multipliers_across_columns(self):
-        rng = np.random.default_rng(26)
-        col = rng.normal(size=500)
-        cols = np.stack([col, col], axis=1)
-        band = multiplier_band(cols, reps=300, seed=13)
-        assert band.shape == (2, 2)
-        assert np.allclose(band[0], band[1])
-        assert band[0, 0] <= col.mean() <= band[0, 1]
 
     def test_reps_must_be_positive(self):
         with pytest.raises(ValueError, match="reps"):

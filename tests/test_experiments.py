@@ -7,8 +7,18 @@ live in the acceptance suite.
 import numpy as np
 import pytest
 
-from queuedesign import experiments
+from queuedesign import (
+    alpha_vector,
+    experiments,
+    generate_cohort,
+    instrument_information,
+    outcome_variances,
+    rct_policy,
+    residual_variance,
+    variance_dr_formula,
+)
 from queuedesign.config import config_from_dict
+from queuedesign.estimation import SIGMA_FLOOR
 
 
 def small_pareto_config(**overrides):
@@ -64,6 +74,25 @@ class TestRunPareto:
         proxies = [r[3] for r in grid]
         assert all(np.isfinite(p) and p > 0 for p in proxies)
         assert all(b >= a - 1e-9 for a, b in zip(proxies, proxies[1:]))
+
+    @pytest.mark.parametrize("objective", ["exogenous", "endogenous"])
+    def test_rct_proxy_is_the_estimator_variance(self, objective):
+        cfg = small_pareto_config(design={"objective": objective})
+        frontier, _ = experiments.run_pareto(cfg)
+        rct = next(r for r in frontier if r[0] == "rct")
+        n, psi = cfg.cohort.n, cfg.cohort.psi
+        beta, p = cfg.mechanism.beta, np.asarray(cfg.mechanism.p)
+        h = generate_cohort(n, cfg.cohort.tau, psi, seed=cfg.execution.seed).h
+        theta = rct_policy(n, p)
+        alpha = alpha_vector(beta, p)
+        if objective == "exogenous":
+            var1, var0 = outcome_variances("bernoulli", psi)
+            cate = lambda x: np.full(np.shape(x), psi)
+            expected = variance_dr_formula(h, theta, alpha, var1, var0, cate)
+        else:
+            sigma = np.maximum(residual_variance("bernoulli", psi, h, beta), SIGMA_FLOOR)
+            expected = 1.0 / np.mean(instrument_information(theta, alpha, sigma))
+        assert rct[3] == expected
 
     def test_explicit_c_grid(self):
         cfg = small_pareto_config(design={"c_grid": [0.16, 0.17]})
