@@ -11,19 +11,24 @@ n x K counterfactual treatment map from a single base allocation per world:
 * Units ranked below a given (queue, arrival) key are never displaced by
   anything ranked above it, so their waiting pattern is an autonomous system.
   A unit is served iff at some period the number of waiting lower-ranked
-  units falls short of the budget.  Those counts come from per-period,
-  per-queue sorted rank tables via binary search.
+  units falls short of the budget.  With units held in (queue, rank) key
+  order those counts are one cumulative sum of the (tau, n) waiting matrix,
+  read at each probe key's insertion point.
 
 * Removing the probe unit from its realized slot frees capacity that pulls
   forward the first waiting unit, whose old slot frees again, and so on: a
-  removal cascade.  The cascade depends only on the starting period, is at
-  most tau long, and only ever *advances* service times, so the counts above
-  need a small subtraction for cascade members during the interval between
-  their new and old service periods.
+  removal cascade.  The cascade depends only on the starting period and only
+  ever *advances* service times.  Each member stops competing on the
+  interval from its pull-forward period to its old service period; these
+  intervals are disjoint and contiguous, so at any period at most one member
+  is active.  A tau x tau table of active members, built backwards in tau
+  row writes, turns the cascade correction into a gather.
 
-Both shortcuts are verified against brute-force re-allocation in the test
-suite.  For tiny single-period instances an exact oracle enumerates all queue
-configurations (and optionally all arrival orders) instead of sampling.
+A world therefore costs O(k * tau * n) array operations on compact dtypes
+(bool, and int16 unless (k + 1) * n needs int32), with no per-unit Python
+loop.  Both shortcuts are verified against brute-force re-allocation in the
+test suite.  For tiny single-period instances an exact oracle enumerates all
+queue configurations (and optionally all arrival orders) instead of sampling.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from typing import Optional
 
 import numpy as np
 
-from .cohorts import Cohort
 from .mechanism import (
     QueueSpec,
     _allocate_rationed,
@@ -54,93 +58,101 @@ from .propensity import PropensityTable
 # ---------------------------------------------------------------------------
 
 
-def _waiting_tables(s, ranks, queues, t_served, tau, k):
-    """Sorted per-(period, queue) rank tables of waiting units.
+def _cascade_table(pending, by_key, key, t_served, none):
+    """Key of the one active removal-cascade member, per (start, period).
 
-    A unit waits at period t if it has arrived (s <= t) and has not been
-    served strictly before t; units served exactly at t still occupy a slot
-    at t and therefore count as competitors.
+    Vacating a served slot at period sigma pulls the first pending unit j of
+    sigma (lowest key among arrived units not served by sigma) forward to
+    sigma; j's own slot then frees at t_served[j], which pulls the first
+    pending unit of that period, and so on.  Member j stops competing on
+    (sigma, t_served[j]], or through tau if it was never served, so the
+    members' intervals are disjoint and contiguous: ``act[sigma, t]`` is the
+    key of the member active at period t, or ``none``.  Row 0 (probes never
+    served) stays empty.  ``by_key`` lists the units in key order.
     """
-    until = np.where(t_served > 0, t_served, tau)
-    order = np.lexsort((ranks, queues))
-    by_period = []
-    for t in range(1, tau + 1):
-        sel = order[(s[order] <= t) & (t <= until[order])]
-        counts = np.bincount(queues[sel], minlength=k + 2)
-        bounds = np.concatenate(([0], np.cumsum(counts[1 : k + 1])))
-        per_queue = [ranks[sel[bounds[q] : bounds[q + 1]]] for q in range(k)]
-        by_period.append((per_queue, bounds, sel))
-    return by_period, until
+    tau = pending.shape[0]
+    first = by_key[pending[:, by_key].argmax(axis=1)]
+    has = pending[np.arange(tau), first]
+    act = np.full((tau + 1, tau + 1), none, dtype=key.dtype)
+    for sigma in range(tau, 0, -1):
+        if not has[sigma - 1]:
+            continue
+        j = first[sigma - 1]
+        until = t_served[j] if t_served[j] > 0 else tau
+        act[sigma, sigma + 1 : until + 1] = key[j]
+        if until < tau:
+            act[sigma, until + 1 :] = act[until, until + 1 :]
+    return act
 
 
-def _removal_chains(waiting, t_served, queues, ranks, budgets, tau):
-    """Cascade of pulled-forward services when one served slot is vacated.
+def _forced_map(s, ranks, queues, t_served, caps, cascade):
+    """Forced treatment map of one world from its base allocation.
 
-    chain[sigma] lists (queue, rank, pull, until) for every unit whose
-    service moves from its base period to an earlier one when a slot at
-    period sigma frees up: the first waiting-unserved unit at sigma is pulled
-    to sigma, its old slot (if any) frees next, and so on.  Entries only
-    matter while pull < t <= until.
+    Probe i forced into queue kk is served iff at some period t >= s_i
+    fewer than caps[t, kk] other units wait with a key below (kk, r_i).
+    Strict mode (``cascade``) counts queues 1..kk-1 too, less the probe
+    itself and the cascade member active at t; rationed queues never share
+    capacity, so there only queue kk counts.  All (tau, n) temporaries go
+    through the ``count`` and ``flag`` buffers.
     """
-    first_waiting = np.full(tau + 1, -1, dtype=int)
-    for t in range(1, tau + 1):
-        per_queue, bounds, sel = waiting[t - 1]
-        if sel.size > budgets[t - 1]:
-            first_waiting[t] = sel[budgets[t - 1]]
-    chains = [[] for _ in range(tau + 1)]
-    for sigma in range(1, tau + 1):
-        elems = []
-        cur = sigma
-        while True:
-            j = first_waiting[cur]
-            if j < 0:
-                break
-            until = t_served[j] if t_served[j] > 0 else tau
-            elems.append((queues[j], ranks[j], cur, until))
-            if t_served[j] == 0:
-                break
-            cur = t_served[j]
-        chains[sigma] = elems
-    return chains
+    n = s.shape[0]
+    tau, k = caps.shape
+    # counts never exceed n, so budgets capped at n + 1 pass the same tests
+    # and share one dtype with counts and keys (at most none = (k + 1) * n)
+    dtype = np.int16 if (k + 1) * n < 2**15 else np.int32
+    caps = np.minimum(caps, n + 1).astype(dtype)
+    order = np.empty(n, dtype=np.int64)
+    order[ranks] = np.arange(n)
+    s, queues, t_served = s[order], queues[order], t_served[order]
+    t = np.arange(1, tau + 1)[:, None]
+    arrived = s <= t
+    waiting = t <= np.where(t_served > 0, t_served, tau)
+    waiting &= arrived
+    by_key = np.argsort(queues, kind="stable")
+    below = np.zeros((tau, n + 1), dtype=dtype)
+    np.cumsum(waiting[:, by_key], axis=1, out=below[:, 1:])
+    flag = np.empty((tau, n), dtype=bool)
+    if cascade:
+        rank = np.arange(n, dtype=dtype)
+        key = queues.astype(dtype) * n + rank
+        np.not_equal(t_served, t, out=flag)
+        flag &= waiting
+        act_t = _cascade_table(flag, by_key, key, t_served, (k + 1) * n).T[1:]
+    count = np.empty((tau, n), dtype=dtype)
+    z = np.empty((n, k), dtype=bool)
+    start = 0
+    for kk in range(1, k + 1):
+        in_q = queues == kk
+        if cascade:
+            # cascade member active at t ranks below the probe key; "clip"
+            # lets take write into out unbuffered (every index is in range)
+            np.take(act_t, t_served, axis=1, out=count, mode="clip")
+            np.less(count, kk * n + rank, out=flag)
+        # insertion point of key (kk, r_i) among the (queue, rank) keys
+        idx = start + np.cumsum(in_q) - in_q
+        np.take(below, idx, axis=1, out=count, mode="clip")
+        if cascade:
+            count -= flag
+            np.logical_and(waiting, queues < kk, out=flag)
+            count -= flag
+        else:
+            count -= below[:, start : start + 1]
+        np.less(count, caps[:, kk - 1 : kk], out=flag)
+        flag &= arrived
+        z[:, kk - 1] = flag.any(axis=0)
+        start += int(in_q.sum())
+    # the realized column needs no counterfactual: it is the base world
+    z[np.arange(n), queues - 1] = t_served > 0
+    out = np.empty_like(z)
+    out[order] = z
+    return out
 
 
 def _forced_map_strict(s, ranks, queues, budgets, tau, k):
     """Exact n x K counterfactual treatment map for one strict-mode world."""
-    n = s.shape[0]
     t_served = _allocate_strict(s, ranks, queues, budgets)
-    waiting, until = _waiting_tables(s, ranks, queues, t_served, tau, k)
-    chains = _removal_chains(waiting, t_served, queues, ranks, budgets, tau)
-    z = np.zeros((n, k), dtype=bool)
-    served_groups = [np.nonzero(t_served == sig)[0] for sig in range(tau + 1)]
-    for kk in range(1, k + 1):
-        hit = np.zeros(n, dtype=bool)
-        for t in range(1, tau + 1):
-            b = budgets[t - 1]
-            if b == 0:
-                continue
-            per_queue, bounds, _ = waiting[t - 1]
-            count = bounds[kk - 1] + np.searchsorted(per_queue[kk - 1], ranks)
-            # the probe unit leaves its own base queue: remove it from the
-            # count when its base key ranks below the probe key
-            self_in = (queues < kk) & (s <= t) & (t <= until)
-            count = count - self_in
-            # removal-cascade members are served earlier once the probe's
-            # base slot frees, so they stop competing during (pull, until]
-            for sigma in range(1, t):
-                idx = served_groups[sigma]
-                if idx.size == 0:
-                    continue
-                for (qj, rj, pull, uj) in chains[sigma]:
-                    if pull < t <= uj and qj <= kk:
-                        if qj < kk:
-                            count[idx] -= 1
-                        else:
-                            count[idx] -= rj < ranks[idx]
-            hit |= (s <= t) & (count < b)
-        z[:, kk - 1] = hit
-    # the realized column needs no counterfactual: it is the base world
-    z[np.arange(n), queues - 1] = t_served > 0
-    return z, t_served
+    caps = np.broadcast_to(np.asarray(budgets)[:, None], (tau, k))
+    return _forced_map(s, ranks, queues, t_served, caps, cascade=True), t_served
 
 
 def _forced_map_rationed(s, ranks, queues, shares, tau, k):
@@ -150,26 +162,11 @@ def _forced_map_rationed(s, ranks, queues, shares, tau, k):
     queue k never disturbs the other queues: its counterfactual is a pure
     insertion, with no removal cascade to track.
     """
-    n = s.shape[0]
     t_served = _allocate_rationed(s, ranks, queues, shares)
-    waiting, _ = _waiting_tables(s, ranks, queues, t_served, tau, k)
-    z = np.zeros((n, k), dtype=bool)
-    for kk in range(1, k + 1):
-        hit = np.zeros(n, dtype=bool)
-        for t in range(1, tau + 1):
-            b = shares[t - 1, kk - 1]
-            if b == 0:
-                continue
-            per_queue, _, _ = waiting[t - 1]
-            count = np.searchsorted(per_queue[kk - 1], ranks)
-            hit |= (s <= t) & (count < b)
-        z[:, kk - 1] = hit
-    z[np.arange(n), queues - 1] = t_served > 0
-    return z, t_served
+    return _forced_map(s, ranks, queues, t_served, shares, cascade=False), t_served
 
 
 def mc_propensities(
-    cohort: Cohort,
     theta: np.ndarray,
     spec: QueueSpec,
     reps: int,
@@ -177,7 +174,7 @@ def mc_propensities(
     forced: bool = True,
     max_cells: int = 500_000_000,
 ) -> PropensityTable:
-    """Monte Carlo queue-conditional propensities for one cohort and policy.
+    """Monte Carlo queue-conditional propensities for one policy.
 
     With ``forced=True`` every replication contributes one observation to
     every (unit, queue) cell via the counterfactual treatment map; with
@@ -284,7 +281,6 @@ class ExactOracle:
 
 
 def exact_oracle(
-    cohort: Cohort,
     theta: np.ndarray,
     spec: QueueSpec,
     world_cap: int = 2_000_000,

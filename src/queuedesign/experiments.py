@@ -5,10 +5,14 @@ Reproducibility contract: every random draw is keyed by a SeedSequence
 the worker function is identical whether it runs inline or in a process
 pool, so the emitted rows are byte-identical for any --threads value.
 
-Stream ids used here (0..3 are reserved by cohorts/estimation):
+Stream ids used here (0..3 are reserved by cohorts/estimation), one
+``STREAM_*`` constant each:
   100 covariate draw for the fixed-design bias study
-  101/102 per-replication bias-study cohort and endogenous-design queue draws
-  103/104/105 propensity-check cohorts, forced MC, treated-mass reps
+  101 per-replication bias-study cohort
+  102 per-replication bias-study queue draw for the endogenous design
+  103 retired: the propensity-check cohort, which the forced MC never read
+  104 forced MC replications of the propensity check
+  105 treated-mass cohorts of the propensity check
   106 queue draw for the single-run estimate command
   107 band bootstrap seeds on the frontier
   108 treated-mass queue draws
@@ -69,6 +73,17 @@ PROPENSITY_COLUMNS = (
     "n", "k", "mc_pi_tilde", "alpha_formula", "abs_dev", "treated_mass", "mass_cap",
 )
 ESTIMATES_COLUMNS = ("estimator", "point", "se", "ci_low", "ci_high", "n", "seed", "status")
+
+# seed streams, one per draw site; the module docstring lists them
+STREAM_BIAS_COVARIATES = 100
+STREAM_BIAS_COHORT = 101
+STREAM_BIAS_ENDOGENOUS_QUEUES = 102
+STREAM_PROPENSITY_MC = 104
+STREAM_TREATED_MASS_COHORT = 105
+STREAM_ESTIMATE_QUEUES = 106
+STREAM_BAND_BOOTSTRAP = 107
+STREAM_TREATED_MASS_QUEUES = 108
+STREAM_BIAS_EXOGENOUS_QUEUES = 109
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +236,10 @@ def run_pareto(config: RunConfig):
     nan = float("nan")
     rows = [
         (method, float(param), nan, nan, nan, nan, "infeasible") if theta is None
-        else _frontier_row(method, param, theta, h, alpha, lens,
-                           band_reps, _derived_seed(cfg_e.seed, 107, row_id))
+        else _frontier_row(
+            method, param, theta, h, alpha, lens, band_reps,
+            _derived_seed(cfg_e.seed, STREAM_BAND_BOOTSTRAP, row_id),
+        )
         for row_id, (method, param, theta) in enumerate(candidates)
     ]
     band_rows = [(m, c, lo, hi) for (m, c, _, _, lo, hi, _) in rows]
@@ -261,7 +278,7 @@ def _bias_rep(rep: int):
     )
     cohort = generate_bias_cohort(
         n, int(ctx["tau"]), psi, h_law=_FixedH(h),
-        seed=_derived_seed(ctx["seed"], 101, ctx["arm"], rep),
+        seed=_derived_seed(ctx["seed"], STREAM_BIAS_COHORT, ctx["arm"], rep),
     )
 
     def realize(theta, stream):
@@ -275,7 +292,7 @@ def _bias_rep(rep: int):
         return queues, z, y
 
     theta_endo = ctx["theta_endo"]
-    queues, z, y = realize(theta_endo, 102)
+    queues, z, y = realize(theta_endo, STREAM_BIAS_ENDOGENOUS_QUEUES)
     pi = marginal_propensity(theta_endo, alpha)
     nuis = oracle_nuisances(cohort, psi, marginal_pi=lambda _h: pi)
     try:
@@ -287,7 +304,7 @@ def _bias_rep(rep: int):
         pliv = float("nan")
 
     theta_exo = ctx["theta_exo"]
-    _, z, y = realize(theta_exo, 109)
+    _, z, y = realize(theta_exo, STREAM_BIAS_EXOGENOUS_QUEUES)
     pi = marginal_propensity(theta_exo, alpha)
     nuis = oracle_nuisances(cohort, psi, marginal_pi=lambda _h: pi)
     try:
@@ -321,7 +338,9 @@ def run_bias(config: RunConfig):
     beta = float(mech.beta)
     reps = int(cfg_e.bias_replications)
 
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg_e.seed), 100]))
+    rng = np.random.default_rng(
+        np.random.SeedSequence([int(cfg_e.seed), STREAM_BIAS_COVARIATES])
+    )
     h = default_h_law(rng, n)
     c_rct = beta * float(h.mean())
 
@@ -388,10 +407,10 @@ def run_bias(config: RunConfig):
 def run_propensity_check(config: RunConfig):
     """Forced-assignment MC propensities against the closed-form limits.
 
-    For each n in the grid: draw an exogenous cohort, run the forced MC
-    under the RCT policy, and report per-queue conditional propensities next
-    to the water-filling values, plus cumulative treated mass by priority
-    tier against its capacity limit.
+    For each n in the grid: run the forced MC under the RCT policy (every
+    replication redraws arrivals and queues), and report per-queue
+    conditional propensities next to the water-filling values, plus
+    cumulative treated mass by priority tier against its capacity limit.
     """
     cfg_c, cfg_e = config.cohort, config.execution
     mech = config.mechanism
@@ -407,13 +426,10 @@ def run_propensity_check(config: RunConfig):
     for n in cfg_e.n_grid:
         n = int(n)
         spec = _spec_for(config, n)
-        cohort = generate_cohort(
-            n, int(cfg_c.tau), float(cfg_c.psi), seed=_derived_seed(cfg_e.seed, 103, n)
-        )
         theta = rct_policy(n, p)
         table = mc_propensities(
-            cohort, theta, spec, reps=int(cfg_e.propensity_reps),
-            seed=_derived_seed(cfg_e.seed, 104, n), forced=True,
+            theta, spec, reps=int(cfg_e.propensity_reps),
+            seed=_derived_seed(cfg_e.seed, STREAM_PROPENSITY_MC, n), forced=True,
         )
         pi_tilde = table.queue_conditional.mean(axis=0)
 
@@ -421,10 +437,10 @@ def run_propensity_check(config: RunConfig):
         for rep in range(int(cfg_e.treated_mass_reps)):
             rep_cohort = generate_cohort(
                 n, int(cfg_c.tau), float(cfg_c.psi),
-                seed=_derived_seed(cfg_e.seed, 105, n, rep),
+                seed=_derived_seed(cfg_e.seed, STREAM_TREATED_MASS_COHORT, n, rep),
             )
             qrng = np.random.default_rng(
-                np.random.SeedSequence([int(cfg_e.seed), 108, n, rep])
+                np.random.SeedSequence([int(cfg_e.seed), STREAM_TREATED_MASS_QUEUES, n, rep])
             )
             trace = allocate(rep_cohort, sample_queues(theta, qrng), spec)
             mass_acc += treated_mass_profile(trace, int(mech.k))[:, -1]
@@ -478,7 +494,7 @@ def run_estimate(config: RunConfig):
     spec = _spec_for(config, n)
     alpha = _alpha_for(config)
     theta = rct_policy(n, p)
-    qrng = np.random.default_rng(np.random.SeedSequence([seed, 106]))
+    qrng = np.random.default_rng(np.random.SeedSequence([seed, STREAM_ESTIMATE_QUEUES]))
     queues = sample_queues(theta, qrng)
     trace = allocate(cohort, queues, spec)
     z = trace.z.astype(float)

@@ -174,12 +174,13 @@ def arrival_periods(arrival: np.ndarray, tau: int) -> np.ndarray:
 
 
 def arrival_ranks(arrival: np.ndarray) -> np.ndarray:
-    """Dense FIFO ranks: position of each unit in (arrival, id) order."""
-    arrival = np.asarray(arrival, dtype=float)
-    n = arrival.shape[0]
-    order = np.lexsort((np.arange(n), arrival))
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(n)
+    """Dense FIFO ranks: position of each unit in (arrival, id) order.
+
+    A stable sort on arrival alone keeps tied units in id order.
+    """
+    order = np.argsort(np.asarray(arrival, dtype=float), kind="stable")
+    ranks = np.empty(order.shape[0], dtype=np.int64)
+    ranks[order] = np.arange(order.shape[0])
     return ranks
 
 

@@ -87,10 +87,9 @@ class TestQueueingLimits:
         alpha = alpha_vector(0.5, p)
         np.testing.assert_allclose(alpha.alpha, [1.0, 0.5, 0.0], atol=1e-12)
 
-        cohort = generate_cohort(n, tau=1, psi=PSI, seed=41)
         spec = QueueSpec.auto(n, k=3, p=p, beta=0.5, tau=1)
         table = mc_propensities(
-            cohort, rct_policy(n, p), spec, reps=reps, seed=42, forced=True,
+            rct_policy(n, p), spec, reps=reps, seed=42, forced=True,
         )
         pi_tilde = table.queue_conditional.mean(axis=0)
         np.testing.assert_allclose(pi_tilde, alpha.alpha, atol=0.03)
@@ -137,7 +136,7 @@ class TestExactOracle:
                 k=2, p=np.array([0.5, 0.5]), beta=b / n, tau=1,
                 budgets=np.array([b]),
             )
-            dec = late_decomposition(exact_oracle(cohort, theta, spec), cohort)
+            dec = late_decomposition(exact_oracle(theta, spec), cohort)
             assert abs(dec.iv_ratio - dec.weighted_average) <= 1e-10
         assert time.monotonic() - start < 10.0
 
@@ -153,7 +152,7 @@ class TestExactOracle:
         spec = QueueSpec(
             k=2, p=np.array([0.5, 0.5]), beta=1 / 3, tau=1, budgets=np.array([1])
         )
-        table = exact_oracle(cohort, theta, spec).table
+        table = exact_oracle(theta, spec).table
         target = np.array([7 / 12, 1 / 12])
         assert np.all(np.abs(table.queue_conditional - target) <= np.spacing(target))
         assert np.all(table.marginal == 1 / 3)

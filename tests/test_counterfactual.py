@@ -17,7 +17,6 @@ import pytest
 from queuedesign import (
     QueueSpec,
     exact_oracle,
-    generate_cohort,
     mc_propensities,
 )
 from queuedesign.counterfactual import _forced_map_rationed, _forced_map_strict
@@ -96,6 +95,53 @@ def random_instance(rng, mode):
     return s, ranks, queues, k, tau, budgets, shares
 
 
+def long_instance(rng, mode):
+    """Congested long-horizon world: zero-budget periods and tied arrivals."""
+    n = int(rng.integers(20, 61))
+    k = int(rng.integers(2, 5))
+    tau = int(rng.integers(8, 25))
+    arrivals = rng.uniform(0, tau, n)
+    tied = rng.integers(0, n, size=n // 4)
+    arrivals[tied] = arrivals[rng.integers(0, n, size=tied.size)]
+    s = arrival_periods(arrivals, tau)
+    ranks = arrival_ranks(arrivals)
+    queues = rng.integers(1, k + 1, n)
+    # a little under one slot per arrival on average, with idle periods
+    budgets = rng.integers(0, 2 * n // tau + 2, tau).astype(int)
+    budgets[rng.random(tau) < 0.25] = 0
+    if mode == "strict":
+        return s, ranks, queues, k, tau, budgets, None
+    alpha = np.sort(rng.uniform(0.1, 0.9, k))[::-1]
+    shares = rationed_shares(budgets, alpha, np.full(k, 1.0 / k))
+    return s, ranks, queues, k, tau, budgets, shares
+
+
+def longest_cascade(s, ranks, queues, t_served):
+    """Most hops of a strict-mode removal cascade from any served slot.
+
+    Vacating a slot at period c pulls forward the lowest (queue, rank) unit
+    that has arrived by c and is not served by c; if that unit was served
+    later, its own slot frees next.
+    """
+    longest = 0
+    for start in sorted(set(t_served[t_served > 0].tolist())):
+        hops, c = 0, start
+        while True:
+            pending = [
+                j for j in range(len(s))
+                if s[j] <= c and (t_served[j] == 0 or t_served[j] > c)
+            ]
+            if not pending:
+                break
+            j = min(pending, key=lambda j: (queues[j], ranks[j]))
+            hops += 1
+            if t_served[j] == 0:
+                break
+            c = t_served[j]
+        longest = max(longest, hops)
+    return longest
+
+
 # ---------------------------------------------------------------------------
 # forced-map equivalence
 # ---------------------------------------------------------------------------
@@ -125,6 +171,30 @@ def test_forced_map_rationed_matches_brute_force():
         )
 
 
+def test_forced_map_strict_matches_brute_force_long_horizon():
+    rng = np.random.default_rng(2026)
+    longest = 0
+    for trial in range(20):
+        s, ranks, queues, k, tau, budgets, _ = long_instance(rng, "strict")
+        fast, tp = _forced_map_strict(s, ranks, queues, budgets, tau, k)
+        assert np.array_equal(tp, naive_allocate_strict(s, ranks, queues, budgets))
+        slow = naive_forced_map(s, ranks, queues, k, budgets=budgets)
+        assert np.array_equal(fast, slow), f"trial {trial}: tau={tau}, b={budgets}"
+        longest = max(longest, longest_cascade(s, ranks, queues, tp))
+    # the draws must exercise multi-hop cascades, not just one pull-forward
+    assert longest >= 3
+
+
+def test_forced_map_rationed_matches_brute_force_long_horizon():
+    rng = np.random.default_rng(2027)
+    for trial in range(20):
+        s, ranks, queues, k, tau, budgets, shares = long_instance(rng, "rationed")
+        fast, tp = _forced_map_rationed(s, ranks, queues, shares, tau, k)
+        assert np.array_equal(tp, naive_allocate_rationed(s, ranks, queues, shares))
+        slow = naive_forced_map(s, ranks, queues, k, shares=shares)
+        assert np.array_equal(fast, slow), f"trial {trial}: tau={tau}, shares={shares}"
+
+
 def test_forced_map_is_monotone_in_queue():
     rng = np.random.default_rng(41)
     for _ in range(40):
@@ -146,12 +216,11 @@ def small_spec(n=3, k=2, b=1):
 
 def test_forced_mc_agrees_with_exact_oracle_within_noise():
     n = 3
-    cohort = generate_cohort(n, 1, psi=0.0, seed=2)
     theta = np.full((n, 2), 0.5)
     spec = small_spec()
-    oracle = exact_oracle(cohort, theta, spec)
+    oracle = exact_oracle(theta, spec)
     reps = 4000
-    table = mc_propensities(cohort, theta, spec, reps=reps, seed=9)
+    table = mc_propensities(theta, spec, reps=reps, seed=9)
     se = np.sqrt(
         oracle.table.queue_conditional * (1 - oracle.table.queue_conditional) / reps
     )
@@ -163,21 +232,19 @@ def test_forced_mc_agrees_with_exact_oracle_within_noise():
 
 def test_saturating_budget_gives_unit_propensities():
     n = 4
-    cohort = generate_cohort(n, 1, psi=0.0, seed=3)
     theta = np.full((n, 2), 0.5)
     spec = QueueSpec(k=2, p=np.array([0.5, 0.5]), beta=0.99, tau=1,
                      budgets=np.array([n]))
-    table = mc_propensities(cohort, theta, spec, reps=50, seed=1)
+    table = mc_propensities(theta, spec, reps=50, seed=1)
     assert np.all(table.queue_conditional == 1.0)
     assert np.all(table.marginal == 1.0)
 
 
 def test_unforced_mc_flags_unvisited_cells():
     n = 5
-    cohort = generate_cohort(n, 1, psi=0.0, seed=4)
     theta = np.tile(np.array([0.995, 0.005]), (n, 1))
     spec = small_spec(n=n, k=2, b=2)
-    table = mc_propensities(cohort, theta, spec, reps=40, seed=5, forced=False)
+    table = mc_propensities(theta, spec, reps=40, seed=5, forced=False)
     assert table.source == "monte_carlo"
     missing = ~np.isfinite(table.queue_conditional[:, 1])
     assert missing.any()
@@ -185,20 +252,18 @@ def test_unforced_mc_flags_unvisited_cells():
 
 
 def test_cell_cap_guard():
-    cohort = generate_cohort(100, 1, psi=0.0, seed=6)
     theta = np.full((100, 2), 0.5)
     spec = small_spec(n=100, k=2, b=50)
     with pytest.raises(ValueError, match="cap"):
-        mc_propensities(cohort, theta, spec, reps=10, max_cells=1000)
+        mc_propensities(theta, spec, reps=10, max_cells=1000)
 
 
 def test_forced_mc_deterministic_given_seed():
-    cohort = generate_cohort(40, 2, psi=0.0, seed=8)
     theta = np.full((40, 3), 1.0 / 3)
     spec = QueueSpec(k=3, p=np.full(3, 1.0 / 3), beta=0.5, tau=2,
                      budgets=np.array([10, 10]))
-    t1 = mc_propensities(cohort, theta, spec, reps=25, seed=13)
-    t2 = mc_propensities(cohort, theta, spec, reps=25, seed=13)
+    t1 = mc_propensities(theta, spec, reps=25, seed=13)
+    t2 = mc_propensities(theta, spec, reps=25, seed=13)
     assert np.array_equal(t1.queue_conditional, t2.queue_conditional)
 
 
@@ -212,9 +277,8 @@ class TestExactOracle:
         # b=1, K=2, three units, uniform rows: conditioning on queue 1 the
         # unit is served unless a rival lands in queue 1 ahead of it:
         # pi_tilde(1) = 7/12, pi_tilde(2) = 1/12, marginal = 1/3 = b/n.
-        cohort = generate_cohort(3, 1, psi=0.0, seed=2)
         theta = np.full((3, 2), 0.5)
-        oracle = exact_oracle(cohort, theta, small_spec())
+        oracle = exact_oracle(theta, small_spec())
         assert np.allclose(oracle.table.queue_conditional[:, 0], 7 / 12, atol=1e-12)
         assert np.allclose(oracle.table.queue_conditional[:, 1], 1 / 12, atol=1e-12)
         assert np.allclose(oracle.table.marginal, 1 / 3, atol=1e-12)
@@ -222,11 +286,10 @@ class TestExactOracle:
     def test_matches_independent_enumeration_heterogeneous(self):
         rng = np.random.default_rng(15)
         n, k, b = 4, 2, 2
-        cohort = generate_cohort(n, 1, psi=0.0, seed=21)
         raw = rng.uniform(0.05, 1.0, size=(n, k))
         theta = raw / raw.sum(axis=1, keepdims=True)
         spec = small_spec(n=n, k=k, b=b)
-        oracle = exact_oracle(cohort, theta, spec)
+        oracle = exact_oracle(theta, spec)
 
         # independent enumeration: sum over the *other* units' queues and
         # all arrival orders, with the probe pinned to its forced queue
@@ -255,54 +318,48 @@ class TestExactOracle:
     def test_world_table_reproduces_conditional_propensities(self):
         rng = np.random.default_rng(99)
         n, k = 4, 2
-        cohort = generate_cohort(n, 1, psi=0.0, seed=33)
         raw = rng.uniform(0.05, 1.0, size=(n, k))
         theta = raw / raw.sum(axis=1, keepdims=True)
-        oracle = exact_oracle(cohort, theta, small_spec(n=n, k=k, b=1))
+        oracle = exact_oracle(theta, small_spec(n=n, k=k, b=1))
         worlds = oracle.worlds
         qc = np.einsum("w,wik->ik", worlds.probs, worlds.zmap.astype(float))
         assert np.allclose(qc, oracle.table.queue_conditional, atol=1e-12)
 
     def test_world_monotonicity_exhaustive(self):
-        cohort = generate_cohort(5, 1, psi=0.0, seed=35)
         theta = np.full((5, 2), 0.5)
-        oracle = exact_oracle(cohort, theta, small_spec(n=5, k=2, b=2))
+        oracle = exact_oracle(theta, small_spec(n=5, k=2, b=2))
         z = oracle.worlds.zmap.astype(int)
         assert np.all(np.diff(z, axis=2) <= 0)
 
     def test_realized_z_consistent_with_marginal(self):
-        cohort = generate_cohort(4, 1, psi=0.0, seed=36)
         theta = np.full((4, 2), 0.5)
-        oracle = exact_oracle(cohort, theta, small_spec(n=4, k=2, b=2))
+        oracle = exact_oracle(theta, small_spec(n=4, k=2, b=2))
         worlds = oracle.worlds
         zr = worlds.realized_z().astype(float)
         marg = worlds.probs @ zr
         assert np.allclose(marg, oracle.table.marginal, atol=1e-12)
 
     def test_guards(self):
-        cohort = generate_cohort(9, 1, psi=0.0, seed=37)
         theta = np.full((9, 2), 0.5)
         with pytest.raises(ValueError, match="n <= 8"):
-            exact_oracle(cohort, theta, small_spec(n=9, k=2, b=2))
-        cohort2 = generate_cohort(3, 2, psi=0.0, seed=38)
+            exact_oracle(theta, small_spec(n=9, k=2, b=2))
         theta2 = np.full((3, 2), 0.5)
         spec2 = QueueSpec(k=2, p=np.array([0.5, 0.5]), beta=0.5, tau=2,
                           budgets=np.array([1, 1]))
         with pytest.raises(ValueError, match="single review period"):
-            exact_oracle(cohort2, theta2, spec2)
+            exact_oracle(theta2, spec2)
 
     def test_alpha_limit_is_exact_for_degenerate_policy(self):
         # with everyone pinned to their queue and b = n*beta the exact
         # conditional propensities collapse to the waterfilling alpha values
         n, k = 6, 3
-        cohort = generate_cohort(n, 1, psi=0.0, seed=40)
         theta = np.zeros((n, k))
         theta[:2, 0] = 1.0
         theta[2:4, 1] = 1.0
         theta[4:, 2] = 1.0
         spec = QueueSpec(k=3, p=np.full(3, 1.0 / 3), beta=0.5, tau=1,
                          budgets=np.array([3]))
-        oracle = exact_oracle(cohort, theta, spec)
+        oracle = exact_oracle(theta, spec)
         # every world serves exactly b = 3 of the 6 units, so the average
         # marginal propensity must equal beta = 1/2 exactly
         assert abs(oracle.table.marginal.mean() - 0.5) < 1e-12

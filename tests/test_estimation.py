@@ -431,7 +431,7 @@ class TestLateDecomposition:
         )
         theta = rct_theta(n)
         spec = QueueSpec.auto(n=n, k=2, p=(0.5, 0.5), beta=1.0 / 3.0, tau=1)
-        oracle = exact_oracle(cohort, theta, spec)
+        oracle = exact_oracle(theta, spec)
         late = late_decomposition(oracle, cohort)
         # forced-queue propensities are 7/12 and 1/12, so every unit is a
         # (1, 2)-complier with probability exactly 1/2
@@ -449,7 +449,7 @@ class TestLateDecomposition:
             k = int(rng.integers(2, 4))
             b_total = int(rng.integers(1, n))
             cohort, theta, spec = tiny_instance(n, k, b_total / n, seed)
-            oracle = exact_oracle(cohort, theta, spec)
+            oracle = exact_oracle(theta, spec)
             try:
                 late = late_decomposition(oracle, cohort)
             except ValueError as err:
@@ -467,14 +467,14 @@ class TestLateDecomposition:
 
     def test_requires_world_table(self):
         cohort, theta, spec = tiny_instance(4, 2, 0.5, seed=19)
-        oracle = exact_oracle(cohort, theta, spec, world_cap=0)
+        oracle = exact_oracle(theta, spec, world_cap=0)
         with pytest.raises(ValueError, match="world table"):
             late_decomposition(oracle, cohort)
 
     def test_saturated_budgets_are_degenerate(self):
         # round(0.99 * 3 + 0.5) = 3: the budget covers every unit
         cohort, theta, spec = tiny_instance(3, 2, 0.99, seed=20)
-        oracle = exact_oracle(cohort, theta, spec)
+        oracle = exact_oracle(theta, spec)
         with pytest.raises(ValueError, match="degenerate"):
             late_decomposition(oracle, cohort)
 

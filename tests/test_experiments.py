@@ -4,6 +4,9 @@ These run on deliberately tiny cohorts; the statistically demanding runs
 live in the acceptance suite.
 """
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -233,3 +236,21 @@ class TestRunEstimate:
         rows = experiments.run_estimate(cfg)
         assert rows[0][5] == 200
         assert rows[0][-1] == "ok"
+
+
+class TestStreamRegistry:
+    def test_constants_are_distinct_and_match_the_docstring(self):
+        streams = {
+            name: value for name, value in vars(experiments).items()
+            if name.startswith("STREAM_")
+        }
+        assert len(set(streams.values())) == len(streams)
+        listed = re.findall(r"^  (\d+) (.*)$", experiments.__doc__, flags=re.MULTILINE)
+        live = {int(sid) for sid, what in listed if not what.startswith("retired")}
+        retired = {int(sid) for sid, what in listed if what.startswith("retired")}
+        assert set(streams.values()) == live
+        assert retired == {103}
+        # one draw site per stream: each constant is read exactly once
+        source = inspect.getsource(experiments)
+        for name in streams:
+            assert len(re.findall(rf"\b{name}\b", source)) == 2, name

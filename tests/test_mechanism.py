@@ -263,3 +263,23 @@ def test_treated_mass_profile_cumulative_in_both_axes():
 def test_arrival_ranks_break_ties_by_id():
     ranks = arrival_ranks(np.array([0.3, 0.1, 0.3]))
     assert ranks.tolist() == [1, 0, 2]
+
+
+def test_arrival_ranks_match_two_key_lexsort():
+    # the single-key stable sort must give the (arrival, id) order exactly,
+    # including runs of exactly tied arrival times
+    rng = np.random.default_rng(61)
+    for trial in range(50):
+        n = int(rng.integers(1, 300))
+        arrival = rng.uniform(0.0, 5.0, size=n)
+        if trial % 2:
+            arrival = np.round(arrival, 1)  # many exact ties
+        else:
+            tied = rng.integers(0, n, size=n // 3)
+            arrival[tied] = arrival[rng.integers(0, n, size=tied.size)]
+        order = np.lexsort((np.arange(n), arrival))
+        expected = np.empty(n, dtype=np.int64)
+        expected[order] = np.arange(n)
+        ranks = arrival_ranks(arrival)
+        assert ranks.dtype == np.int64
+        assert np.array_equal(ranks, expected)
