@@ -25,6 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._bitexact import stable_ranks
+
 DGP_TAGS = ("bernoulli", "partially_linear")
 ESTIMATOR_METHODS = ("dr_ate", "pliv", "iv_ratio")
 
@@ -146,10 +148,8 @@ def generate_bias_cohort(
     if h.shape != (n,):
         raise ValueError("h_law must return an array of shape (n,)")
     u = rng.uniform(-0.2 * h, 0.2 * h)
-    # Rank 0 = largest U. ties are measure-zero for continuous U; argsort is stable.
-    order = np.argsort(-u, kind="stable")
-    ranks = np.empty(n, dtype=int)
-    ranks[order] = np.arange(n)
+    # Rank 0 = largest U; a tie (measure zero for continuous U) keeps id order.
+    ranks = stable_ranks(-u)
     arrival = tau * (ranks + 0.5) / n
     y0 = h + u
     y1 = psi + h + u

@@ -40,14 +40,15 @@ from typing import Optional
 
 import numpy as np
 
+from ._bitexact import row_cumsum
 from .mechanism import (
     QueueSpec,
     _allocate_rationed,
     _allocate_strict,
+    _draw_queues,
     arrival_periods,
     arrival_ranks,
     rationed_shares,
-    sample_queues,
     validate_policy,
 )
 from .propensity import PropensityTable
@@ -195,6 +196,7 @@ def mc_propensities(
     shares = None
     if spec.mode == "rationed":
         shares = rationed_shares(spec.budgets, spec.alpha_target, spec.p)
+    cum = row_cumsum(theta)
     hits = np.zeros((n, k), dtype=np.int64)
     visits = np.zeros((n, k), dtype=np.int64)
     rows = np.arange(n)
@@ -203,7 +205,7 @@ def mc_propensities(
         a = rng.uniform(0.0, spec.tau, size=n)
         s = arrival_periods(a, spec.tau)
         ranks = arrival_ranks(a)
-        queues = sample_queues(theta, rng)
+        queues = _draw_queues(cum, rng)
         if forced:
             if spec.mode == "strict":
                 z, _ = _forced_map_strict(s, ranks, queues, spec.budgets, spec.tau, k)

@@ -30,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.optimize
 
+from ._bitexact import outer, per_row, row_max, row_sum
 from .propensity import AlphaVector, instrument_variance
 from .estimation import variance_dr_formula, variance_pliv_formula
 from .policies import assortative_policy
@@ -197,9 +198,9 @@ def _mirror_policy(v: np.ndarray, p: np.ndarray, kappa: float, regularizer: str)
     """argmin over simplex rows of kappa*R(theta) - v.theta (closed form)."""
     if regularizer == "neg_entropy":
         x = v / kappa
-        x = x - x.max(axis=1, keepdims=True)
-        e = np.exp(x)
-        return e / e.sum(axis=1, keepdims=True)
+        per_row(np.subtract, x, row_max(x), out=x)
+        e = np.exp(x, out=x)
+        return per_row(np.divide, e, row_sum(e), out=e)
     return _project_simplex(p[None, :] + v / kappa)
 
 
@@ -217,11 +218,18 @@ def _inner_solve(
     the first-order condition into the scalar equation eta + phi'(s(eta))=0
     with s(eta) = alpha.theta(eta) nondecreasing, so the left side is
     strictly increasing and a vectorized bisection is exact and safe.
+
+    The bisection stops early once a step leaves every bracket bit for bit
+    unchanged: the same (lo, hi) then gives the same midpoint and the same
+    step forever, so the result equals that of all 100 steps.  Adjacent
+    brackets are not such a point, since hi can still move onto lo.
     """
     n = w.shape[0]
 
     def s_of(eta):
-        theta = _mirror_policy(w + eta[:, None] * alpha[None, :], p, kappa, regularizer)
+        v = outer(eta, alpha)
+        v += w
+        theta = _mirror_policy(v, p, kappa, regularizer)
         return theta, theta @ alpha
 
     def g(eta):
@@ -243,8 +251,14 @@ def _inner_solve(
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         pos = g(mid) > 0.0
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
+        new_hi = np.where(pos, mid, hi)
+        new_lo = np.where(pos, lo, mid)
+        # compare bits, so that -0.0 and +0.0 count as different
+        if np.array_equal(new_lo.view(np.int64), lo.view(np.int64)) and np.array_equal(
+            new_hi.view(np.int64), hi.view(np.int64)
+        ):
+            break
+        lo, hi = new_lo, new_hi
     eta = 0.5 * (lo + hi)
     theta, s = s_of(eta)
     return theta, s

@@ -54,7 +54,13 @@ from .estimation import (
     oracle_nuisances,
     split_indices,
 )
-from .mechanism import QueueSpec, allocate, sample_queues, treated_mass_profile
+from .mechanism import (
+    QueueSpec,
+    allocate,
+    arrival_ranks,
+    sample_queues,
+    treated_mass_profile,
+)
 from .policies import greedy_softmax_policy, rct_policy, switch_policy
 from .propensity import (
     alpha_from_target,
@@ -269,24 +275,21 @@ def _bias_rep(rep: int):
     """
     ctx = _CONTEXT
     h = ctx["h"]
-    n = h.shape[0]
     psi = ctx["psi"]
-    alpha = alpha_from_target(ctx["alpha_target"], ctx["p"])
-    spec = QueueSpec.auto(
-        n, k=int(ctx["k"]), p=ctx["p"], beta=float(ctx["beta"]), tau=int(ctx["tau"]),
-        mode="rationed", alpha_target=ctx["alpha_target"],
-    )
+    alpha, spec = ctx["alpha"], ctx["spec"]
     cohort = generate_bias_cohort(
-        n, int(ctx["tau"]), psi, h_law=_FixedH(h),
+        h.shape[0], spec.tau, psi, h_law=_FixedH(h),
         seed=_derived_seed(ctx["seed"], STREAM_BIAS_COHORT, ctx["arm"], rep),
     )
+    # both allocations serve the same cohort, so rank its arrivals once
+    ranks = arrival_ranks(cohort.arrival)
 
     def realize(theta, stream):
         rng = np.random.default_rng(
             np.random.SeedSequence([int(ctx["seed"]), stream, int(ctx["arm"]), int(rep)])
         )
         queues = sample_queues(theta, rng)
-        trace = allocate(cohort, queues, spec)
+        trace = allocate(cohort, queues, spec, ranks=ranks)
         z = trace.z.astype(float)
         y = np.where(trace.z, cohort.y1, cohort.y0)
         return queues, z, y
@@ -375,10 +378,14 @@ def run_bias(config: RunConfig):
         theta_endo = optimize_endogenous(problem).policy
         theta_exo = optimize_exogenous(problem).policy
 
+        # everything a replication reads that does not depend on its draws
+        spec = QueueSpec.auto(
+            n, k=int(mech.k), p=p, beta=beta, tau=tau,
+            mode="rationed", alpha_target=alpha_target,
+        )
         ctx = {
             "h": h, "theta_endo": theta_endo, "theta_exo": theta_exo,
-            "p": p, "beta": beta, "k": int(mech.k),
-            "alpha_target": alpha_target, "tau": tau, "psi": psi,
+            "alpha": alpha, "spec": spec, "psi": psi,
             "gamma": float(config.estimation.gamma),
             "relevance_floor": float(config.estimation.relevance_floor),
             "seed": int(cfg_e.seed), "arm": arm_id,

@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._bitexact import row_cumsum, row_sum, stable_ranks
 from .cohorts import Cohort
 from .propensity import alpha_from_target
 
@@ -49,7 +50,7 @@ def validate_policy(theta: np.ndarray, k: Optional[int] = None) -> np.ndarray:
         raise ValueError(f"policy has {theta.shape[1]} queues, expected {k}")
     if np.any(theta < -1e-12):
         raise ValueError("policy entries must be nonnegative")
-    if np.max(np.abs(theta.sum(axis=1) - 1.0)) > 1e-9:
+    if np.max(np.abs(row_sum(theta) - 1.0)) > 1e-9:
         raise ValueError("policy rows must sum to 1")
     return theta
 
@@ -59,10 +60,16 @@ def sample_queues(theta: np.ndarray, rng: np.random.Generator | int) -> np.ndarr
     theta = validate_policy(theta)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    cum = np.cumsum(theta, axis=1)
-    u = rng.uniform(size=theta.shape[0])
-    labels = 1 + (cum < u[:, None]).sum(axis=1)
-    return np.minimum(labels, theta.shape[1]).astype(int)
+    return _draw_queues(row_cumsum(theta), rng)
+
+
+def _draw_queues(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``sample_queues`` from a checked policy's row cumsum, unchecked."""
+    u = rng.uniform(size=cum.shape[0])
+    labels = np.ones(cum.shape[0], dtype=int)
+    for j in range(cum.shape[1]):
+        labels += cum[:, j] < u
+    return np.minimum(labels, cum.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +185,7 @@ def arrival_ranks(arrival: np.ndarray) -> np.ndarray:
 
     A stable sort on arrival alone keeps tied units in id order.
     """
-    order = np.argsort(np.asarray(arrival, dtype=float), kind="stable")
-    ranks = np.empty(order.shape[0], dtype=np.int64)
-    ranks[order] = np.arange(order.shape[0])
-    return ranks
+    return stable_ranks(np.asarray(arrival, dtype=float))
 
 
 def rationed_shares(budgets: np.ndarray, alpha_target: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -326,12 +330,12 @@ def allocate(
     cohort: Cohort,
     queues: np.ndarray,
     spec: QueueSpec,
-    arrivals: Optional[np.ndarray] = None,
+    ranks: Optional[np.ndarray] = None,
 ) -> AllocationTrace:
     """Run the service mechanism for one realized queue assignment.
 
-    ``arrivals`` overrides the cohort's arrival times (used when arrival
-    randomness is resampled); otherwise the cohort's own times apply.
+    ``ranks`` are the cohort's ``arrival_ranks``, for a caller that
+    allocates one cohort more than once; by default they are computed here.
     """
     queues = np.asarray(queues, dtype=int)
     if queues.shape != (cohort.n,):
@@ -340,9 +344,11 @@ def allocate(
         raise ValueError(f"queue labels must lie in 1..{spec.k}")
     if cohort.tau != spec.tau:
         raise ValueError("cohort horizon and spec horizon disagree")
-    a = cohort.arrival if arrivals is None else np.asarray(arrivals, dtype=float)
-    s = arrival_periods(a, spec.tau)
-    ranks = arrival_ranks(a)
+    s = arrival_periods(cohort.arrival, spec.tau)
+    if ranks is None:
+        ranks = arrival_ranks(cohort.arrival)
+    elif np.shape(ranks) != (cohort.n,):
+        raise ValueError("ranks must give one rank per unit")
     if spec.mode == "strict":
         tp = _allocate_strict(s, ranks, queues, spec.budgets)
     else:

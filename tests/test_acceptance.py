@@ -3,7 +3,7 @@
 Each test pins one end-to-end behavior at realistic scale and asserts a
 wall-clock budget next to the statistical tolerance, so a regression in
 either correctness or cost fails loudly.  The endogeneity study is the slow
-one: about 460 s of its 900 s budget on a 2-core Linux VM (Python 3.11.7,
+one: 330-373 s of its 900 s budget on a 2-core Linux VM (Python 3.11.7,
 numpy 2.4.6, 2026-10-18).  Everything else finishes within
 seconds.  The CLI tests run ``python -m queuedesign`` from this checkout's
 ``src``, so the suite needs no install.

@@ -73,6 +73,21 @@ class TestBiasCohort:
         # Pearson is weaker because U's scale varies with h (about -0.98)
         assert np.corrcoef(c.arrival, c.confounder)[0, 1] < -0.97
 
+    @pytest.mark.parametrize("seed", [0, 5, 505])
+    @pytest.mark.parametrize("tiny_h", [False, True])
+    def test_arrivals_follow_stable_sort_of_confounder(self, seed, tiny_h):
+        # tiny subnormal h quantizes U to a few hundred values, with exact
+        # ties and signed zeros, so the stable-sort fallback is exercised
+        law = (lambda rng, n: np.full(n, 1e-320)) if tiny_h else None
+        c = generate_bias_cohort(3_000, 4, psi=-0.1, h_law=law, seed=seed)
+        if tiny_h:
+            assert np.unique(c.confounder).size < c.n
+        order = np.argsort(-c.confounder, kind="stable")
+        ranks = np.empty(c.n, dtype=int)
+        ranks[order] = np.arange(c.n)
+        expected = 4 * (ranks + 0.5) / c.n
+        assert np.array_equal(c.arrival, expected)
+
     def test_effect_is_exactly_psi(self):
         c = generate_bias_cohort(5_000, 4, psi=-0.1, seed=9)
         assert np.max(np.abs((c.y1 - c.y0) - (-0.1))) < 1e-12

@@ -23,6 +23,14 @@ from queuedesign import (
     rct_policy,
     switch_policy,
 )
+from queuedesign import design
+from queuedesign.design import (
+    REGULARIZERS,
+    _inner_solve,
+    _mirror_policy,
+    _phi_functions,
+    _project_simplex,
+)
 
 
 def random_utilities(n, seed):
@@ -433,3 +441,122 @@ class TestParetoSweep:
         )
         assert pts[0].dr_variance == float("inf")
         assert pts[0].pliv_variance == float("inf")
+
+
+# ---------------------------------------------------------------------------
+# the inner solve's fast paths return the same bits
+# ---------------------------------------------------------------------------
+
+
+def mirror_policy_axis1(v, p, kappa, regularizer):
+    """The mirror map with numpy's axis=1 row reductions."""
+    if regularizer == "neg_entropy":
+        x = v / kappa
+        x = x - x.max(axis=1, keepdims=True)
+        e = np.exp(x)
+        return e / e.sum(axis=1, keepdims=True)
+    return _project_simplex(p[None, :] + v / kappa)
+
+
+def inner_solve_100_steps(w, alpha, p, kappa, phi_prime, regularizer):
+    """The per-row bisection with no early exit: always 100 steps."""
+    n = w.shape[0]
+
+    def s_of(eta):
+        theta = mirror_policy_axis1(w + eta[:, None] * alpha[None, :], p, kappa, regularizer)
+        return theta, theta @ alpha
+
+    def g(eta):
+        _, s = s_of(eta)
+        return eta + phi_prime(s)
+
+    lo = np.full(n, -4.0)
+    hi = np.full(n, 4.0)
+    for _ in range(40):
+        need = g(lo) > 0.0
+        if not need.any():
+            break
+        lo[need] *= 4.0
+    for _ in range(40):
+        need = g(hi) < 0.0
+        if not need.any():
+            break
+        hi[need] *= 4.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        pos = g(mid) > 0.0
+        hi = np.where(pos, mid, hi)
+        lo = np.where(pos, lo, mid)
+    eta = 0.5 * (lo + hi)
+    return s_of(eta)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestInnerSolveBitExact:
+    @pytest.mark.parametrize("regularizer", ["neg_entropy", "l2_to_p"])
+    @pytest.mark.parametrize("objective", ["exogenous", "endogenous"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_fixed_point_exit_matches_100_steps(self, regularizer, objective, k):
+        rng = np.random.default_rng([71, k, len(regularizer), len(objective)])
+        exits_early = 0
+        for _ in range(6):
+            n = int(rng.integers(1, 300))
+            p = rng.dirichlet(np.ones(k))
+            alpha = np.sort(rng.uniform(0.0, 1.0, size=k))[::-1]
+            if rng.uniform() < 0.3:
+                alpha[0], alpha[-1] = 1.0, 0.0  # propensities touching {0, 1}
+            kappa = float(10.0 ** rng.uniform(-5.0, -1.0))
+            u = rng.uniform(0.1, 0.9, size=n)
+            lam = float(rng.exponential(2.0))
+            nu = np.append(rng.normal(0.0, 1.0, size=k - 1), 0.0)
+            _, phi_prime, offset = _phi_functions(objective, alpha)
+            w = lam * u[:, None] * alpha[None, :] + nu[None, :] + offset[None, :]
+            w += float(10.0 ** rng.uniform(-2.0, 1.0)) * rng.normal(size=(n, k))
+            calls = []
+
+            def counted(s):
+                calls.append(1)
+                return phi_prime(s)
+
+            theta, s = _inner_solve(w, alpha, p, kappa, counted, regularizer)
+            ref_calls = len(calls)
+            calls.clear()
+            ref_theta, ref_s = inner_solve_100_steps(w, alpha, p, kappa, counted, regularizer)
+            assert same_bits(theta, ref_theta)
+            assert same_bits(s, ref_s)
+            exits_early += ref_calls < len(calls)
+        assert exits_early > 0  # the early exit is exercised, not idle
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_columnwise_mirror_map_matches_axis1(self, k):
+        rng = np.random.default_rng([72, k])
+        p = rng.dirichlet(np.ones(k))
+        for scale in (1e-3, 1.0, 50.0):
+            v = scale * rng.normal(size=(500, k))
+            v[:50, 1] = v[:50, 0]  # tied row maxima
+            v[50:60] = 0.0
+            v[55:60, 0] = -0.0
+            for kappa in (1e-4, 0.013, 2.0):
+                for regularizer in REGULARIZERS:
+                    assert same_bits(
+                        _mirror_policy(v, p, kappa, regularizer),
+                        mirror_policy_axis1(v, p, kappa, regularizer),
+                    )
+
+    @pytest.mark.parametrize("regularizer", ["neg_entropy", "l2_to_p"])
+    @pytest.mark.parametrize("objective", ["exogenous", "endogenous"])
+    def test_solutions_match_100_step_solver(self, regularizer, objective, monkeypatch):
+        # a whole solve: the scipy outer loop and the Newton polish
+        solve = optimize_exogenous if objective == "exogenous" else optimize_endogenous
+        prob = make_problem(n=150, k=3, seed=73, objective=objective, regularizer=regularizer)
+        c = prob.c_rct + 0.4 * (prob.utility_range()[1] - prob.c_rct)
+        prob = dataclasses.replace(prob, utility_floor=c)
+        fast = solve(prob)
+        monkeypatch.setattr(design, "_inner_solve", inner_solve_100_steps)
+        slow = solve(prob)
+        assert same_bits(fast.policy, slow.policy)
+        assert fast.iterations == slow.iterations
+        assert fast.lam == slow.lam and same_bits(fast.nu, slow.nu)

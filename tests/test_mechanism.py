@@ -16,6 +16,7 @@ from queuedesign import (
     treated_mass_profile,
     validate_policy,
 )
+from queuedesign._bitexact import row_cumsum, stable_ranks
 
 
 def toy_cohort(arrivals, tau):
@@ -241,6 +242,19 @@ class TestPolicies:
         freq = np.bincount(q, minlength=4)[1:] / 20_000
         assert np.max(np.abs(freq - np.array([0.2, 0.3, 0.5]))) < 0.02
 
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_sample_queues_matches_axis1_draw(self, k):
+        # the column-wise cumsum and count draw the same labels as the
+        # axis=1 forms, from the same uniforms
+        rng = np.random.default_rng([63, k])
+        theta = rng.dirichlet(np.ones(k), size=3000)
+        theta[:300] = np.eye(k)[rng.integers(0, k, size=300)]
+        cum = np.cumsum(theta, axis=1)
+        u = np.random.default_rng(7).uniform(size=theta.shape[0])
+        expected = np.minimum(1 + (cum < u[:, None]).sum(axis=1), k)
+        assert np.array_equal(row_cumsum(theta).view(np.int64), cum.view(np.int64))
+        assert np.array_equal(sample_queues(theta, np.random.default_rng(7)), expected)
+
     def test_sample_queues_deterministic_rows(self):
         theta = np.zeros((5, 3))
         theta[:, 1] = 1.0
@@ -258,6 +272,20 @@ def test_treated_mass_profile_cumulative_in_both_axes():
     assert np.allclose(prof[1], [0.25, 0.5])
     assert np.all(np.diff(prof, axis=0) >= -1e-12)
     assert np.all(np.diff(prof, axis=1) >= -1e-12)
+
+
+def test_allocate_with_precomputed_ranks():
+    rng = np.random.default_rng(64)
+    cohort = toy_cohort(np.round(rng.uniform(0.0, 3.0, size=40), 1), tau=3)
+    queues = rng.integers(1, 3, size=40)
+    for mode, target in (("strict", None), ("rationed", np.array([0.7, 0.3]))):
+        spec = QueueSpec.auto(40, k=2, p=np.array([0.5, 0.5]), beta=0.5, tau=3,
+                              mode=mode, alpha_target=target)
+        ranks = arrival_ranks(cohort.arrival)
+        given = allocate(cohort, queues, spec, ranks=ranks)
+        assert np.array_equal(given.treat_period, allocate(cohort, queues, spec).treat_period)
+    with pytest.raises(ValueError, match="one rank per unit"):
+        allocate(cohort, queues, spec, ranks=ranks[:-1])
 
 
 def test_arrival_ranks_break_ties_by_id():
@@ -283,3 +311,30 @@ def test_arrival_ranks_match_two_key_lexsort():
         ranks = arrival_ranks(arrival)
         assert ranks.dtype == np.int64
         assert np.array_equal(ranks, expected)
+
+
+class TestStableRanks:
+    """The default-sort fast path gives the stable order, or falls back."""
+
+    @staticmethod
+    def key_sets():
+        rng = np.random.default_rng(62)
+        distinct = rng.uniform(-1.0, 1.0, size=2000)
+        ties = np.round(rng.uniform(0.0, 5.0, size=2000), 1)
+        zeros = rng.choice([-0.0, 0.0, 1.0, -1.0], size=2000)
+        nans = rng.uniform(size=2000)
+        nans[rng.integers(0, 2000, size=40)] = np.nan
+        one_tie = distinct.copy()
+        one_tie[1500] = one_tie[7]
+        return {"distinct": distinct, "ties": ties, "signed_zeros": zeros,
+                "nans": nans, "one_tie": one_tie, "sorted": np.sort(distinct),
+                "single": distinct[:1], "empty": distinct[:0]}
+
+    @pytest.mark.parametrize("name", ["distinct", "ties", "signed_zeros", "nans",
+                                      "one_tie", "sorted", "single", "empty"])
+    def test_matches_numpy_stable_sort(self, name):
+        keys = self.key_sets()[name]
+        ranks = np.empty(keys.shape[0], dtype=np.int64)
+        ranks[np.argsort(keys, kind="stable")] = np.arange(keys.shape[0])
+        assert np.array_equal(stable_ranks(keys), ranks)
+        assert np.array_equal(arrival_ranks(keys), ranks)
