@@ -10,6 +10,14 @@ preconditions that fail inside a run (instrument relevance, positivity) are
 recorded in the CSV status column and exit 0 — a degenerate design is a
 result, not a crash.  Floats are serialized with %.9g so reruns with the
 same config and seed produce byte-identical files at any --threads value.
+
+Status cells (each failure is the ``status`` of a ``queuedesign.errors`` type):
+  ok                   pareto, estimate: the row was computed
+  infeasible           pareto: the utility floor is above the achievable range
+  boundary_propensity  pareto, exogenous lens: a propensity sits on {0, 1}
+  relevance_error      pareto, endogenous lens; estimate: PLIV, IV ratio
+  positivity_error     estimate: DR propensities outside [gamma, 1 - gamma]
+  precondition_error   estimate: any other failed estimator precondition
 """
 
 from __future__ import annotations

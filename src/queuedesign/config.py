@@ -17,7 +17,7 @@ import yaml
 from .cohorts import DGP_TAGS, ESTIMATOR_METHODS as ESTIMATORS
 from .design import OBJECTIVES, REGULARIZERS
 from .estimation import NUISANCE_METHODS
-from .mechanism import MODES
+from .mechanism import MODES, QueueSpec
 
 
 class ConfigError(ValueError):
@@ -27,6 +27,14 @@ class ConfigError(ValueError):
 def _require(cond: bool, key: str, constraint: str):
     if not cond:
         raise ConfigError(f"config key '{key}': {constraint}")
+
+
+def _check(key: str, build):
+    """Run a constructor that owns a rule; its ValueError names ``key``."""
+    try:
+        build()
+    except ValueError as err:
+        raise ConfigError(f"config key '{key}': {err}") from err
 
 
 @dataclass(frozen=True)
@@ -68,27 +76,15 @@ class MechanismConfig:
         )
         _require(0.0 < float(self.beta) < 1.0, "mechanism.beta", "must lie in (0, 1)")
         _require(self.mode in MODES, "mechanism.mode", f"must be one of {MODES}")
-        if self.budgets is not None:
-            b = np.asarray(self.budgets, dtype=int)
-            _require(np.all(b >= 0), "mechanism.budgets", "entries must be nonnegative")
-        if self.mode == "rationed":
-            _require(
-                self.alpha_target is not None,
-                "mechanism.alpha_target",
-                "required in rationed mode",
-            )
-        if self.alpha_target is not None:
-            a = np.asarray(self.alpha_target, dtype=float)
-            _require(
-                a.shape == (int(self.k),) and np.all(a >= 0) and np.all(a <= 1),
-                "mechanism.alpha_target",
-                "must be k probabilities",
-            )
-            _require(
-                abs(float(a @ p) - float(self.beta)) <= 1e-9,
-                "mechanism.alpha_target",
-                "must satisfy sum_k alpha_k p_k = beta",
-            )
+
+    def queue_spec(self, n: int, tau: int) -> QueueSpec:
+        """The mechanism a run over n units and tau review periods allocates under."""
+        target = None if self.alpha_target is None else np.asarray(self.alpha_target, float)
+        shared = dict(k=int(self.k), p=np.asarray(self.p, float), beta=float(self.beta),
+                      tau=int(tau), mode=self.mode, alpha_target=target)
+        if self.budgets is None:
+            return QueueSpec.auto(n, **shared)
+        return QueueSpec(budgets=np.asarray(self.budgets, int), **shared)
 
 
 @dataclass(frozen=True)
@@ -209,6 +205,12 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         for block in fields(self):
             getattr(self, block.name).validate()
+        # QueueSpec owns the rules that tie mechanism fields together; with
+        # automatic budgets, whatever it rejects is about alpha_target
+        mech, n, tau = self.mechanism, int(self.cohort.n), int(self.cohort.tau)
+        _check("mechanism.alpha_target", lambda: replace(mech, budgets=None).queue_spec(n, tau))
+        if mech.budgets is not None:
+            _check("mechanism.budgets", lambda: mech.queue_spec(n, tau))
         return self
 
 

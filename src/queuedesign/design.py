@@ -31,6 +31,7 @@ import numpy as np
 import scipy.optimize
 
 from ._bitexact import outer, per_row, row_max, row_sum
+from .errors import InfeasibleFloor
 from .propensity import AlphaVector, instrument_variance
 from .estimation import variance_dr_formula, variance_pliv_formula
 from .policies import assortative_policy
@@ -341,7 +342,7 @@ def _solve(problem: DesignProblem, x0: Optional[np.ndarray]) -> DesignSolution:
     c = problem.utility_floor
     tol = problem.constraint_tol
     if c > c_max + tol:
-        raise ValueError(
+        raise InfeasibleFloor(
             f"infeasible utility floor {c:.6g}: the achievable range is "
             f"[{c_min:.6g}, {c_max:.6g}]"
         )
@@ -505,10 +506,8 @@ def pareto_sweep(
         prob_c = replace(problem, utility_floor=float(c))
         try:
             sol = solver(prob_c, x0)
-        except ValueError as err:
-            if "infeasible" not in str(err):
-                raise
-            points.append(ParetoPoint(c=float(c), status="infeasible", solution=None))
+        except InfeasibleFloor as err:
+            points.append(ParetoPoint(c=float(c), status=err.status, solution=None))
             continue
         x0 = np.concatenate([[sol.lam], sol.nu])
         dr_v = float("nan")

@@ -28,6 +28,7 @@ import numpy as np
 
 from .cohorts import Cohort, EstimateReport, residual_variance, wald_report
 from .counterfactual import ExactOracle
+from .errors import BoundaryPropensity, PositivityError, RelevanceError
 from .propensity import (
     AlphaVector,
     finite_instrument,
@@ -235,7 +236,7 @@ def estimate_dr_ate(
     if bad.size:
         shown = ", ".join(str(int(b)) for b in bad[:10])
         more = "" if bad.size <= 10 else f" (+{bad.size - 10} more)"
-        raise ValueError(
+        raise PositivityError(
             f"positivity violated at gamma={gamma}: units [{shown}]{more} have "
             "propensities outside [gamma, 1-gamma]; the design is too "
             "deterministic for ATE estimation"
@@ -283,7 +284,7 @@ def estimate_pliv(
     pi = marginal_propensity(theta, alpha)
     expected_sq = float(np.mean(instrument_variance(theta, alpha)))
     if expected_sq < relevance_floor:
-        raise ValueError(
+        raise RelevanceError(
             f"instrument relevance failure: mean expected squared residual "
             f"{expected_sq:.3e} < floor {relevance_floor:.3e}; the design has "
             "no usable queue randomization"
@@ -311,7 +312,7 @@ def estimate_iv_ratio(
     n = y.shape[0]
     den = float(np.mean(r * z))
     if den == 0.0:
-        raise ValueError(
+        raise RelevanceError(
             "instrument relevance failure: sum of r_i Z_i is zero"
         )
     point = float(np.mean(r * y)) / den
@@ -437,7 +438,7 @@ def dr_variance_terms(
     pi = marginal_propensity(theta, alpha)
     pi = np.broadcast_to(np.asarray(pi, dtype=float), h.shape)
     if np.any(pi <= 0.0) or np.any(pi >= 1.0):
-        raise ValueError("propensities on the boundary: DR variance undefined")
+        raise BoundaryPropensity("propensities on the boundary: DR variance undefined")
     effects = cate(h)
     return var1(h) / pi + var0(h) / (1.0 - pi) + (effects - effects.mean()) ** 2
 
@@ -480,7 +481,7 @@ def variance_pliv_formula(
     sig = sigma(np.asarray(h, dtype=float))
     info = float(np.mean(instrument_information(theta, alpha, sig)))
     if info <= 0.0:
-        raise ValueError(
+        raise RelevanceError(
             "instrument relevance failure: expected squared residual is zero "
             "(deterministic policy)"
         )

@@ -42,6 +42,7 @@ from .design import (
     optimize_exogenous,
     pareto_sweep,
 )
+from .errors import InfeasibleFloor, RelevanceError, RunFailure
 from .estimation import (
     SIGMA_FLOOR,
     dr_variance_terms,
@@ -115,21 +116,6 @@ class _FixedH:
         return self.h
 
 
-def _spec_for(config: RunConfig, n: int) -> QueueSpec:
-    mech = config.mechanism
-    target = None if mech.alpha_target is None else np.asarray(mech.alpha_target, float)
-    if mech.budgets is not None:
-        return QueueSpec(
-            k=int(mech.k), p=np.asarray(mech.p, float), beta=float(mech.beta),
-            tau=int(config.cohort.tau), budgets=np.asarray(mech.budgets, int),
-            mode=mech.mode, alpha_target=target,
-        )
-    return QueueSpec.auto(
-        n, k=int(mech.k), p=np.asarray(mech.p, float), beta=float(mech.beta),
-        tau=int(config.cohort.tau), mode=mech.mode, alpha_target=target,
-    )
-
-
 def _alpha_for(config: RunConfig):
     mech = config.mechanism
     if mech.mode == "rationed":
@@ -178,15 +164,15 @@ def _frontier_row(method, param, theta, h, alpha, lens, band_reps, band_seed):
         else:
             info = instrument_information(theta, alpha, lens["sigma"](h))
             if np.mean(info) <= 0.0:
-                raise ValueError("relevance failure: instrument variance is zero")
+                raise RelevanceError("relevance failure: instrument variance is zero")
             boot = multiplier_bootstrap(info, reps=band_reps, seed=band_seed)
             proxy = 1.0 / boot.point
             lo = 1.0 / boot.ci_high if boot.ci_high > 0 else float("inf")
             hi = 1.0 / boot.ci_low if boot.ci_low > 0 else float("inf")
         status = "ok"
-    except ValueError as err:
+    except RunFailure as err:
         proxy, lo, hi = float("inf"), float("inf"), float("inf")
-        status = "boundary_propensity" if "boundary" in str(err) else "relevance_error"
+        status = err.status
     return (method, float(param), utility, proxy, lo, hi, status)
 
 
@@ -241,7 +227,7 @@ def run_pareto(config: RunConfig):
 
     nan = float("nan")
     rows = [
-        (method, float(param), nan, nan, nan, nan, "infeasible") if theta is None
+        (method, float(param), nan, nan, nan, nan, InfeasibleFloor.status) if theta is None
         else _frontier_row(
             method, param, theta, h, alpha, lens, band_reps,
             _derived_seed(cfg_e.seed, STREAM_BAND_BOOTSTRAP, row_id),
@@ -376,6 +362,7 @@ def run_bias(config: RunConfig):
             regularizer=cfg_d.regularizer, kappa=cfg_d.kappa, objective="endogenous",
         )
         theta_endo = optimize_endogenous(problem).policy
+        # keeps the endogenous kappa resolved above, not the exogenous default
         theta_exo = optimize_exogenous(problem).policy
 
         # everything a replication reads that does not depend on its draws
@@ -432,7 +419,7 @@ def run_propensity_check(config: RunConfig):
     rows = []
     for n in cfg_e.n_grid:
         n = int(n)
-        spec = _spec_for(config, n)
+        spec = mech.queue_spec(n, int(cfg_c.tau))
         theta = rct_policy(n, p)
         table = mc_propensities(
             theta, spec, reps=int(cfg_e.propensity_reps),
@@ -467,28 +454,13 @@ def run_propensity_check(config: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-_STATUS_KEYWORDS = (
-    ("relevance", "relevance_error"),
-    ("positivity", "positivity_error"),
-    ("denominator", "relevance_error"),
-    ("degenerate", "degenerate_design"),
-)
-
-
-def _status_for(err: ValueError) -> str:
-    text = str(err)
-    for key, status in _STATUS_KEYWORDS:
-        if key in text:
-            return status
-    return "precondition_error"
-
-
 def run_estimate(config: RunConfig):
     """One allocation under the RCT policy, then every configured estimator.
 
     Estimator preconditions (positivity, instrument relevance) are reported
     as a status column with NaN numbers rather than as hard failures: a
-    degenerate design is a finding, not a crash.
+    degenerate design is a finding, not a crash.  A ``RunFailure`` names its
+    own status; any other ``ValueError`` is a ``precondition_error``.
     """
     cfg_c, cfg_e, est = config.cohort, config.execution, config.estimation
     mech = config.mechanism
@@ -498,7 +470,7 @@ def run_estimate(config: RunConfig):
     seed = int(cfg_e.seed)
 
     cohort = _make_cohort(config, seed=seed)
-    spec = _spec_for(config, n)
+    spec = mech.queue_spec(n, int(cfg_c.tau))
     alpha = _alpha_for(config)
     theta = rct_policy(n, p)
     qrng = np.random.default_rng(np.random.SeedSequence([seed, STREAM_ESTIMATE_QUEUES]))
@@ -523,6 +495,7 @@ def run_estimate(config: RunConfig):
     he, ze, ye = cohort.h[eval_idx], z[eval_idx], y[eval_idx]
     qe, te, pe = queues[eval_idx], theta[eval_idx], pi[eval_idx]
 
+    nan = float("nan")
     rows = []
     for name in est.estimators:
         try:
@@ -539,13 +512,15 @@ def run_estimate(config: RunConfig):
             else:
                 r = alpha.alpha[qe - 1] - pe
                 report = estimate_iv_ratio(ye, ze, r)
+        except RunFailure as err:
+            status = err.status
+        except ValueError:
+            status = RunFailure.status
+        else:
             rows.append((
                 name, report.point, report.se, report.ci_low, report.ci_high,
                 int(report.n), seed, "ok",
             ))
-        except ValueError as err:
-            rows.append((
-                name, float("nan"), float("nan"), float("nan"), float("nan"),
-                int(eval_idx.size), seed, _status_for(err),
-            ))
+            continue
+        rows.append((name, nan, nan, nan, nan, int(eval_idx.size), seed, status))
     return rows

@@ -77,30 +77,18 @@ def _draw_queues(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def make_budgets(
-    n: int,
-    beta: float,
-    tau: int,
-    arrival_mass: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def make_budgets(n: int, beta: float, tau: int) -> np.ndarray:
     """Integer per-period budgets summing to round(beta * n).
 
-    The total B = round(beta*n) is spread over periods proportionally to the
-    expected arrival mass (uniform by default) by rounding the *cumulative*
-    targets, so the realized cumulative capacity never strays more than half
-    a slot from B * cumulative_mass_t.
+    The total B = round(beta*n) is spread evenly over periods by rounding the
+    *cumulative* targets, so the realized cumulative capacity never strays
+    more than half a slot from B * t / tau.
     """
     if n < 1 or tau < 1:
         raise ValueError("n and tau must be positive")
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie strictly inside (0, 1)")
-    if arrival_mass is None:
-        mass = np.full(tau, 1.0 / tau)
-    else:
-        mass = np.asarray(arrival_mass, dtype=float)
-        if mass.shape != (tau,) or np.any(mass < 0) or mass.sum() <= 0:
-            raise ValueError("arrival_mass must be tau nonnegative weights")
-        mass = mass / mass.sum()
+    mass = np.full(tau, 1.0 / tau)
     total = int(np.floor(beta * n + 0.5))
     cum = np.cumsum(mass)
     cum[-1] = 1.0
@@ -164,10 +152,9 @@ class QueueSpec:
         tau: int,
         mode: str = "strict",
         alpha_target: Optional[np.ndarray] = None,
-        arrival_mass: Optional[np.ndarray] = None,
     ) -> "QueueSpec":
         """Build a spec with budgets sized for a cohort of n units."""
-        budgets = make_budgets(n, beta, tau, arrival_mass)
+        budgets = make_budgets(n, beta, tau)
         return cls(
             k=k, p=np.asarray(p, dtype=float), beta=beta, tau=tau,
             budgets=budgets, mode=mode, alpha_target=alpha_target,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from queuedesign import (
+from queuedesign.cohorts import (
     Cohort,
     EstimateReport,
     generate_bias_cohort,

@@ -54,6 +54,13 @@ class TestValidationMessages:
             ({"estimation": {"estimators": ["ols"]}}, "estimation.estimators"),
             ({"execution": {"threads": 0}}, "execution.threads"),
             ({"execution": {"seed": -1}}, "execution.seed"),
+            # cross-field rules come from QueueSpec and AlphaVector
+            ({"mechanism": {"alpha_target": [0.6, 0.4]}}, "mechanism.alpha_target"),
+            ({"mechanism": {"mode": "rationed", "alpha_target": [0.4, 0.6]}},
+             "mechanism.alpha_target"),
+            ({"cohort": {"tau": 1}, "mechanism": {"budgets": [500, 500]}},
+             "mechanism.budgets"),
+            ({"mechanism": {"budgets": [-1]}}, "mechanism.budgets"),
         ],
     )
     def test_bad_value_names_key(self, data, key):

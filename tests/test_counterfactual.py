@@ -14,13 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from queuedesign import (
-    QueueSpec,
+from queuedesign.counterfactual import (
+    _forced_map_rationed,
+    _forced_map_strict,
     exact_oracle,
     mc_propensities,
 )
-from queuedesign.counterfactual import _forced_map_rationed, _forced_map_strict
-from queuedesign.mechanism import arrival_periods, arrival_ranks, rationed_shares
+from queuedesign.mechanism import QueueSpec, arrival_periods, arrival_ranks, rationed_shares
 
 
 # ---------------------------------------------------------------------------

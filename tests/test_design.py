@@ -7,30 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queuedesign import (
-    DesignProblem,
-    alpha_vector,
-    assortative_policy,
-    default_kappa,
-    endogenous_objective,
-    exogenous_objective,
-    feasible_utility_range,
-    greedy_softmax_policy,
-    optimize_endogenous,
-    optimize_exogenous,
-    pareto_sweep,
-    quantile_assignment,
-    rct_policy,
-    switch_policy,
-)
 from queuedesign import design
 from queuedesign.design import (
     REGULARIZERS,
+    DesignProblem,
     _inner_solve,
     _mirror_policy,
     _phi_functions,
     _project_simplex,
+    default_kappa,
+    endogenous_objective,
+    exogenous_objective,
+    feasible_utility_range,
+    optimize_endogenous,
+    optimize_exogenous,
+    pareto_sweep,
 )
+from queuedesign.errors import InfeasibleFloor
+from queuedesign.policies import (
+    assortative_policy,
+    greedy_softmax_policy,
+    quantile_assignment,
+    rct_policy,
+    switch_policy,
+)
+from queuedesign.propensity import alpha_vector
 
 
 def random_utilities(n, seed):
@@ -303,7 +304,7 @@ class TestOptimizeExogenous:
     def test_infeasible_floor_raises(self):
         prob = make_problem(n=50, seed=9)
         c_max = prob.utility_range()[1]
-        with pytest.raises(ValueError, match="infeasible"):
+        with pytest.raises(InfeasibleFloor, match="infeasible"):
             optimize_exogenous(dataclasses.replace(prob, utility_floor=c_max + 0.01))
 
     def test_constant_alpha_rejected(self):

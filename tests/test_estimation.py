@@ -8,31 +8,25 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queuedesign import (
-    AlphaVector,
-    Cohort,
-    ExactOracle,
+from queuedesign.cohorts import Cohort, generate_cohort
+from queuedesign.counterfactual import ExactOracle, WorldTable, exact_oracle
+from queuedesign.errors import BoundaryPropensity, PositivityError, RelevanceError
+from queuedesign.estimation import (
     NuisanceSet,
-    PropensityTable,
-    QueueSpec,
-    WorldTable,
-    allocate,
-    alpha_vector,
     dr_influence,
     estimate_dr_ate,
     estimate_iv_ratio,
     estimate_pliv,
-    exact_oracle,
     fit_nuisances,
-    generate_cohort,
     late_decomposition,
     multiplier_bootstrap,
     oracle_nuisances,
-    sample_queues,
     split_indices,
     variance_dr_formula,
     variance_pliv_formula,
 )
+from queuedesign.mechanism import QueueSpec, allocate, sample_queues
+from queuedesign.propensity import AlphaVector, PropensityTable, alpha_vector
 
 PSI = 0.1
 
@@ -188,7 +182,7 @@ class TestDrAte:
         nuis = oracle_nuisances(
             generate_cohort(n, tau=1, psi=PSI, seed=8), PSI, lambda hh: 0.5
         )
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(PositivityError) as err:
             estimate_dr_ate(h, np.zeros(n), np.zeros(n), pi, nuis, gamma=0.01)
         assert "3" in str(err.value) and "17" in str(err.value)
 
@@ -323,7 +317,7 @@ class TestPliv:
         assert rep.method == "iv_ratio"
 
     def test_iv_ratio_zero_denominator_is_an_error(self):
-        with pytest.raises(ValueError, match="relevance"):
+        with pytest.raises(RelevanceError, match="relevance"):
             estimate_iv_ratio(np.ones(5), np.zeros(5), np.ones(5))
 
     def test_point_invariant_to_sigma_scale_but_se_scales(self):
@@ -357,7 +351,7 @@ class TestPliv:
         theta[:, 0] = 1.0
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
         nuis = oracle_nuisances(cohort, PSI, lambda hh: 0.5)
-        with pytest.raises(ValueError, match="relevance"):
+        with pytest.raises(RelevanceError, match="relevance"):
             estimate_pliv(
                 cohort.h, np.ones(n), np.ones(n), np.ones(n, dtype=int), theta, alpha, nuis
             )
@@ -546,7 +540,7 @@ class TestVarianceFormulas:
         theta = np.zeros((n, 2))
         theta[:, 0] = 1.0
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="boundary"):
+        with pytest.raises(BoundaryPropensity, match="boundary"):
             variance_dr_formula(
                 h, theta, alpha,
                 var1=lambda hh: np.ones(np.shape(hh)),
@@ -584,7 +578,7 @@ class TestVarianceFormulas:
         theta = np.zeros((n, 2))
         theta[:, 1] = 1.0
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="relevance"):
+        with pytest.raises(RelevanceError, match="relevance"):
             variance_pliv_formula(h, theta, alpha, sigma=lambda hh: np.ones(np.shape(hh)))
 
     def test_inverse_sigma_weighting_is_optimal(self):

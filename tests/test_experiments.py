@@ -10,18 +10,13 @@ import re
 import numpy as np
 import pytest
 
-from queuedesign import (
-    alpha_vector,
-    experiments,
-    generate_cohort,
-    instrument_information,
-    outcome_variances,
-    rct_policy,
-    residual_variance,
-    variance_dr_formula,
-)
+from queuedesign import experiments
+from queuedesign.cohorts import generate_cohort, outcome_variances, residual_variance
 from queuedesign.config import config_from_dict
-from queuedesign.estimation import SIGMA_FLOOR
+from queuedesign.errors import PositivityError, RelevanceError
+from queuedesign.estimation import SIGMA_FLOOR, instrument_information, variance_dr_formula
+from queuedesign.policies import rct_policy
+from queuedesign.propensity import alpha_vector
 
 
 def small_pareto_config(**overrides):
@@ -47,6 +42,23 @@ class TestRunPareto:
         for row in frontier:
             assert len(row) == len(experiments.FRONTIER_COLUMNS)
             assert row[-1] in {"ok", "infeasible", "boundary_propensity", "relevance_error"}
+
+    @pytest.mark.parametrize("objective, status", [
+        ("exogenous", "boundary_propensity"),
+        ("endogenous", "relevance_error"),
+    ])
+    def test_top_floor_row_reads_its_failure_type(self, objective, status):
+        # the top floor admits only the assortative policy: its propensities
+        # sit on {0, 1} and its queue instrument has no variance
+        frontier, bands = experiments.run_pareto(
+            small_pareto_config(design={"objective": objective})
+        )
+        top = max((i for i, r in enumerate(frontier) if r[0] == "optimized"),
+                  key=lambda i: frontier[i][1])
+        inf = float("inf")
+        assert frontier[top][-1] == status
+        assert frontier[top][3:6] == (inf, inf, inf)
+        assert bands[top][2:] == (inf, inf)
 
     def test_first_grid_point_matches_rct(self):
         frontier, _ = experiments.run_pareto(small_pareto_config())
@@ -226,6 +238,22 @@ class TestRunEstimate:
         assert status["iv_ratio"] == "relevance_error"
         pliv_row = next(r for r in rows if r[0] == "pliv")
         assert np.isnan(pliv_row[1])
+
+    @pytest.mark.parametrize("error, status", [
+        (PositivityError("reworded"), "positivity_error"),
+        (RelevanceError("reworded"), "relevance_error"),
+        (ValueError("instrument relevance failure"), "precondition_error"),
+    ])
+    def test_status_comes_from_the_error_type(self, monkeypatch, error, status):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(experiments, "estimate_pliv", fail)
+        cfg = config_from_dict({"cohort": {"n": 200}, "execution": {"seed": 4}})
+        rows = {r[0]: r for r in experiments.run_estimate(cfg)}
+        assert rows["pliv"][-1] == status
+        assert np.isnan(rows["pliv"][1])
+        assert rows["dr_ate"][-1] == rows["iv_ratio"][-1] == "ok"
 
     def test_split_fit_reports_half_sample(self):
         cfg = config_from_dict({

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queuedesign import (
-    Cohort,
+from queuedesign.cohorts import Cohort, generate_cohort
+from queuedesign.mechanism import (
     QueueSpec,
     allocate,
     arrival_periods,
     arrival_ranks,
-    generate_cohort,
     make_budgets,
     rationed_shares,
     sample_queues,
@@ -62,10 +61,6 @@ class TestBudgets:
         cum = np.cumsum(b)
         target = total * (np.arange(1, tau + 1) / tau)
         assert np.max(np.abs(cum - target)) <= 0.5 + 1e-9
-
-    def test_custom_arrival_mass(self):
-        b = make_budgets(100, 0.5, 2, arrival_mass=np.array([3.0, 1.0]))
-        assert b.tolist() == [38, 12]
 
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError, match="beta"):

@@ -5,13 +5,17 @@ bisection a few steps early moves a band bound in the 9th significant
 digit.  These configs are small enough to run in a few seconds but still
 go through warm-started design solves under both objectives and both
 regularizers (k = 2 and k = 3), bootstrap bands, rationed bias
-replications through both estimators, and the forced counterfactual map.  A hash changes only when the written bytes change, so
-a failure here means a change moved the paper's numbers.
+replications through both estimators, the forced counterfactual map, and
+an estimate run whose status cells read ``positivity_error``,
+``relevance_error`` and ``ok``.  A hash changes only when the written bytes
+change, so a failure here means a change moved the paper's numbers or
+relabelled a failure.
 
 The hashes were recorded by running ``csv_digests`` on the code before the
 bit-exact speed-ups of the design solve and the bias replications
 (the bisection's fixed-point exit, the column-wise row reductions and the
-single sort per cohort).
+single sort per cohort); the estimate hash on the code before failure
+statuses became exception types, when they were read from message text.
 """
 
 import hashlib
@@ -56,17 +60,30 @@ CONFIGS = {
         "execution": {"seed": 606, "n_grid": [150], "propensity_reps": 20,
                       "treated_mass_reps": 5},
     }),
+    # beta = 0.005 puts every propensity below gamma (positivity_error), and a
+    # relevance floor above the instrument variance fails PLIV
+    # (relevance_error); the raw ratio still reads ok
+    "estimate_mixed_status": ("run_estimate", {
+        "cohort": {"n": 400},
+        "mechanism": {"beta": 0.005},
+        "estimation": {"bootstrap_reps": 200, "relevance_floor": 1e-4},
+        "execution": {"seed": 7},
+    }),
 }
 
 OUTPUTS = {
     "run_pareto": (("frontier.csv", "FRONTIER_COLUMNS"), ("bands.csv", "BANDS_COLUMNS")),
     "run_bias": (("bias.csv", "BIAS_COLUMNS"),),
     "run_propensity_check": (("propensity.csv", "PROPENSITY_COLUMNS"),),
+    "run_estimate": (("estimates.csv", "ESTIMATES_COLUMNS"),),
 }
 
 EXPECTED = {
     "bias": {
         "bias.csv": "89af952e0be21efa471e76fc233b421b4c5d20d96aa7706ec4f5cc2abe5e271b",
+    },
+    "estimate_mixed_status": {
+        "estimates.csv": "221c2576fce4d8dfff4f992bf17c82f10379952d5c95160ca63dd0d5226bf7d6",
     },
     "pareto_endogenous_k3": {
         "frontier.csv": "042eb82361c2a02fa126e72efeed969356f8c8b2cb755a1f09ecfefc4b291c8c",
