@@ -13,6 +13,8 @@ same config and seed produce byte-identical files at any --threads value.
 
 Status cells (each failure is the ``status`` of a ``queuedesign.errors`` type):
   ok                   pareto, estimate: the row was computed
+  not_converged        pareto: the design solve stopped short of its tolerance;
+                       the row keeps the returned policy's numbers
   infeasible           pareto: the utility floor is above the achievable range
   boundary_propensity  pareto, exogenous lens: a propensity sits on {0, 1}
   relevance_error      pareto, endogenous lens; estimate: PLIV, IV ratio
@@ -22,6 +24,7 @@ Status cells (each failure is the ``status`` of a ``queuedesign.errors`` type):
 
 from __future__ import annotations
 
+import functools
 import os
 
 import click
@@ -57,90 +60,53 @@ def _load(config_path, seed, out_dir, threads) -> RunConfig:
         raise click.ClickException(str(err)) from err
 
 
-def _out_path(cfg: RunConfig, name: str) -> str:
-    out = cfg.execution.out_dir
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
+def _run(driver, outputs, config_path, seed, out_dir, threads):
+    """Load the config, run the driver, and write one CSV per output table."""
+    cfg = _load(config_path, seed, out_dir, threads)
+    try:
+        result = driver(cfg)
+    except ValueError as err:
+        raise click.ClickException(str(err)) from err
+    tables = result if len(outputs) > 1 else (result,)
+    os.makedirs(cfg.execution.out_dir, exist_ok=True)
+    for (name, columns), rows in zip(outputs, tables):
+        path = os.path.join(cfg.execution.out_dir, name)
+        write_csv(path, columns, rows)
+        click.echo(f"{path}: {len(rows)} rows")
 
 
-def _common_options(fn):
-    fn = click.option(
-        "--threads", type=int, default=None,
-        help="Worker processes for replication loops (output is identical at any value).",
-    )(fn)
-    fn = click.option(
-        "--out", "out_dir", type=click.Path(file_okay=False), default=None,
-        help="Output directory for CSV files (default from config).",
-    )(fn)
-    fn = click.option(
-        "--seed", type=int, default=None, help="Root seed override.",
-    )(fn)
-    fn = click.option(
-        "--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-        default=None, help="YAML run configuration (defaults apply if omitted).",
-    )(fn)
-    return fn
+# name, driver, (file, columns) per output table, help summary
+_COMMANDS = (
+    ("pareto", experiments.run_pareto,
+     (("frontier.csv", experiments.FRONTIER_COLUMNS), ("bands.csv", experiments.BANDS_COLUMNS)),
+     "Sweep utility floors and heuristics; write frontier.csv and bands.csv."),
+    ("bias", experiments.run_bias, (("bias.csv", experiments.BIAS_COLUMNS),),
+     "Run the fixed-design endogeneity bias study; write bias.csv."),
+    ("check-propensity", experiments.run_propensity_check,
+     (("propensity.csv", experiments.PROPENSITY_COLUMNS),),
+     "Compare MC propensities with the closed form; write propensity.csv."),
+    ("estimate", experiments.run_estimate, (("estimates.csv", experiments.ESTIMATES_COLUMNS),),
+     "Simulate one allocation and run the configured estimators; write estimates.csv."),
+)
 
 
-@click.group()
+def _command(name, driver, outputs, summary) -> click.Command:
+    options = [
+        click.Option(["--config", "config_path"], type=click.Path(exists=True, dir_okay=False),
+                     default=None, help="YAML run configuration (defaults apply if omitted)."),
+        click.Option(["--seed"], type=int, default=None, help="Root seed override."),
+        click.Option(["--out", "out_dir"], type=click.Path(file_okay=False), default=None,
+                     help="Output directory for CSV files (default from config)."),
+        click.Option(
+            ["--threads"], type=int, default=None,
+            help="Worker processes for replication loops (output is identical at any value).",
+        ),
+    ]
+    return click.Command(
+        name, callback=functools.partial(_run, driver, outputs), params=options, help=summary
+    )
+
+
+@click.group(commands=[_command(*spec) for spec in _COMMANDS])
 def main():
     """Priority-queue experiment designs and their estimators."""
-
-
-@main.command()
-@_common_options
-def pareto(config_path, seed, out_dir, threads):
-    """Sweep utility floors and heuristics; write frontier.csv and bands.csv."""
-    cfg = _load(config_path, seed, out_dir, threads)
-    try:
-        frontier, bands = experiments.run_pareto(cfg)
-    except ValueError as err:
-        raise click.ClickException(str(err)) from err
-    f_path = _out_path(cfg, "frontier.csv")
-    b_path = _out_path(cfg, "bands.csv")
-    write_csv(f_path, experiments.FRONTIER_COLUMNS, frontier)
-    write_csv(b_path, experiments.BANDS_COLUMNS, bands)
-    click.echo(f"{f_path}: {len(frontier)} rows")
-    click.echo(f"{b_path}: {len(bands)} rows")
-
-
-@main.command()
-@_common_options
-def bias(config_path, seed, out_dir, threads):
-    """Run the fixed-design endogeneity bias study; write bias.csv."""
-    cfg = _load(config_path, seed, out_dir, threads)
-    try:
-        rows = experiments.run_bias(cfg)
-    except ValueError as err:
-        raise click.ClickException(str(err)) from err
-    path = _out_path(cfg, "bias.csv")
-    write_csv(path, experiments.BIAS_COLUMNS, rows)
-    click.echo(f"{path}: {len(rows)} rows")
-
-
-@main.command("check-propensity")
-@_common_options
-def check_propensity(config_path, seed, out_dir, threads):
-    """Compare MC propensities with the closed form; write propensity.csv."""
-    cfg = _load(config_path, seed, out_dir, threads)
-    try:
-        rows = experiments.run_propensity_check(cfg)
-    except ValueError as err:
-        raise click.ClickException(str(err)) from err
-    path = _out_path(cfg, "propensity.csv")
-    write_csv(path, experiments.PROPENSITY_COLUMNS, rows)
-    click.echo(f"{path}: {len(rows)} rows")
-
-
-@main.command()
-@_common_options
-def estimate(config_path, seed, out_dir, threads):
-    """Simulate one allocation and run the configured estimators; write estimates.csv."""
-    cfg = _load(config_path, seed, out_dir, threads)
-    try:
-        rows = experiments.run_estimate(cfg)
-    except ValueError as err:
-        raise click.ClickException(str(err)) from err
-    path = _out_path(cfg, "estimates.csv")
-    write_csv(path, experiments.ESTIMATES_COLUMNS, rows)
-    click.echo(f"{path}: {len(rows)} rows")

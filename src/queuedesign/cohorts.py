@@ -30,9 +30,6 @@ from ._bitexact import stable_ranks
 DGP_TAGS = ("bernoulli", "partially_linear")
 ESTIMATOR_METHODS = ("dr_ate", "pliv", "iv_ratio")
 
-# h law: maps (rng, n) -> array of risk scores in (0, 1)
-HLaw = Callable[[np.random.Generator, int], np.ndarray]
-
 
 def default_h_law(rng: np.random.Generator, n: int) -> np.ndarray:
     """Beta(2, 5) risk scores rescaled to [0.1, 0.9].
@@ -96,7 +93,6 @@ def generate_cohort(
     n: int,
     tau: int,
     psi: float,
-    h_law: Optional[HLaw] = None,
     seed: int = 0,
 ) -> Cohort:
     """Draw a bernoulli-outcome cohort with exogenous uniform arrivals.
@@ -108,10 +104,7 @@ def generate_cohort(
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
-    law = h_law if h_law is not None else default_h_law
-    h = np.asarray(law(rng, n), dtype=float)
-    if h.shape != (n,):
-        raise ValueError("h_law must return an array of shape (n,)")
+    h = default_h_law(rng, n)
     p1 = h + psi
     if np.any(p1 < 0.0) or np.any(p1 > 1.0):
         bad = int(np.argmax((p1 < 0.0) | (p1 > 1.0)))
@@ -128,7 +121,7 @@ def generate_bias_cohort(
     n: int,
     tau: int,
     psi: float,
-    h_law: Optional[HLaw] = None,
+    h: Optional[np.ndarray] = None,
     seed: int = 0,
 ) -> Cohort:
     """Draw a partially linear cohort whose arrival order is confounded.
@@ -138,15 +131,15 @@ def generate_bias_cohort(
     are the deterministic grid tau*(r - 0.5)/n assigned in descending order
     of U: the highest-U unit arrives first.  Any allocation rule that serves
     earlier arrivals first will thus treat units with systematically higher
-    outcomes, which is invisible to regressions on h alone.
+    outcomes, which is invisible to regressions on h alone.  A given ``h``
+    fixes the risk scores, and only U is drawn.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
-    law = h_law if h_law is not None else default_h_law
-    h = np.asarray(law(rng, n), dtype=float)
+    h = default_h_law(rng, n) if h is None else np.asarray(h, dtype=float)
     if h.shape != (n,):
-        raise ValueError("h_law must return an array of shape (n,)")
+        raise ValueError("h must have shape (n,)")
     u = rng.uniform(-0.2 * h, 0.2 * h)
     # Rank 0 = largest U; a tie (measure zero for continuous U) keeps id order.
     ranks = stable_ranks(-u)

@@ -43,13 +43,11 @@ class CohortConfig:
     tau: int = 1
     psi: float = -0.1
     dgp: str = "bernoulli"
-    h_law: str = "default"
 
     def validate(self):
         _require(int(self.n) >= 1, "cohort.n", "must be a positive integer")
         _require(int(self.tau) >= 1, "cohort.tau", "must be a positive integer")
         _require(self.dgp in DGP_TAGS, "cohort.dgp", f"must be one of {DGP_TAGS}")
-        _require(self.h_law == "default", "cohort.h_law", "only 'default' is available")
         _require(
             -0.1 - 1e-12 <= float(self.psi) <= 0.1 + 1e-12,
             "cohort.psi",
@@ -84,7 +82,7 @@ class MechanismConfig:
                       tau=int(tau), mode=self.mode, alpha_target=target)
         if self.budgets is None:
             return QueueSpec.auto(n, **shared)
-        return QueueSpec(budgets=np.asarray(self.budgets, int), **shared)
+        return QueueSpec(budgets=self.budgets, **shared)
 
 
 @dataclass(frozen=True)
@@ -97,9 +95,11 @@ class DesignConfig:
     switch_strengths: tuple = (0.25, 0.5, 0.75)
     greedy_scales: tuple = (0.5, 1.0, 2.0, 4.0, 8.0)
     greedy_cap: float = 1.0
-    bias_alpha_tops: tuple = (0.6, 0.8, 0.95)
-    bias_c_fracs: tuple = (0.0, 0.5, 0.9)
-    bias_arms: Optional[tuple] = None  # (alpha_top, c_frac) pairs; None: product
+    bias_arms: tuple = (  # (alpha_top, c_frac) pairs
+        (0.6, 0.0), (0.6, 0.5), (0.6, 0.9),
+        (0.8, 0.0), (0.8, 0.5), (0.8, 0.9),
+        (0.95, 0.0), (0.95, 0.5), (0.95, 0.9),
+    )
 
     def validate(self):
         _require(
@@ -115,7 +115,7 @@ class DesignConfig:
             _require(len(self.c_grid) >= 1, "design.c_grid", "must be nonempty")
         if self.kappa is not None:
             _require(float(self.kappa) > 0, "design.kappa", "must be positive")
-        for name in ("switch_strengths", "greedy_scales"):
+        for name in ("switch_strengths", "greedy_scales", "bias_arms"):
             vals = getattr(self, name)
             _require(len(vals) >= 1, f"design.{name}", "must be nonempty")
         _require(
@@ -129,23 +129,14 @@ class DesignConfig:
             "entries must be positive",
         )
         _require(0.0 < float(self.greedy_cap) <= 1.0, "design.greedy_cap", "must lie in (0, 1]")
-        _require(
-            all(0.0 < float(a) < 1.0 for a in self.bias_alpha_tops),
-            "design.bias_alpha_tops",
-            "entries must lie in (0, 1)",
-        )
-        _require(
-            all(0.0 <= float(f) <= 1.0 for f in self.bias_c_fracs),
-            "design.bias_c_fracs",
-            "entries must lie in [0, 1]",
-        )
-        if self.bias_arms is not None:
-            for arm in self.bias_arms:
-                _require(
-                    len(arm) == 2,
-                    "design.bias_arms",
-                    "each arm must be an (alpha_top, c_frac) pair",
-                )
+        for arm in self.bias_arms:
+            _require(
+                isinstance(arm, (tuple, list)) and len(arm) == 2,
+                "design.bias_arms",
+                "each arm must be an (alpha_top, c_frac) pair",
+            )
+            _require(0.0 < float(arm[0]) < 1.0, "design.bias_arms", "alpha_top must lie in (0, 1)")
+            _require(0.0 <= float(arm[1]) <= 1.0, "design.bias_arms", "c_frac must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -177,7 +168,6 @@ class EstimationConfig:
 @dataclass(frozen=True)
 class ExecutionConfig:
     seed: int = 0
-    mc_replications: int = 200
     bias_replications: int = 10_000
     propensity_reps: int = 200
     treated_mass_reps: int = 50
@@ -187,8 +177,7 @@ class ExecutionConfig:
 
     def validate(self):
         _require(int(self.seed) >= 0, "execution.seed", "must be a nonnegative integer")
-        for name in ("mc_replications", "bias_replications", "propensity_reps",
-                     "treated_mass_reps", "threads"):
+        for name in ("bias_replications", "propensity_reps", "treated_mass_reps", "threads"):
             _require(int(getattr(self, name)) >= 1, f"execution.{name}", "must be >= 1")
         _require(len(self.n_grid) >= 1, "execution.n_grid", "must be nonempty")
         _require(len(str(self.out_dir)) > 0, "execution.out_dir", "must be nonempty")

@@ -53,6 +53,9 @@ from .mechanism import (
 )
 from .propensity import PropensityTable
 
+MAX_CELLS = 500_000_000  # (unit, queue, replication) cells one MC call may touch
+WORLD_CAP = 2_000_000  # largest K^n * n! world table the exact oracle builds
+
 
 # ---------------------------------------------------------------------------
 # forced-queue Monte Carlo
@@ -173,7 +176,6 @@ def mc_propensities(
     reps: int,
     seed: int = 0,
     forced: bool = True,
-    max_cells: int = 500_000_000,
 ) -> PropensityTable:
     """Monte Carlo queue-conditional propensities for one policy.
 
@@ -188,9 +190,9 @@ def mc_propensities(
     if reps < 1:
         raise ValueError("reps must be positive")
     cells = n * k * reps if forced else n * reps
-    if cells > max_cells:
+    if cells > MAX_CELLS:
         raise ValueError(
-            f"simulation would touch {cells:.2e} cells (cap {max_cells:.2e}); "
+            f"simulation would touch {cells:.2e} cells (cap {MAX_CELLS:.2e}); "
             "reduce reps or use the limiting alpha rates"
         )
     shares = None
@@ -282,11 +284,7 @@ class ExactOracle:
     worlds: Optional[WorldTable]
 
 
-def exact_oracle(
-    theta: np.ndarray,
-    spec: QueueSpec,
-    world_cap: int = 2_000_000,
-) -> ExactOracle:
+def exact_oracle(theta: np.ndarray, spec: QueueSpec) -> ExactOracle:
     """Enumerate queue-conditional propensities exactly (tau = 1 only).
 
     In a single review period all units compete at once and the b lowest
@@ -299,7 +297,7 @@ def exact_oracle(
 
     The table costs K^n configuration weights.  The per-world counterfactual
     map additionally enumerates the n! arrival orders and is only built when
-    K^n * n! <= world_cap; beyond that ``worlds`` is None.
+    K^n * n! <= WORLD_CAP; beyond that ``worlds`` is None.
     """
     theta = validate_policy(theta, spec.k)
     n, k = theta.shape
@@ -347,7 +345,7 @@ def exact_oracle(
 
     n_worlds = m * math.factorial(n)
     worlds = None
-    if n_worlds <= world_cap:
+    if n_worlds <= WORLD_CAP:
         config_prob = full_prob / math.factorial(n)
         zmaps = []
         eq = [(configs == q).astype(np.int64) for q in range(1, k + 1)]

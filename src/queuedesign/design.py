@@ -40,6 +40,9 @@ REGULARIZERS = ("neg_entropy", "l2_to_p")
 OBJECTIVES = ("exogenous", "endogenous")
 
 _PI_EPS = 1e-8  # clamp for 1/pi + 1/(1-pi) when alpha touches {0, 1}
+CONSTRAINT_TOL = 1e-6  # column-mean and utility-floor feasibility
+DUAL_TOL = 1e-6  # KKT residual a converged solve reaches
+MAX_ITERS = 500  # L-BFGS-B iterations on the dual
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +79,6 @@ class DesignProblem:
     regularizer: str = "neg_entropy"
     kappa: Optional[float] = None
     objective: str = "exogenous"
-    constraint_tol: float = 1e-6
-    dual_tol: float = 1e-6
-    max_iters: int = 500
 
     def __post_init__(self):
         u = np.asarray(self.utilities, dtype=float)
@@ -99,11 +99,6 @@ class DesignProblem:
             object.__setattr__(self, "kappa", default_kappa(self))
         if not (self.kappa > 0.0):
             raise ValueError("kappa must be positive (strict convexity)")
-        for name in ("constraint_tol", "dual_tol"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
 
     @property
     def n(self) -> int:
@@ -127,7 +122,7 @@ class DesignProblem:
 
     @property
     def feasible(self) -> bool:
-        return self.utility_floor <= self.utility_range()[1] + self.constraint_tol
+        return self.utility_floor <= self.utility_range()[1] + CONSTRAINT_TOL
 
 
 def default_kappa(problem: DesignProblem) -> float:
@@ -158,16 +153,15 @@ class DesignSolution:
 
     def __post_init__(self):
         prob = self.problem
-        tol = prob.constraint_tol
         col_dev = np.max(np.abs(self.policy.mean(axis=0) - prob.p))
-        if col_dev > tol:
-            raise ValueError(f"column means deviate from p by {col_dev:.2e} > {tol:.0e}")
-        if self.achieved_utility < prob.utility_floor - tol:
+        if col_dev > CONSTRAINT_TOL:
+            raise ValueError(f"column means deviate from p by {col_dev:.2e} > {CONSTRAINT_TOL:.0e}")
+        if self.achieved_utility < prob.utility_floor - CONSTRAINT_TOL:
             raise ValueError("solution violates its utility floor")
         if self.lam < -1e-12:
             raise ValueError("utility multiplier must be nonnegative")
         slack = abs(self.lam * (prob.utility_floor - self.achieved_utility))
-        if slack > max(prob.dual_tol, 10 * tol):
+        if slack > max(DUAL_TOL, 10 * CONSTRAINT_TOL):
             raise ValueError(f"complementary slackness violated: {slack:.2e}")
 
     @property
@@ -340,8 +334,7 @@ def _primal_from(theta: np.ndarray, s: np.ndarray, problem: DesignProblem):
 def _solve(problem: DesignProblem, x0: Optional[np.ndarray]) -> DesignSolution:
     c_min, c_max = problem.utility_range()
     c = problem.utility_floor
-    tol = problem.constraint_tol
-    if c > c_max + tol:
+    if c > c_max + CONSTRAINT_TOL:
         raise InfeasibleFloor(
             f"infeasible utility floor {c:.6g}: the achievable range is "
             f"[{c_min:.6g}, {c_max:.6g}]"
@@ -378,7 +371,7 @@ def _solve(problem: DesignProblem, x0: Optional[np.ndarray]) -> DesignSolution:
         jac=True,
         method="L-BFGS-B",
         bounds=bounds,
-        options={"maxiter": problem.max_iters, "ftol": 1e-14, "gtol": 1e-10},
+        options={"maxiter": MAX_ITERS, "ftol": 1e-14, "gtol": 1e-10},
     )
     x = res.x
     iterations = int(res.nit)
@@ -395,7 +388,7 @@ def _solve(problem: DesignProblem, x0: Optional[np.ndarray]) -> DesignSolution:
 
     r, theta, s = residual(x)
     for _ in range(40):
-        if np.max(np.abs(r)) <= problem.dual_tol * 0.1:
+        if np.max(np.abs(r)) <= DUAL_TOL * 0.1:
             break
         jac = np.zeros((problem.k, problem.k))
         h = 1e-7 * np.maximum(1.0, np.abs(x))
@@ -424,7 +417,7 @@ def _solve(problem: DesignProblem, x0: Optional[np.ndarray]) -> DesignSolution:
         iterations += 1
 
     obj, utility = _primal_from(theta, s, problem)
-    converged = bool(np.max(np.abs(r)) <= problem.dual_tol)
+    converged = bool(np.max(np.abs(r)) <= DUAL_TOL)
     return DesignSolution(
         problem=problem,
         policy=theta,

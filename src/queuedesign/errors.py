@@ -34,3 +34,13 @@ class PositivityError(RunFailure):
     """Some propensity lies outside [gamma, 1 - gamma]."""
 
     status = "positivity_error"
+
+
+class NotConverged(RunFailure):
+    """The design solve stopped short of its KKT tolerance.
+
+    Never raised: the frontier row keeps the returned policy's numbers and
+    writes this status in place of ``ok``.
+    """
+
+    status = "not_converged"

@@ -67,9 +67,7 @@ class NuisanceSet:
             raise ValueError(f"fit_tag must be one of {NUISANCE_METHODS}")
 
 
-def oracle_nuisances(
-    cohort: Cohort, psi: float, marginal_pi: Fn, sigma_floor: float = SIGMA_FLOOR
-) -> NuisanceSet:
+def oracle_nuisances(cohort: Cohort, psi: float, marginal_pi: Fn) -> NuisanceSet:
     """Analytic nuisance functions for the synthetic data generating processes.
 
     ``marginal_pi`` maps the risk score to the design's marginal treatment
@@ -86,7 +84,7 @@ def oracle_nuisances(
     def sigma(h):
         h = np.asarray(h, dtype=float)
         v = residual_variance(cohort.dgp_tag, psi, h, marginal_pi(h))
-        return np.maximum(v, sigma_floor)
+        return np.maximum(v, SIGMA_FLOOR)
 
     return NuisanceSet(mu0=mu0, mu1=mu1, m=m, sigma=sigma, fit_tag="oracle")
 
@@ -105,7 +103,6 @@ def fit_nuisances(
     method: str = "binned",
     bins: int = 20,
     degree: int = 3,
-    sigma_floor: float = SIGMA_FLOOR,
 ) -> NuisanceSet:
     """Fit nuisance functions on an independent sample.
 
@@ -147,7 +144,7 @@ def fit_nuisances(
                 m_fn = lookup(m_vals)
                 resid2 = (y - m_fn(h)) ** 2
                 sr, _ = _binned_mean(h, resid2, edges)
-                sig_vals = np.maximum(sr / cp, sigma_floor)
+                sig_vals = np.maximum(sr / cp, SIGMA_FLOOR)
                 return NuisanceSet(
                     mu0=lookup(mu0_vals),
                     mu1=lookup(mu1_vals),
@@ -176,7 +173,7 @@ def fit_nuisances(
         m_fn = polyfit(h, y)
         resid2 = (y - m_fn(h)) ** 2
         sig_raw = polyfit(h, resid2)
-        sigma = lambda hq: np.maximum(sig_raw(hq), sigma_floor)
+        sigma = lambda hq: np.maximum(sig_raw(hq), SIGMA_FLOOR)
         return NuisanceSet(mu0=mu0, mu1=mu1, m=m_fn, sigma=sigma, fit_tag="polynomial")
     raise ValueError("method must be 'binned' or 'polynomial'")
 

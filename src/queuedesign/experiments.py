@@ -22,7 +22,6 @@ Stream ids used here (0..3 are reserved by cohorts/estimation), one
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .design import (
     optimize_exogenous,
     pareto_sweep,
 )
-from .errors import InfeasibleFloor, RelevanceError, RunFailure
+from .errors import InfeasibleFloor, NotConverged, RelevanceError, RunFailure
 from .estimation import (
     SIGMA_FLOOR,
     dr_variance_terms,
@@ -104,18 +103,6 @@ def _derived_seed(*entries) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class _FixedH:
-    """An h-law returning a pre-drawn covariate vector (fixed-design MC)."""
-
-    h: np.ndarray
-
-    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n != self.h.shape[0]:
-            raise ValueError("fixed h vector does not match requested n")
-        return self.h
-
-
 def _alpha_for(config: RunConfig):
     mech = config.mechanism
     if mech.mode == "rationed":
@@ -148,12 +135,13 @@ def _set_context(ctx: dict):
 # ---------------------------------------------------------------------------
 
 
-def _frontier_row(method, param, theta, h, alpha, lens, band_reps, band_seed):
+def _frontier_row(method, param, theta, h, alpha, lens, band_reps, band_seed, status):
     """Score one policy under the configured variance lens, with a band.
 
     The band is a multiplier bootstrap over per-unit contributions; for the
     instrument lens the proxy is 1/mean(info), so the interval for mean(info)
-    is inverted (bounds swap sides).
+    is inverted (bounds swap sides).  ``status`` is written unless scoring
+    fails.
     """
     utility = float(np.mean(h * marginal_propensity(theta, alpha)))
     try:
@@ -169,7 +157,6 @@ def _frontier_row(method, param, theta, h, alpha, lens, band_reps, band_seed):
             proxy = 1.0 / boot.point
             lo = 1.0 / boot.ci_high if boot.ci_high > 0 else float("inf")
             hi = 1.0 / boot.ci_low if boot.ci_low > 0 else float("inf")
-        status = "ok"
     except RunFailure as err:
         proxy, lo, hi = float("inf"), float("inf"), float("inf")
         status = err.status
@@ -216,23 +203,29 @@ def run_pareto(config: RunConfig):
         problem, c_grid, var1=var1, var0=var0, cate=lens["cate"], sigma=sigma
     )
 
-    # (method, parameter, policy); an infeasible floor has no policy
-    candidates = [("optimized", c, None if pt.solution is None else pt.solution.policy)
-                  for c, pt in zip(c_grid, points)]
-    candidates.append(("rct", c_rct, rct_policy(cohort.n, p)))
-    candidates += [("switch", s, switch_policy(h, p, float(s))) for s in cfg_d.switch_strengths]
+    # (method, parameter, policy, status); an infeasible floor has no policy,
+    # and a solve that stopped short of its tolerance keeps its numbers
+    candidates = [
+        ("optimized", c, None, InfeasibleFloor.status) if pt.solution is None
+        else ("optimized", c, pt.solution.policy,
+              "ok" if pt.solution.converged else NotConverged.status)
+        for c, pt in zip(c_grid, points)
+    ]
+    candidates.append(("rct", c_rct, rct_policy(cohort.n, p), "ok"))
+    candidates += [("switch", s, switch_policy(h, p, float(s)), "ok")
+                   for s in cfg_d.switch_strengths]
     cap = float(cfg_d.greedy_cap)
-    candidates += [("greedy", g, greedy_softmax_policy(h, p, float(g), cap=cap))
+    candidates += [("greedy", g, greedy_softmax_policy(h, p, float(g), cap=cap), "ok")
                    for g in cfg_d.greedy_scales]
 
     nan = float("nan")
     rows = [
-        (method, float(param), nan, nan, nan, nan, InfeasibleFloor.status) if theta is None
+        (method, float(param), nan, nan, nan, nan, status) if theta is None
         else _frontier_row(
             method, param, theta, h, alpha, lens, band_reps,
-            _derived_seed(cfg_e.seed, STREAM_BAND_BOOTSTRAP, row_id),
+            _derived_seed(cfg_e.seed, STREAM_BAND_BOOTSTRAP, row_id), status,
         )
-        for row_id, (method, param, theta) in enumerate(candidates)
+        for row_id, (method, param, theta, status) in enumerate(candidates)
     ]
     band_rows = [(m, c, lo, hi) for (m, c, _, _, lo, hi, _) in rows]
     return rows, band_rows
@@ -264,7 +257,7 @@ def _bias_rep(rep: int):
     psi = ctx["psi"]
     alpha, spec = ctx["alpha"], ctx["spec"]
     cohort = generate_bias_cohort(
-        h.shape[0], spec.tau, psi, h_law=_FixedH(h),
+        h.shape[0], spec.tau, psi, h=h,
         seed=_derived_seed(ctx["seed"], STREAM_BIAS_COHORT, ctx["arm"], rep),
     )
     # both allocations serve the same cohort, so rank its arrivals once
@@ -333,11 +326,7 @@ def run_bias(config: RunConfig):
     h = default_h_law(rng, n)
     c_rct = beta * float(h.mean())
 
-    if cfg_d.bias_arms is not None:
-        arms = [(float(a), float(f)) for a, f in cfg_d.bias_arms]
-    else:
-        arms = [(float(a), float(f)) for a in cfg_d.bias_alpha_tops
-                for f in cfg_d.bias_c_fracs]
+    arms = [(float(a), float(f)) for a, f in cfg_d.bias_arms]
 
     targets = {}
     for top, _ in arms:

@@ -347,7 +347,7 @@ def allocate(
     )
 
 
-def treated_mass_profile(trace: AllocationTrace, k: Optional[int] = None) -> np.ndarray:
+def treated_mass_profile(trace: AllocationTrace, k: int) -> np.ndarray:
     """Cumulative treated mass by priority tier and period.
 
     Entry [k-1, t-1] is (1/n) * #{i : Q_i <= k and T_i <= t}: the fraction of
@@ -356,13 +356,12 @@ def treated_mass_profile(trace: AllocationTrace, k: Optional[int] = None) -> np.
     min(beta, c_k), capacity filling queues in priority order.
     """
     n = trace.n
-    k_max = int(trace.queues.max()) if k is None else int(k)
-    out = np.zeros((k_max, trace.tau))
+    out = np.zeros((int(k), trace.tau))
     served = trace.treat_period > 0
-    for k in range(1, k_max + 1):
-        sel = served & (trace.queues <= k)
+    for tier in range(1, int(k) + 1):
+        sel = served & (trace.queues <= tier)
         if not np.any(sel):
             continue
         counts = np.bincount(trace.treat_period[sel], minlength=trace.tau + 1)[1:]
-        out[k - 1] = np.cumsum(counts) / n
+        out[tier - 1] = np.cumsum(counts) / n
     return out

@@ -43,6 +43,36 @@ SMALL_BIAS = {
 }
 
 
+SUMMARIES = {
+    "pareto": "Sweep utility floors and heuristics; write frontier.csv and bands.csv.",
+    "bias": "Run the fixed-design endogeneity bias study; write bias.csv.",
+    "check-propensity": "Compare MC propensities with the closed form; write propensity.csv.",
+    "estimate": "Simulate one allocation and run the configured estimators; write estimates.csv.",
+}
+
+
+class TestSurface:
+    def test_group_help_lists_the_four_commands(self):
+        result = invoke(["--help"])
+        assert result.exit_code == 0, result.output
+        listing = result.output.split("Commands:\n", 1)[1].splitlines()
+        listed = dict(line.split(None, 1) for line in listing if line.strip())
+        assert set(listed) == set(SUMMARIES)
+        for name, short in listed.items():
+            # the listing truncates each summary with an ellipsis
+            assert SUMMARIES[name].startswith(short.removesuffix("..."))
+
+    @pytest.mark.parametrize("name", sorted(SUMMARIES))
+    def test_command_help_shows_summary_and_common_options(self, name):
+        result = invoke([name, "--help"])
+        assert result.exit_code == 0, result.output
+        text = " ".join(result.output.split())
+        assert SUMMARIES[name] in text
+        for option in ("--config FILE", "--seed INTEGER", "--out DIRECTORY",
+                       "--threads INTEGER"):
+            assert option in text
+
+
 class TestCsvWriter:
     def test_formats(self, tmp_path):
         path = tmp_path / "x.csv"

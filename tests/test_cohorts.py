@@ -78,8 +78,8 @@ class TestBiasCohort:
     def test_arrivals_follow_stable_sort_of_confounder(self, seed, tiny_h):
         # tiny subnormal h quantizes U to a few hundred values, with exact
         # ties and signed zeros, so the stable-sort fallback is exercised
-        law = (lambda rng, n: np.full(n, 1e-320)) if tiny_h else None
-        c = generate_bias_cohort(3_000, 4, psi=-0.1, h_law=law, seed=seed)
+        h = np.full(3_000, 1e-320) if tiny_h else None
+        c = generate_bias_cohort(3_000, 4, psi=-0.1, h=h, seed=seed)
         if tiny_h:
             assert np.unique(c.confounder).size < c.n
         order = np.argsort(-c.confounder, kind="stable")

@@ -61,6 +61,11 @@ class TestValidationMessages:
             ({"cohort": {"tau": 1}, "mechanism": {"budgets": [500, 500]}},
              "mechanism.budgets"),
             ({"mechanism": {"budgets": [-1]}}, "mechanism.budgets"),
+            # a fractional budget is refused, not truncated to 250
+            ({"cohort": {"n": 500}, "mechanism": {"budgets": [250.7]}}, "mechanism.budgets"),
+            ({"design": {"bias_arms": [[1.2, 0.5]]}}, "design.bias_arms"),
+            ({"design": {"bias_arms": [[0.6, 1.5]]}}, "design.bias_arms"),
+            ({"design": {"bias_arms": [0.6, 0.5]}}, "design.bias_arms"),
         ],
     )
     def test_bad_value_names_key(self, data, key):

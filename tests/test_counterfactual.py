@@ -252,10 +252,11 @@ def test_unforced_mc_flags_unvisited_cells():
 
 
 def test_cell_cap_guard():
+    # 100 * 2 * 2_500_001 cells exceed the 5e8 cap; it raises before any draw
     theta = np.full((100, 2), 0.5)
     spec = small_spec(n=100, k=2, b=50)
     with pytest.raises(ValueError, match="cap"):
-        mc_propensities(theta, spec, reps=10, max_cells=1000)
+        mc_propensities(theta, spec, reps=2_500_001)
 
 
 def test_forced_mc_deterministic_given_seed():

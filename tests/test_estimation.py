@@ -460,8 +460,10 @@ class TestLateDecomposition:
         assert trials >= 20
 
     def test_requires_world_table(self):
-        cohort, theta, spec = tiny_instance(4, 2, 0.5, seed=19)
-        oracle = exact_oracle(theta, spec, world_cap=0)
+        # 3^7 * 7! = 11M worlds exceed the 2M cap, so no world table is built
+        cohort, theta, spec = tiny_instance(7, 3, 0.5, seed=19)
+        oracle = exact_oracle(theta, spec)
+        assert oracle.worlds is None
         with pytest.raises(ValueError, match="world table"):
             late_decomposition(oracle, cohort)
 

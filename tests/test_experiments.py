@@ -4,6 +4,7 @@ These run on deliberately tiny cohorts; the statistically demanding runs
 live in the acceptance suite.
 """
 
+import dataclasses
 import inspect
 import re
 
@@ -119,6 +120,30 @@ class TestRunPareto:
         a = experiments.run_pareto(small_pareto_config())
         b = experiments.run_pareto(small_pareto_config())
         assert a == b
+
+    def test_unconverged_solve_keeps_its_numbers_under_its_status(self, monkeypatch):
+        cfg = small_pareto_config()
+        frontier, _ = experiments.run_pareto(cfg)
+        sweep = experiments.pareto_sweep
+
+        def unconverged_sweep(*args, **kwargs):
+            return [
+                pt if pt.solution is None
+                else dataclasses.replace(
+                    pt, solution=dataclasses.replace(pt.solution, converged=False)
+                )
+                for pt in sweep(*args, **kwargs)
+            ]
+
+        monkeypatch.setattr(experiments, "pareto_sweep", unconverged_sweep)
+        patched, _ = experiments.run_pareto(cfg)
+        expected = ["not_converged" if (r[0], r[-1]) == ("optimized", "ok") else r[-1]
+                    for r in frontier]
+        assert "not_converged" in expected
+        assert [r[-1] for r in patched] == expected
+        for row, new in zip(frontier, patched):
+            if new[-1] == "not_converged":
+                assert new[:-1] == row[:-1]
 
 
 class TestRunBias:

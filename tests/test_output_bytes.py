@@ -15,7 +15,9 @@ The hashes were recorded by running ``csv_digests`` on the code before the
 bit-exact speed-ups of the design solve and the bias replications
 (the bisection's fixed-point exit, the column-wise row reductions and the
 single sort per cohort); the estimate hash on the code before failure
-statuses became exception types, when they were read from message text.
+statuses became exception types, when they were read from message text;
+the default-grid hash on the code that still built the default arms as the
+product of two separate alpha-top and floor-fraction lists.
 """
 
 import hashlib
@@ -54,6 +56,11 @@ CONFIGS = {
         "design": {"bias_arms": [[0.6, 0.0], [0.6, 0.8], [0.9, 0.5]]},
         "execution": {"seed": 505, "bias_replications": 20},
     }),
+    # no bias_arms: the default nine-arm grid, alpha-major
+    "bias_default_grid": ("run_bias", {
+        "cohort": {"n": 400, "tau": 1, "psi": -0.1, "dgp": "partially_linear"},
+        "execution": {"seed": 505, "bias_replications": 20},
+    }),
     "propensity_strict_k3": ("run_propensity_check", {
         "cohort": {"n": 200, "tau": 6},
         "mechanism": {"k": 3, "p": [0.3, 0.3, 0.4], "beta": 0.5},
@@ -81,6 +88,9 @@ OUTPUTS = {
 EXPECTED = {
     "bias": {
         "bias.csv": "89af952e0be21efa471e76fc233b421b4c5d20d96aa7706ec4f5cc2abe5e271b",
+    },
+    "bias_default_grid": {
+        "bias.csv": "adea0163a8dd7f97f39c97ee49861b8dfb0903afad1002295ccb8007409c39a4",
     },
     "estimate_mixed_status": {
         "estimates.csv": "221c2576fce4d8dfff4f992bf17c82f10379952d5c95160ca63dd0d5226bf7d6",
