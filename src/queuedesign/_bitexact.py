@@ -1,54 +1,30 @@
 """Faster forms of numpy row operations and sorts that return the same bits.
 
-Reductions along axis 1 of a narrow (n, k) array, and broadcasts of an (n,)
-vector across its columns, make one inner-loop call per row, which is slow
-at the handful of queues the design solve and the queue draw work with.
+Reductions along axis 1 of a narrow (n, k) array make one inner-loop call
+per row, which is slow at the handful of queues the queue draw works with.
 Looping over the k columns instead does the same floating-point operations
-in the same order: max is exact, cumsum is sequential, elementwise +, -, *
-and / round each result on its own, and numpy adds a row of fewer than 8
-terms left to right (longer rows are summed pairwise, so they keep the
-axis=1 reduction).  Nothing here changes how ``np.exp`` or a matrix product
-sees its array: their SIMD and BLAS paths depend on the layout.
+in the same order: cumsum is sequential, and numpy adds a row of fewer than
+8 terms left to right (longer rows are summed pairwise, so they keep the
+axis=1 reduction).  Only the order of the additions moves here; the design
+solve's softmax (``design._mirror_policy``) works in the same column order
+and also changes what ``np.exp`` sees, which its own docstring accounts for.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_PAIRWISE_MIN = 8  # numpy sums reduction rows at least this long pairwise
-
-
-def row_max(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=1)`` of a 2-d array."""
-    m = x[:, 0].copy()
-    for j in range(1, x.shape[1]):
-        np.maximum(m, x[:, j], out=m)
-    return m
+PAIRWISE_MIN = 8  # numpy sums reduction rows at least this long pairwise
 
 
 def row_sum(x: np.ndarray) -> np.ndarray:
     """``x.sum(axis=1)`` of a 2-d float array."""
-    if not 0 < x.shape[1] < _PAIRWISE_MIN:
+    if not 0 < x.shape[1] < PAIRWISE_MIN:
         return x.sum(axis=1)
     tot = x[:, 0].copy()
     for j in range(1, x.shape[1]):
         tot += x[:, j]
     return tot
-
-
-def per_row(ufunc: np.ufunc, x: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``ufunc(x, r[:, None], out=out)`` for an elementwise arithmetic ufunc."""
-    for j in range(x.shape[1]):
-        ufunc(x[:, j], r, out=out[:, j])
-    return out
-
-
-def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[:, None] * b[None, :]`` of two float vectors."""
-    out = np.empty((a.shape[0], b.shape[0]))
-    for j in range(b.shape[0]):
-        np.multiply(a, b[j], out=out[:, j])
-    return out
 
 
 def row_cumsum(x: np.ndarray) -> np.ndarray:

@@ -47,6 +47,9 @@ class Cohort:
     Units are identified by their position: unit i is row i of each array.
     ``confounder`` holds the disturbance U for the partially linear DGP and
     is None for the bernoulli DGP (there is no hidden variable to record).
+    ``arrival_ranks`` holds each unit's position in (arrival, id) order,
+    ``mechanism.arrival_ranks(arrival)``, when the draw already knows it, and
+    is None otherwise.
     """
 
     h: np.ndarray
@@ -56,6 +59,7 @@ class Cohort:
     tau: int
     dgp_tag: str
     confounder: Optional[np.ndarray] = None
+    arrival_ranks: Optional[np.ndarray] = None
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
@@ -83,6 +87,8 @@ class Cohort:
             if conf.shape != (n,):
                 raise ValueError("confounder must match cohort length")
             object.__setattr__(self, "confounder", conf)
+        if self.arrival_ranks is not None and np.shape(self.arrival_ranks) != (n,):
+            raise ValueError("arrival_ranks must match cohort length")
 
     @property
     def n(self) -> int:
@@ -142,6 +148,7 @@ def generate_bias_cohort(
         raise ValueError("h must have shape (n,)")
     u = rng.uniform(-0.2 * h, 0.2 * h)
     # Rank 0 = largest U; a tie (measure zero for continuous U) keeps id order.
+    # Arrival is strictly increasing in rank, so these are its FIFO ranks.
     ranks = stable_ranks(-u)
     arrival = tau * (ranks + 0.5) / n
     y0 = h + u
@@ -154,6 +161,7 @@ def generate_bias_cohort(
         tau=int(tau),
         dgp_tag="partially_linear",
         confounder=u,
+        arrival_ranks=ranks,
     )
 
 

@@ -9,7 +9,7 @@ config can be empty.  Validation errors always name the offending key as
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import yaml
@@ -24,8 +24,17 @@ class ConfigError(ValueError):
     """A configuration value failed validation; the message names the key."""
 
 
-def _require(cond: bool, key: str, constraint: str):
-    if not cond:
+def _require(cond: Callable[[], bool], key: str, constraint: str):
+    """Raise a ConfigError naming ``key`` unless ``cond()`` holds.
+
+    A value the check cannot read, such as a string where a number belongs,
+    fails it as well.
+    """
+    try:
+        ok = bool(cond())
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
         raise ConfigError(f"config key '{key}': {constraint}")
 
 
@@ -45,11 +54,11 @@ class CohortConfig:
     dgp: str = "bernoulli"
 
     def validate(self):
-        _require(int(self.n) >= 1, "cohort.n", "must be a positive integer")
-        _require(int(self.tau) >= 1, "cohort.tau", "must be a positive integer")
-        _require(self.dgp in DGP_TAGS, "cohort.dgp", f"must be one of {DGP_TAGS}")
+        _require(lambda: int(self.n) >= 1, "cohort.n", "must be a positive integer")
+        _require(lambda: int(self.tau) >= 1, "cohort.tau", "must be a positive integer")
+        _require(lambda: self.dgp in DGP_TAGS, "cohort.dgp", f"must be one of {DGP_TAGS}")
         _require(
-            -0.1 - 1e-12 <= float(self.psi) <= 0.1 + 1e-12,
+            lambda: -0.1 - 1e-12 <= float(self.psi) <= 0.1 + 1e-12,
             "cohort.psi",
             "must keep h + psi inside [0, 1] for the default h law (|psi| <= 0.1)",
         )
@@ -65,15 +74,19 @@ class MechanismConfig:
     alpha_target: Optional[tuple] = None  # rationed mode only
 
     def validate(self):
-        _require(int(self.k) >= 1, "mechanism.k", "must be a positive integer")
-        p = np.asarray(self.p, dtype=float)
+        _require(lambda: int(self.k) >= 1, "mechanism.k", "must be a positive integer")
+
+        def is_share_vector():
+            p = np.asarray(self.p, dtype=float)
+            return p.shape == (int(self.k),) and np.all(p > 0) and abs(p.sum() - 1) <= 1e-9
+
         _require(
-            p.shape == (int(self.k),) and np.all(p > 0) and abs(p.sum() - 1) <= 1e-9,
+            is_share_vector,
             "mechanism.p",
             "must be a positive probability vector of length k",
         )
-        _require(0.0 < float(self.beta) < 1.0, "mechanism.beta", "must lie in (0, 1)")
-        _require(self.mode in MODES, "mechanism.mode", f"must be one of {MODES}")
+        _require(lambda: 0.0 < float(self.beta) < 1.0, "mechanism.beta", "must lie in (0, 1)")
+        _require(lambda: self.mode in MODES, "mechanism.mode", f"must be one of {MODES}")
 
     def queue_spec(self, n: int, tau: int) -> QueueSpec:
         """The mechanism a run over n units and tau review periods allocates under."""
@@ -103,40 +116,50 @@ class DesignConfig:
 
     def validate(self):
         _require(
-            self.objective in OBJECTIVES, "design.objective", f"must be one of {OBJECTIVES}"
+            lambda: self.objective in OBJECTIVES, "design.objective", f"must be one of {OBJECTIVES}"
         )
         _require(
-            self.regularizer in REGULARIZERS,
+            lambda: self.regularizer in REGULARIZERS,
             "design.regularizer",
             f"must be one of {REGULARIZERS}",
         )
-        _require(int(self.c_grid_size) >= 1, "design.c_grid_size", "must be >= 1")
+        _require(lambda: int(self.c_grid_size) >= 1, "design.c_grid_size", "must be >= 1")
         if self.c_grid is not None:
-            _require(len(self.c_grid) >= 1, "design.c_grid", "must be nonempty")
+            _require(lambda: len(self.c_grid) >= 1, "design.c_grid", "must be nonempty")
         if self.kappa is not None:
-            _require(float(self.kappa) > 0, "design.kappa", "must be positive")
+            _require(lambda: float(self.kappa) > 0, "design.kappa", "must be positive")
         for name in ("switch_strengths", "greedy_scales", "bias_arms"):
             vals = getattr(self, name)
-            _require(len(vals) >= 1, f"design.{name}", "must be nonempty")
+            _require(lambda: len(vals) >= 1, f"design.{name}", "must be nonempty")
         _require(
-            all(0.0 <= float(b) < 1.0 for b in self.switch_strengths),
+            lambda: all(0.0 <= float(b) < 1.0 for b in self.switch_strengths),
             "design.switch_strengths",
             "entries must lie in [0, 1)",
         )
         _require(
-            all(float(a) > 0 for a in self.greedy_scales),
+            lambda: all(float(a) > 0 for a in self.greedy_scales),
             "design.greedy_scales",
             "entries must be positive",
         )
-        _require(0.0 < float(self.greedy_cap) <= 1.0, "design.greedy_cap", "must lie in (0, 1]")
+        _require(
+            lambda: 0.0 < float(self.greedy_cap) <= 1.0, "design.greedy_cap", "must lie in (0, 1]"
+        )
         for arm in self.bias_arms:
             _require(
-                isinstance(arm, (tuple, list)) and len(arm) == 2,
+                lambda: isinstance(arm, (tuple, list)) and len(arm) == 2,
                 "design.bias_arms",
                 "each arm must be an (alpha_top, c_frac) pair",
             )
-            _require(0.0 < float(arm[0]) < 1.0, "design.bias_arms", "alpha_top must lie in (0, 1)")
-            _require(0.0 <= float(arm[1]) <= 1.0, "design.bias_arms", "c_frac must lie in [0, 1]")
+            _require(
+                lambda: 0.0 < float(arm[0]) < 1.0,
+                "design.bias_arms",
+                "alpha_top must lie in (0, 1)",
+            )
+            _require(
+                lambda: 0.0 <= float(arm[1]) <= 1.0,
+                "design.bias_arms",
+                "c_frac must lie in [0, 1]",
+            )
 
 
 @dataclass(frozen=True)
@@ -151,18 +174,24 @@ class EstimationConfig:
 
     def validate(self):
         _require(
-            self.nuisance_method in NUISANCE_METHODS,
+            lambda: self.nuisance_method in NUISANCE_METHODS,
             "estimation.nuisance_method",
             f"must be one of {NUISANCE_METHODS}",
         )
-        _require(int(self.bins) >= 1, "estimation.bins", "must be >= 1")
-        _require(int(self.degree) >= 0, "estimation.degree", "must be >= 0")
-        _require(int(self.bootstrap_reps) >= 1, "estimation.bootstrap_reps", "must be >= 1")
-        _require(0.0 <= float(self.gamma) < 0.5, "estimation.gamma", "must lie in [0, 0.5)")
-        _require(float(self.relevance_floor) > 0, "estimation.relevance_floor", "must be > 0")
-        _require(len(self.estimators) >= 1, "estimation.estimators", "must be nonempty")
+        _require(lambda: int(self.bins) >= 1, "estimation.bins", "must be >= 1")
+        _require(lambda: int(self.degree) >= 0, "estimation.degree", "must be >= 0")
+        _require(
+            lambda: int(self.bootstrap_reps) >= 1, "estimation.bootstrap_reps", "must be >= 1"
+        )
+        _require(lambda: 0.0 <= float(self.gamma) < 0.5, "estimation.gamma", "must lie in [0, 0.5)")
+        _require(
+            lambda: float(self.relevance_floor) > 0, "estimation.relevance_floor", "must be > 0"
+        )
+        _require(lambda: len(self.estimators) >= 1, "estimation.estimators", "must be nonempty")
         for e in self.estimators:
-            _require(e in ESTIMATORS, "estimation.estimators", f"entries must be in {ESTIMATORS}")
+            _require(
+                lambda: e in ESTIMATORS, "estimation.estimators", f"entries must be in {ESTIMATORS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -176,11 +205,11 @@ class ExecutionConfig:
     out_dir: str = "out"
 
     def validate(self):
-        _require(int(self.seed) >= 0, "execution.seed", "must be a nonnegative integer")
+        _require(lambda: int(self.seed) >= 0, "execution.seed", "must be a nonnegative integer")
         for name in ("bias_replications", "propensity_reps", "treated_mass_reps", "threads"):
-            _require(int(getattr(self, name)) >= 1, f"execution.{name}", "must be >= 1")
-        _require(len(self.n_grid) >= 1, "execution.n_grid", "must be nonempty")
-        _require(len(str(self.out_dir)) > 0, "execution.out_dir", "must be nonempty")
+            _require(lambda: int(getattr(self, name)) >= 1, f"execution.{name}", "must be >= 1")
+        _require(lambda: len(self.n_grid) >= 1, "execution.n_grid", "must be nonempty")
+        _require(lambda: len(str(self.out_dir)) > 0, "execution.out_dir", "must be nonempty")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.optimize
 
-from ._bitexact import outer, per_row, row_max, row_sum
+from ._bitexact import PAIRWISE_MIN
 from .errors import InfeasibleFloor
 from .propensity import AlphaVector, instrument_variance
 from .estimation import variance_dr_formula, variance_pliv_formula
@@ -189,14 +189,50 @@ def _project_simplex(x: np.ndarray) -> np.ndarray:
     return np.maximum(x - tau[:, None], 0.0)
 
 
-def _mirror_policy(v: np.ndarray, p: np.ndarray, kappa: float, regularizer: str):
-    """argmin over simplex rows of kappa*R(theta) - v.theta (closed form)."""
-    if regularizer == "neg_entropy":
-        x = v / kappa
-        per_row(np.subtract, x, row_max(x), out=x)
-        e = np.exp(x, out=x)
-        return per_row(np.divide, e, row_sum(e), out=e)
-    return _project_simplex(p[None, :] + v / kappa)
+_EXP_UNDERFLOW = -746.0  # np.exp is exactly 0.0 at and below this input
+
+
+def _mirror_policy(
+    vt: np.ndarray, p: np.ndarray, kappa: float, regularizer: str, out: np.ndarray, row: np.ndarray
+) -> np.ndarray:
+    """argmin over simplex rows of kappa*R(theta) - v.theta (closed form).
+
+    ``vt`` is v by columns, a C-contiguous (k, n) array, and is overwritten;
+    theta is written to the C-contiguous (n, k) ``out``, and ``row`` is an
+    (n,) scratch vector.  Every row sees the operations of the axis=1
+    softmax in the same order: max is exact, the elementwise ops round each
+    result on their own, and numpy adds a row of fewer than 8 terms left to
+    right (longer rows keep the pairwise axis=1 sum).  Lanes below -746 are
+    zeroed by masking their bits before and after ``np.exp``: exp gives them
+    0.0 too, but through a slow path, and its value in every other lane does
+    not depend on its neighbours or its offset in the array.
+    """
+    if regularizer != "neg_entropy":
+        out[...] = _project_simplex(p[None, :] + vt.T / kappa)
+        return out
+    k = vt.shape[0]
+    x = np.divide(vt, kappa, out=vt)
+    row[...] = x[0]  # the row max
+    for xj in x[1:]:
+        np.maximum(row, xj, out=row)
+    x -= row
+    # the bit mask lives in out until the division overwrites it
+    keep = out.view(np.int64).reshape(x.shape)
+    np.less(x, _EXP_UNDERFLOW, out=keep)
+    keep -= 1  # all ones where exp is kept, 0 where it underflows
+    bits = x.view(np.int64)
+    bits &= keep
+    np.exp(x, out=x)
+    bits &= keep
+    if k >= PAIRWISE_MIN:
+        out[...] = x.T
+        return np.divide(out, out.sum(axis=1, keepdims=True), out=out)
+    row[...] = x[0]  # the row sum
+    for xj in x[1:]:
+        row += xj
+    for j in range(k):
+        np.divide(x[j], row, out=out[:, j])
+    return out
 
 
 def _inner_solve(
@@ -213,23 +249,27 @@ def _inner_solve(
     the first-order condition into the scalar equation eta + phi'(s(eta))=0
     with s(eta) = alpha.theta(eta) nondecreasing, so the left side is
     strictly increasing and a vectorized bisection is exact and safe.
+    ``phi_prime`` may overwrite its argument.
 
     The bisection stops early once a step leaves every bracket bit for bit
     unchanged: the same (lo, hi) then gives the same midpoint and the same
     step forever, so the result equals that of all 100 steps.  Adjacent
     brackets are not such a point, since hi can still move onto lo.
     """
-    n = w.shape[0]
+    n, k = w.shape
+    wt = np.ascontiguousarray(w.T)
+    vt = np.empty((k, n))
+    theta = np.empty((n, k))
+    row = np.empty(n)
 
     def s_of(eta):
-        v = outer(eta, alpha)
-        v += w
-        theta = _mirror_policy(v, p, kappa, regularizer)
-        return theta, theta @ alpha
+        np.multiply(alpha[:, None], eta, out=vt)
+        np.add(vt, wt, out=vt)
+        return _mirror_policy(vt, p, kappa, regularizer, theta, row) @ alpha
 
     def g(eta):
-        _, s = s_of(eta)
-        return eta + phi_prime(s)
+        dphi = phi_prime(s_of(eta))
+        return np.add(eta, dphi, out=dphi)
 
     lo = np.full(n, -4.0)
     hi = np.full(n, 4.0)
@@ -243,19 +283,28 @@ def _inner_solve(
         if not need.any():
             break
         hi[need] *= 4.0
+    # Move the midpoint's bits into lo or hi through int64 views.  A lane's
+    # delta is 0 exactly where its bracket keeps its bits, so -0.0 and +0.0
+    # count as different.
+    lo_bits, hi_bits = lo.view(np.int64), hi.view(np.int64)
+    mid = np.empty(n)
+    mid_bits = mid.view(np.int64)
+    to_lo, d_lo, d_hi = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.int64)
     for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        pos = g(mid) > 0.0
-        new_hi = np.where(pos, mid, hi)
-        new_lo = np.where(pos, lo, mid)
-        # compare bits, so that -0.0 and +0.0 count as different
-        if np.array_equal(new_lo.view(np.int64), lo.view(np.int64)) and np.array_equal(
-            new_hi.view(np.int64), hi.view(np.int64)
-        ):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.greater(g(mid), 0.0, out=to_lo)
+        to_lo -= 1  # all ones where mid becomes lo, 0 where it becomes hi
+        np.bitwise_xor(mid_bits, lo_bits, out=d_lo)
+        d_lo &= to_lo
+        np.bitwise_xor(mid_bits, hi_bits, out=d_hi)
+        d_hi &= np.invert(to_lo, out=to_lo)
+        if not (d_lo.any() or d_hi.any()):
             break
-        lo, hi = new_lo, new_hi
+        lo_bits ^= d_lo
+        hi_bits ^= d_hi
     eta = 0.5 * (lo + hi)
-    theta, s = s_of(eta)
+    s = s_of(eta)
     return theta, s
 
 
@@ -273,16 +322,26 @@ def _overlap(s):
 
 
 def _phi_functions(objective: str, alpha: np.ndarray):
-    """(phi, phi', linear offset) for the scalarized channel s = alpha.theta."""
+    """(phi, phi', linear offset) for the scalarized channel s = alpha.theta.
+
+    phi' overwrites its argument with the result.
+    """
     if objective == "exogenous":
 
         def phi_prime(s):
-            sc = np.clip(s, _PI_EPS, 1.0 - _PI_EPS)
-            return -1.0 / sc**2 + 1.0 / (1.0 - sc) ** 2
+            # -1/sc**2 + 1/(1-sc)**2 in place; x**2 is x*x in numpy
+            sc = np.clip(s, _PI_EPS, 1.0 - _PI_EPS, out=s)
+            right = np.subtract(1.0, sc)
+            right *= right
+            np.divide(1.0, right, out=right)
+            sc *= sc
+            np.divide(-1.0, sc, out=sc)
+            sc += right
+            return sc
 
         return _overlap, phi_prime, np.zeros_like(alpha)
     # maximize sum alpha^2 theta - s^2  ==  minimize s^2 - (alpha^2).theta
-    return (lambda s: s**2), (lambda s: 2.0 * s), alpha**2
+    return (lambda s: s**2), (lambda s: np.multiply(s, 2.0, out=s)), alpha**2
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,8 @@ def estimate_pliv(
     theta = np.asarray(theta, dtype=float)
     n = h.shape[0]
     pi = marginal_propensity(theta, alpha)
-    expected_sq = float(np.mean(instrument_variance(theta, alpha)))
+    ivar = instrument_variance(theta, alpha)
+    expected_sq = float(np.mean(ivar))
     if expected_sq < relevance_floor:
         raise RelevanceError(
             f"instrument relevance failure: mean expected squared residual "
@@ -293,8 +294,9 @@ def estimate_pliv(
         raise ValueError("realized instrument-treatment covariance is zero")
     num = float(np.mean(f * (y - nuisances.m(h))))
     point = num / den
-    # asymptotic variance: inverse of the design-expected information
-    info = float(np.mean(instrument_information(theta, alpha, sig)))
+    # asymptotic variance: inverse of the design-expected information, which
+    # is instrument_information(theta, alpha, sig) from the variance above
+    info = float(np.mean(ivar / sig))
     se = float(np.sqrt(1.0 / info / n))
     return wald_report(point, se, n, "pliv")
 

@@ -57,7 +57,6 @@ from .estimation import (
 from .mechanism import (
     QueueSpec,
     allocate,
-    arrival_ranks,
     sample_queues,
     treated_mass_profile,
 )
@@ -260,8 +259,8 @@ def _bias_rep(rep: int):
         h.shape[0], spec.tau, psi, h=h,
         seed=_derived_seed(ctx["seed"], STREAM_BIAS_COHORT, ctx["arm"], rep),
     )
-    # both allocations serve the same cohort, so rank its arrivals once
-    ranks = arrival_ranks(cohort.arrival)
+    # both allocations serve the same cohort, whose draw ranked its arrivals
+    ranks = cohort.arrival_ranks
 
     def realize(theta, stream):
         rng = np.random.default_rng(

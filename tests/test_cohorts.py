@@ -9,6 +9,7 @@ from queuedesign.cohorts import (
     generate_cohort,
     wald_report,
 )
+from queuedesign.mechanism import arrival_ranks
 
 
 def test_null_effect_means_agree():
@@ -87,6 +88,14 @@ class TestBiasCohort:
         ranks[order] = np.arange(c.n)
         expected = 4 * (ranks + 0.5) / c.n
         assert np.array_equal(c.arrival, expected)
+        assert np.array_equal(c.arrival_ranks, arrival_ranks(c.arrival))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 2000, 32_000])
+    @pytest.mark.parametrize("tau", [1, 12, 52])
+    def test_carried_ranks_are_the_arrival_ranks(self, n, tau):
+        for seed in (0, 5, 505):
+            c = generate_bias_cohort(n, tau, psi=-0.1, seed=seed)
+            assert np.array_equal(c.arrival_ranks, arrival_ranks(c.arrival))
 
     def test_effect_is_exactly_psi(self):
         c = generate_bias_cohort(5_000, 4, psi=-0.1, seed=9)
@@ -129,6 +138,18 @@ class TestValidation:
                 y1=np.zeros(1),
                 tau=1,
                 dgp_tag="gaussian",
+            )
+
+    def test_rejects_arrival_ranks_of_another_length(self):
+        with pytest.raises(ValueError, match="arrival_ranks"):
+            Cohort(
+                h=np.array([0.5, 0.5]),
+                arrival=np.array([0.1, 0.2]),
+                y0=np.zeros(2),
+                y1=np.zeros(2),
+                tau=1,
+                dgp_tag="bernoulli",
+                arrival_ranks=np.array([0]),
             )
 
 

@@ -66,6 +66,13 @@ class TestValidationMessages:
             ({"design": {"bias_arms": [[1.2, 0.5]]}}, "design.bias_arms"),
             ({"design": {"bias_arms": [[0.6, 1.5]]}}, "design.bias_arms"),
             ({"design": {"bias_arms": [0.6, 0.5]}}, "design.bias_arms"),
+            # a value that is not a number is refused under its key
+            ({"mechanism": {"beta": "abc"}}, "mechanism.beta"),
+            ({"cohort": {"n": "abc"}}, "cohort.n"),
+            ({"cohort": {"tau": None}}, "cohort.tau"),
+            ({"mechanism": {"p": ["a", "b"]}}, "mechanism.p"),
+            ({"design": {"bias_arms": [["x", 0.5]]}}, "design.bias_arms"),
+            ({"estimation": {"gamma": [0.1]}}, "estimation.gamma"),
         ],
     )
     def test_bad_value_names_key(self, data, key):

@@ -496,6 +496,13 @@ def same_bits(a, b):
     return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def mirror_policy_columns(v, p, kappa, regularizer):
+    """``_mirror_policy`` on an (n, k) v, through its column layout."""
+    n, k = v.shape
+    out = np.empty((n, k))
+    return _mirror_policy(np.ascontiguousarray(v.T), p, kappa, regularizer, out, np.empty(n))
+
+
 class TestInnerSolveBitExact:
     @pytest.mark.parametrize("regularizer", ["neg_entropy", "l2_to_p"])
     @pytest.mark.parametrize("objective", ["exogenous", "endogenous"])
@@ -543,7 +550,7 @@ class TestInnerSolveBitExact:
             for kappa in (1e-4, 0.013, 2.0):
                 for regularizer in REGULARIZERS:
                     assert same_bits(
-                        _mirror_policy(v, p, kappa, regularizer),
+                        mirror_policy_columns(v, p, kappa, regularizer),
                         mirror_policy_axis1(v, p, kappa, regularizer),
                     )
 
@@ -561,3 +568,52 @@ class TestInnerSolveBitExact:
         assert same_bits(fast.policy, slow.policy)
         assert fast.iterations == slow.iterations
         assert fast.lam == slow.lam and same_bits(fast.nu, slow.nu)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_underflow_masking_matches_100_steps(self, k, monkeypatch):
+        # a bias-study sized kappa: many softmax lanes sit below exp's
+        # underflow and are masked rather than passed to np.exp
+        rng = np.random.default_rng([74, k])
+        n = 4001
+        p = np.full(k, 1.0 / k)
+        alpha = np.linspace(0.8, 0.2, k)
+        u = rng.uniform(0.1, 0.9, size=n)
+        _, phi_prime, offset = _phi_functions("endogenous", alpha)
+        w = 0.7 * u[:, None] * alpha[None, :] + offset[None, :]
+        w += 0.05 * rng.normal(size=(n, k))
+        masked = []
+        mirror = design._mirror_policy
+
+        def counting(vt, p, kappa, *rest):
+            x = vt / kappa
+            masked.append(np.mean(x - x.max(axis=0) < -746.0))
+            return mirror(vt, p, kappa, *rest)
+
+        monkeypatch.setattr(design, "_mirror_policy", counting)
+        theta, s = _inner_solve(w, alpha, p, 1e-5, phi_prime, "neg_entropy")
+        assert np.mean(masked) >= 0.05
+        ref_theta, ref_s = inner_solve_100_steps(w, alpha, p, 1e-5, phi_prime, "neg_entropy")
+        assert same_bits(theta, ref_theta)
+        assert same_bits(s, ref_s)
+
+
+class TestExpAssumptions:
+    """The numpy behaviour the softmax's underflow masking relies on."""
+
+    def test_exp_is_zero_at_and_below_the_mask_threshold(self):
+        x = np.concatenate([
+            [-746.0, np.nextafter(-746.0, -np.inf), -1e4, -1e308, -np.inf],
+            -np.geomspace(746.0, 1e300, 1000),
+        ])
+        assert np.all(x <= design._EXP_UNDERFLOW)
+        assert same_bits(np.exp(x), np.zeros_like(x))
+
+    def test_exp_lane_bits_do_not_depend_on_offset_or_neighbours(self):
+        rng = np.random.default_rng(75)
+        x = np.concatenate([rng.uniform(-746.0, 0.0, 300), -rng.exponential(1.0, 100), [0.0, -0.0]])
+        ref = np.array([np.exp(np.array([v]))[0] for v in x])
+        for offset in range(9):
+            for fill in (0.0, -1.0, -800.0):  # masked lanes hold 0.0
+                buf = np.full(offset + x.size + 9, fill)
+                buf[offset:offset + x.size] = x
+                assert same_bits(np.exp(buf)[offset:offset + x.size], ref)
