@@ -49,7 +49,8 @@ class Cohort:
     is None for the bernoulli DGP (there is no hidden variable to record).
     ``arrival_ranks`` holds each unit's position in (arrival, id) order,
     ``mechanism.arrival_ranks(arrival)``, when the draw already knows it, and
-    is None otherwise.
+    is None otherwise; ``mechanism.allocate`` reads them as its FIFO order
+    and ranks the arrivals itself only when they are None.
     """
 
     h: np.ndarray

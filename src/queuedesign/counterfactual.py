@@ -43,12 +43,10 @@ import numpy as np
 from ._bitexact import row_cumsum
 from .mechanism import (
     QueueSpec,
-    _allocate_rationed,
-    _allocate_strict,
     _draw_queues,
+    _serve,
     arrival_periods,
     arrival_ranks,
-    rationed_shares,
     validate_policy,
 )
 from .propensity import PropensityTable
@@ -152,24 +150,6 @@ def _forced_map(s, ranks, queues, t_served, caps, cascade):
     return out
 
 
-def _forced_map_strict(s, ranks, queues, budgets, tau, k):
-    """Exact n x K counterfactual treatment map for one strict-mode world."""
-    t_served = _allocate_strict(s, ranks, queues, budgets)
-    caps = np.broadcast_to(np.asarray(budgets)[:, None], (tau, k))
-    return _forced_map(s, ranks, queues, t_served, caps, cascade=True), t_served
-
-
-def _forced_map_rationed(s, ranks, queues, shares, tau, k):
-    """Counterfactual treatment map for one rationed-mode world.
-
-    Queues consume only their own budget shares, so forcing a unit into
-    queue k never disturbs the other queues: its counterfactual is a pure
-    insertion, with no removal cascade to track.
-    """
-    t_served = _allocate_rationed(s, ranks, queues, shares)
-    return _forced_map(s, ranks, queues, t_served, shares, cascade=False), t_served
-
-
 def mc_propensities(
     theta: np.ndarray,
     spec: QueueSpec,
@@ -195,9 +175,6 @@ def mc_propensities(
             f"simulation would touch {cells:.2e} cells (cap {MAX_CELLS:.2e}); "
             "reduce reps or use the limiting alpha rates"
         )
-    shares = None
-    if spec.mode == "rationed":
-        shares = rationed_shares(spec.budgets, spec.alpha_target, spec.p)
     cum = row_cumsum(theta)
     hits = np.zeros((n, k), dtype=np.int64)
     visits = np.zeros((n, k), dtype=np.int64)
@@ -208,18 +185,11 @@ def mc_propensities(
         s = arrival_periods(a, spec.tau)
         ranks = arrival_ranks(a)
         queues = _draw_queues(cum, rng)
+        tp = _serve(spec, s, ranks, queues)
         if forced:
-            if spec.mode == "strict":
-                z, _ = _forced_map_strict(s, ranks, queues, spec.budgets, spec.tau, k)
-            else:
-                z, _ = _forced_map_rationed(s, ranks, queues, shares, spec.tau, k)
-            hits += z
+            hits += _forced_map(s, ranks, queues, tp, spec.caps, cascade=spec.mode == "strict")
             visits += 1
         else:
-            if spec.mode == "strict":
-                tp = _allocate_strict(s, ranks, queues, spec.budgets)
-            else:
-                tp = _allocate_rationed(s, ranks, queues, shares)
             visits[rows, queues - 1] += 1
             hits[rows, queues - 1] += tp > 0
     with np.errstate(invalid="ignore"):

@@ -61,11 +61,7 @@ from .mechanism import (
     treated_mass_profile,
 )
 from .policies import greedy_softmax_policy, rct_policy, switch_policy
-from .propensity import (
-    alpha_from_target,
-    alpha_vector,
-    marginal_propensity,
-)
+from .propensity import marginal_propensity
 from .counterfactual import mc_propensities
 
 FRONTIER_COLUMNS = (
@@ -100,13 +96,6 @@ def _derived_seed(*entries) -> int:
     """Collapse a seed path into one 64-bit integer for APIs taking an int."""
     ss = np.random.SeedSequence([int(e) for e in entries])
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _alpha_for(config: RunConfig):
-    mech = config.mechanism
-    if mech.mode == "rationed":
-        return alpha_from_target(np.asarray(mech.alpha_target, float), np.asarray(mech.p, float))
-    return alpha_vector(float(mech.beta), np.asarray(mech.p, float))
 
 
 def _map_indexed(worker, reps: int, threads: int, initargs):
@@ -175,7 +164,7 @@ def run_pareto(config: RunConfig):
     p = np.asarray(config.mechanism.p, dtype=float)
     cohort = _make_cohort(config, seed=int(cfg_e.seed))
     h = cohort.h
-    alpha = _alpha_for(config)
+    alpha = config.mechanism.queue_spec(cohort.n, cohort.tau).alpha
 
     var1, var0 = outcome_variances(cfg_c.dgp, psi)
     # the instrument lens evaluates sigma at the budget share beta: it is
@@ -254,23 +243,21 @@ def _bias_rep(rep: int):
     ctx = _CONTEXT
     h = ctx["h"]
     psi = ctx["psi"]
-    alpha, spec = ctx["alpha"], ctx["spec"]
+    spec = ctx["spec"]
+    alpha = spec.alpha
     cohort = generate_bias_cohort(
         h.shape[0], spec.tau, psi, h=h,
         seed=_derived_seed(ctx["seed"], STREAM_BIAS_COHORT, ctx["arm"], rep),
     )
-    # both allocations serve the same cohort, whose draw ranked its arrivals
-    ranks = cohort.arrival_ranks
 
     def realize(theta, stream):
         rng = np.random.default_rng(
             np.random.SeedSequence([int(ctx["seed"]), stream, int(ctx["arm"]), int(rep)])
         )
         queues = sample_queues(theta, rng)
-        trace = allocate(cohort, queues, spec, ranks=ranks)
-        z = trace.z.astype(float)
-        y = np.where(trace.z, cohort.y1, cohort.y0)
-        return queues, z, y
+        # both allocations serve the same cohort, whose draw ranked its arrivals
+        z = allocate(cohort, queues, spec).z
+        return queues, z, np.where(z, cohort.y1, cohort.y0)
 
     theta_endo = ctx["theta_endo"]
     queues, z, y = realize(theta_endo, STREAM_BIAS_ENDOGENOUS_QUEUES)
@@ -327,26 +314,25 @@ def run_bias(config: RunConfig):
 
     arms = [(float(a), float(f)) for a, f in cfg_d.bias_arms]
 
-    targets = {}
+    specs = {}
     for top, _ in arms:
         second = (beta - top * p[0]) / p[1]
         if not 0.0 <= second <= 1.0:
             raise ValueError(
                 f"alpha top {top} cannot satisfy the budget identity with beta={beta}"
             )
-        targets[top] = np.array([top, second])
-    c_end = min(
-        feasible_utility_range(h, alpha_from_target(t, p), p)[1]
-        for t in targets.values()
-    )
+        specs[top] = QueueSpec.auto(
+            n, k=int(mech.k), p=p, beta=beta, tau=tau,
+            mode="rationed", alpha_target=np.array([top, second]),
+        )
+    c_end = min(feasible_utility_range(h, spec.alpha, p)[1] for spec in specs.values())
 
     rows = []
     for arm_id, (top, frac) in enumerate(arms):
-        alpha_target = targets[top]
-        alpha = alpha_from_target(alpha_target, p)
+        spec = specs[top]
         c = c_rct + frac * (c_end - c_rct)
         problem = DesignProblem(
-            utilities=h, alpha=alpha, p=p, utility_floor=c,
+            utilities=h, alpha=spec.alpha, p=p, utility_floor=c,
             regularizer=cfg_d.regularizer, kappa=cfg_d.kappa, objective="endogenous",
         )
         theta_endo = optimize_endogenous(problem).policy
@@ -354,13 +340,9 @@ def run_bias(config: RunConfig):
         theta_exo = optimize_exogenous(problem).policy
 
         # everything a replication reads that does not depend on its draws
-        spec = QueueSpec.auto(
-            n, k=int(mech.k), p=p, beta=beta, tau=tau,
-            mode="rationed", alpha_target=alpha_target,
-        )
         ctx = {
             "h": h, "theta_endo": theta_endo, "theta_exo": theta_exo,
-            "alpha": alpha, "spec": spec, "psi": psi,
+            "spec": spec, "psi": psi,
             "gamma": float(config.estimation.gamma),
             "relevance_floor": float(config.estimation.relevance_floor),
             "seed": int(cfg_e.seed), "arm": arm_id,
@@ -368,7 +350,7 @@ def run_bias(config: RunConfig):
         results = _map_indexed(_bias_rep, reps, int(cfg_e.threads), ctx)
         points = np.asarray(results, dtype=float)  # (reps, 2): pliv, dr
 
-        label = "/".join(f"{a:g}" for a in alpha_target)
+        label = "/".join(f"{a:g}" for a in spec.alpha_target)
         for col, name in ((0, "pliv_endogenous"), (1, "dr_exogenous")):
             vals = points[:, col]
             ok = vals[np.isfinite(vals)]
@@ -397,17 +379,14 @@ def run_propensity_check(config: RunConfig):
     cfg_c, cfg_e = config.cohort, config.execution
     mech = config.mechanism
     p = np.asarray(mech.p, dtype=float)
-    beta = float(mech.beta)
-    alpha = _alpha_for(config)
-    if mech.mode == "rationed":
-        mass_limit = np.cumsum(alpha.alpha * p)
-    else:
-        mass_limit = np.minimum(beta, np.cumsum(p))
 
     rows = []
     for n in cfg_e.n_grid:
         n = int(n)
         spec = mech.queue_spec(n, int(cfg_c.tau))
+        alpha = spec.alpha
+        # in strict mode this is min(beta, c_k): capacity fills tiers in order
+        mass_limit = np.cumsum(alpha.alpha * p)
         theta = rct_policy(n, p)
         table = mc_propensities(
             theta, spec, reps=int(cfg_e.propensity_reps),
@@ -459,13 +438,12 @@ def run_estimate(config: RunConfig):
 
     cohort = _make_cohort(config, seed=seed)
     spec = mech.queue_spec(n, int(cfg_c.tau))
-    alpha = _alpha_for(config)
+    alpha = spec.alpha
     theta = rct_policy(n, p)
     qrng = np.random.default_rng(np.random.SeedSequence([seed, STREAM_ESTIMATE_QUEUES]))
     queues = sample_queues(theta, qrng)
-    trace = allocate(cohort, queues, spec)
-    z = trace.z.astype(float)
-    y = np.where(trace.z, cohort.y1, cohort.y0)
+    z = allocate(cohort, queues, spec).z
+    y = np.where(z, cohort.y1, cohort.y0)
     pi = marginal_propensity(theta, alpha)
 
     if est.nuisance_method == "oracle":

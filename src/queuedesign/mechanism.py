@@ -16,6 +16,10 @@ supported:
     within queue, shares not transferable).  This realizes interior service
     probabilities alpha_target instead of the strict regime's 0/1 limits.
 
+A ``QueueSpec`` holds what its discipline implies once, when it is built:
+``alpha``, the limiting per-queue service probabilities that designs and
+estimators read, and ``caps``, the (tau, K) slots per period and queue.
+
 Arrival times live on [0, tau]; a unit with arrival time a enters the pool at
 review period max(1, ceil(a)) and remains waiting until served or the horizon
 ends.  Ties in arrival time are broken by unit id, so every allocation is a
@@ -24,14 +28,14 @@ deterministic function of (queues, arrivals, budgets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ._bitexact import row_cumsum, row_sum, stable_ranks
 from .cohorts import Cohort
-from .propensity import alpha_from_target
+from .propensity import AlphaVector, alpha_from_target, alpha_vector
 
 MODES = ("strict", "rationed")
 
@@ -99,7 +103,15 @@ def make_budgets(n: int, beta: float, tau: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QueueSpec:
-    """Mechanism parameters: queue count, shares, capacity, and budgets."""
+    """Mechanism parameters: queue count, shares, capacity, and budgets.
+
+    The discipline's derived values are built here and nowhere else:
+    ``alpha`` is the water-filling ``alpha_vector(beta, p)`` in strict mode
+    and ``alpha_from_target`` in rationed mode; ``caps[t-1, q-1]`` is the
+    number of slots queue q may fill in period t, the whole budget b_t in
+    strict mode (queues share it in priority order) and the queue's
+    ``rationed_shares`` entry in rationed mode.
+    """
 
     k: int
     p: np.ndarray
@@ -108,6 +120,8 @@ class QueueSpec:
     budgets: np.ndarray
     mode: str = "strict"
     alpha_target: Optional[np.ndarray] = None
+    alpha: AlphaVector = field(init=False, repr=False, compare=False)
+    caps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -131,16 +145,22 @@ class QueueSpec:
         if self.mode == "rationed":
             if self.alpha_target is None:
                 raise ValueError("rationed mode requires alpha_target")
-            alpha = np.asarray(self.alpha_target, dtype=float)
-            object.__setattr__(self, "alpha_target", alpha)
-            av = alpha_from_target(alpha, p)  # validates monotone / range
-            if abs(av.beta - self.beta) > 1e-9:
+            target = np.asarray(self.alpha_target, dtype=float)
+            object.__setattr__(self, "alpha_target", target)
+            alpha = alpha_from_target(target, p)  # validates monotone / range
+            if abs(alpha.beta - self.beta) > 1e-9:
                 raise ValueError(
                     "alpha_target is inconsistent with beta: "
-                    f"sum alpha_k p_k = {av.beta:.12f} but beta = {self.beta}"
+                    f"sum alpha_k p_k = {alpha.beta:.12f} but beta = {self.beta}"
                 )
-        elif self.alpha_target is not None:
-            raise ValueError("alpha_target is only meaningful in rationed mode")
+            caps = rationed_shares(self.budgets, target, p)
+        else:
+            if self.alpha_target is not None:
+                raise ValueError("alpha_target is only meaningful in rationed mode")
+            alpha = alpha_vector(self.beta, p)
+            caps = np.broadcast_to(self.budgets[:, None], (self.tau, self.k))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "caps", caps)
 
     @classmethod
     def auto(
@@ -234,7 +254,6 @@ class AllocationTrace:
     treat_period: np.ndarray
     tau: int
     budgets: np.ndarray
-    mode: str
 
     def __post_init__(self):
         queues = np.asarray(self.queues, dtype=int)
@@ -313,16 +332,18 @@ def _allocate_rationed(
     return treat_period
 
 
-def allocate(
-    cohort: Cohort,
-    queues: np.ndarray,
-    spec: QueueSpec,
-    ranks: Optional[np.ndarray] = None,
-) -> AllocationTrace:
+def _serve(spec: QueueSpec, s: np.ndarray, ranks: np.ndarray, queues: np.ndarray) -> np.ndarray:
+    """Treatment periods of one world under the spec's service discipline."""
+    if spec.mode == "strict":
+        return _allocate_strict(s, ranks, queues, spec.budgets)
+    return _allocate_rationed(s, ranks, queues, spec.caps)
+
+
+def allocate(cohort: Cohort, queues: np.ndarray, spec: QueueSpec) -> AllocationTrace:
     """Run the service mechanism for one realized queue assignment.
 
-    ``ranks`` are the cohort's ``arrival_ranks``, for a caller that
-    allocates one cohort more than once; by default they are computed here.
+    FIFO order is the cohort's ``arrival_ranks`` when its draw carries
+    them, and is computed from its arrivals otherwise.
     """
     queues = np.asarray(queues, dtype=int)
     if queues.shape != (cohort.n,):
@@ -332,19 +353,11 @@ def allocate(
     if cohort.tau != spec.tau:
         raise ValueError("cohort horizon and spec horizon disagree")
     s = arrival_periods(cohort.arrival, spec.tau)
+    ranks = cohort.arrival_ranks
     if ranks is None:
         ranks = arrival_ranks(cohort.arrival)
-    elif np.shape(ranks) != (cohort.n,):
-        raise ValueError("ranks must give one rank per unit")
-    if spec.mode == "strict":
-        tp = _allocate_strict(s, ranks, queues, spec.budgets)
-    else:
-        shares = rationed_shares(spec.budgets, spec.alpha_target, spec.p)
-        tp = _allocate_rationed(s, ranks, queues, shares)
-    return AllocationTrace(
-        queues=queues, treat_period=tp, tau=spec.tau, budgets=spec.budgets,
-        mode=spec.mode,
-    )
+    tp = _serve(spec, s, ranks, queues)
+    return AllocationTrace(queues=queues, treat_period=tp, tau=spec.tau, budgets=spec.budgets)
 
 
 def treated_mass_profile(trace: AllocationTrace, k: int) -> np.ndarray:

@@ -14,13 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from queuedesign.counterfactual import (
-    _forced_map_rationed,
-    _forced_map_strict,
-    exact_oracle,
-    mc_propensities,
-)
-from queuedesign.mechanism import QueueSpec, arrival_periods, arrival_ranks, rationed_shares
+from queuedesign.counterfactual import _forced_map, exact_oracle, mc_propensities
+from queuedesign.mechanism import QueueSpec, _serve, arrival_periods, arrival_ranks
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +69,25 @@ def naive_forced_map(s, ranks, queues, k, budgets=None, shares=None):
     return z
 
 
+def world_spec(rng, mode, k, tau, budgets):
+    """Strict spec, or a rationed one at a random decreasing alpha target."""
+    p = np.full(k, 1.0 / k)
+    if mode == "strict":
+        return QueueSpec(k=k, p=p, beta=0.5, tau=tau, budgets=budgets)
+    alpha = np.sort(rng.uniform(0.1, 0.9, k))[::-1]
+    return QueueSpec(
+        k=k, p=p, beta=float(alpha @ p), tau=tau, budgets=budgets,
+        mode="rationed", alpha_target=alpha,
+    )
+
+
+def forced_map(spec, s, ranks, queues):
+    """Forced map and base allocation of one world, as ``mc_propensities``
+    builds them."""
+    tp = _serve(spec, s, ranks, queues)
+    return _forced_map(s, ranks, queues, tp, spec.caps, cascade=spec.mode == "strict"), tp
+
+
 def random_instance(rng, mode):
     n = int(rng.integers(2, 13))
     k = int(rng.integers(2, 4))
@@ -87,12 +101,7 @@ def random_instance(rng, mode):
     ranks = arrival_ranks(arrivals)
     queues = rng.integers(1, k + 1, n)
     budgets = rng.integers(0, 4, tau).astype(int)
-    if mode == "strict":
-        return s, ranks, queues, k, tau, budgets, None
-    alpha = np.sort(rng.uniform(0.1, 0.9, k))[::-1]
-    p = np.full(k, 1.0 / k)
-    shares = rationed_shares(budgets, alpha, p)
-    return s, ranks, queues, k, tau, budgets, shares
+    return s, ranks, queues, world_spec(rng, mode, k, tau, budgets)
 
 
 def long_instance(rng, mode):
@@ -109,11 +118,7 @@ def long_instance(rng, mode):
     # a little under one slot per arrival on average, with idle periods
     budgets = rng.integers(0, 2 * n // tau + 2, tau).astype(int)
     budgets[rng.random(tau) < 0.25] = 0
-    if mode == "strict":
-        return s, ranks, queues, k, tau, budgets, None
-    alpha = np.sort(rng.uniform(0.1, 0.9, k))[::-1]
-    shares = rationed_shares(budgets, alpha, np.full(k, 1.0 / k))
-    return s, ranks, queues, k, tau, budgets, shares
+    return s, ranks, queues, world_spec(rng, mode, k, tau, budgets)
 
 
 def longest_cascade(s, ranks, queues, t_served):
@@ -150,8 +155,9 @@ def longest_cascade(s, ranks, queues, t_served):
 def test_forced_map_strict_matches_brute_force():
     rng = np.random.default_rng(2024)
     for trial in range(120):
-        s, ranks, queues, k, tau, budgets, _ = random_instance(rng, "strict")
-        fast, tp = _forced_map_strict(s, ranks, queues, budgets, tau, k)
+        s, ranks, queues, spec = random_instance(rng, "strict")
+        k, budgets = spec.k, spec.budgets
+        fast, tp = forced_map(spec, s, ranks, queues)
         assert np.array_equal(tp, naive_allocate_strict(s, ranks, queues, budgets))
         slow = naive_forced_map(s, ranks, queues, k, budgets=budgets)
         assert np.array_equal(fast, slow), (
@@ -162,8 +168,9 @@ def test_forced_map_strict_matches_brute_force():
 def test_forced_map_rationed_matches_brute_force():
     rng = np.random.default_rng(77)
     for trial in range(120):
-        s, ranks, queues, k, tau, budgets, shares = random_instance(rng, "rationed")
-        fast, tp = _forced_map_rationed(s, ranks, queues, shares, tau, k)
+        s, ranks, queues, spec = random_instance(rng, "rationed")
+        k, shares = spec.k, spec.caps
+        fast, tp = forced_map(spec, s, ranks, queues)
         assert np.array_equal(tp, naive_allocate_rationed(s, ranks, queues, shares))
         slow = naive_forced_map(s, ranks, queues, k, shares=shares)
         assert np.array_equal(fast, slow), (
@@ -175,8 +182,9 @@ def test_forced_map_strict_matches_brute_force_long_horizon():
     rng = np.random.default_rng(2026)
     longest = 0
     for trial in range(20):
-        s, ranks, queues, k, tau, budgets, _ = long_instance(rng, "strict")
-        fast, tp = _forced_map_strict(s, ranks, queues, budgets, tau, k)
+        s, ranks, queues, spec = long_instance(rng, "strict")
+        k, tau, budgets = spec.k, spec.tau, spec.budgets
+        fast, tp = forced_map(spec, s, ranks, queues)
         assert np.array_equal(tp, naive_allocate_strict(s, ranks, queues, budgets))
         slow = naive_forced_map(s, ranks, queues, k, budgets=budgets)
         assert np.array_equal(fast, slow), f"trial {trial}: tau={tau}, b={budgets}"
@@ -188,8 +196,9 @@ def test_forced_map_strict_matches_brute_force_long_horizon():
 def test_forced_map_rationed_matches_brute_force_long_horizon():
     rng = np.random.default_rng(2027)
     for trial in range(20):
-        s, ranks, queues, k, tau, budgets, shares = long_instance(rng, "rationed")
-        fast, tp = _forced_map_rationed(s, ranks, queues, shares, tau, k)
+        s, ranks, queues, spec = long_instance(rng, "rationed")
+        k, tau, shares = spec.k, spec.tau, spec.caps
+        fast, tp = forced_map(spec, s, ranks, queues)
         assert np.array_equal(tp, naive_allocate_rationed(s, ranks, queues, shares))
         slow = naive_forced_map(s, ranks, queues, k, shares=shares)
         assert np.array_equal(fast, slow), f"trial {trial}: tau={tau}, shares={shares}"
@@ -198,8 +207,8 @@ def test_forced_map_rationed_matches_brute_force_long_horizon():
 def test_forced_map_is_monotone_in_queue():
     rng = np.random.default_rng(41)
     for _ in range(40):
-        s, ranks, queues, k, tau, budgets, _ = random_instance(rng, "strict")
-        fast, _ = _forced_map_strict(s, ranks, queues, budgets, tau, k)
+        s, ranks, queues, spec = random_instance(rng, "strict")
+        fast, _ = forced_map(spec, s, ranks, queues)
         assert np.all(np.diff(fast.astype(int), axis=1) <= 0)
 
 

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queuedesign.cohorts import Cohort, generate_cohort
+from queuedesign.cohorts import Cohort, generate_bias_cohort, generate_cohort
 from queuedesign.mechanism import (
     QueueSpec,
     allocate,
@@ -15,6 +17,7 @@ from queuedesign.mechanism import (
     treated_mass_profile,
     validate_policy,
 )
+from queuedesign.propensity import alpha_from_target, alpha_vector
 from queuedesign._bitexact import row_cumsum, stable_ranks
 
 
@@ -221,6 +224,51 @@ class TestRationed:
             )
 
 
+class TestSpecDerivedValues:
+    """``QueueSpec`` builds alpha and the per-queue capacity table once."""
+
+    P3 = np.array([0.3, 0.3, 0.4])
+    TARGET3 = np.array([0.9, 0.5, 0.2])
+
+    def test_alpha_is_the_disciplines_alpha(self):
+        strict = QueueSpec.auto(300, k=3, p=self.P3, beta=0.5, tau=4)
+        expected = alpha_vector(0.5, self.P3)
+        assert strict.alpha.alpha.tobytes() == expected.alpha.tobytes()
+        assert strict.alpha.beta == expected.beta
+        rationed = QueueSpec.auto(300, k=3, p=self.P3, beta=0.5, tau=4,
+                                  mode="rationed", alpha_target=self.TARGET3)
+        expected = alpha_from_target(self.TARGET3, self.P3)
+        assert rationed.alpha.alpha.tobytes() == expected.alpha.tobytes()
+        assert rationed.alpha.beta == expected.beta
+
+    @pytest.mark.parametrize("n, tau", [(300, 1), (301, 6), (2000, 52)])
+    def test_rationed_caps_are_the_shares(self, n, tau):
+        spec = QueueSpec.auto(n, k=3, p=self.P3, beta=0.5, tau=tau,
+                              mode="rationed", alpha_target=self.TARGET3)
+        assert np.array_equal(spec.caps, rationed_shares(spec.budgets, self.TARGET3, self.P3))
+        assert np.array_equal(spec.caps.sum(axis=1), spec.budgets)
+
+    @pytest.mark.parametrize("n, tau", [(300, 1), (301, 6), (2000, 52)])
+    def test_strict_caps_give_every_queue_the_budget(self, n, tau):
+        spec = QueueSpec.auto(n, k=3, p=self.P3, beta=0.5, tau=tau)
+        assert spec.caps.shape == (tau, 3)
+        for q in range(3):
+            assert np.array_equal(spec.caps[:, q], spec.budgets)
+
+    @pytest.mark.parametrize("beta, p", [
+        (0.5, [0.3333333333333333, 0.3333333333333333, 0.3333333333333334]),
+        (0.5, [0.3, 0.3, 0.4]),
+        (0.5, [0.5, 0.5]),
+    ])
+    def test_strict_mass_limit_is_capacity_filling_tiers(self, beta, p):
+        # the propensity check writes cumsum(alpha * p) as its mass cap in
+        # both modes; in strict mode it is min(beta, c_k) to the bit
+        p = np.asarray(p)
+        spec = QueueSpec.auto(100, k=p.shape[0], p=p, beta=beta, tau=1)
+        mass_limit = np.cumsum(spec.alpha.alpha * p)
+        assert mass_limit.tobytes() == np.minimum(beta, np.cumsum(p)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # policies, queues, profiles
 # ---------------------------------------------------------------------------
@@ -270,17 +318,17 @@ def test_treated_mass_profile_cumulative_in_both_axes():
 
 
 def test_allocate_with_precomputed_ranks():
-    rng = np.random.default_rng(64)
-    cohort = toy_cohort(np.round(rng.uniform(0.0, 3.0, size=40), 1), tau=3)
-    queues = rng.integers(1, 3, size=40)
+    # a bias cohort carries its FIFO ranks, which allocate reads in place of
+    # ranking the arrivals itself
+    cohort = generate_bias_cohort(40, 3, -0.1, seed=64)
+    assert cohort.arrival_ranks is not None
+    bare = dataclasses.replace(cohort, arrival_ranks=None)
+    queues = np.random.default_rng(64).integers(1, 3, size=40)
     for mode, target in (("strict", None), ("rationed", np.array([0.7, 0.3]))):
         spec = QueueSpec.auto(40, k=2, p=np.array([0.5, 0.5]), beta=0.5, tau=3,
                               mode=mode, alpha_target=target)
-        ranks = arrival_ranks(cohort.arrival)
-        given = allocate(cohort, queues, spec, ranks=ranks)
-        assert np.array_equal(given.treat_period, allocate(cohort, queues, spec).treat_period)
-    with pytest.raises(ValueError, match="one rank per unit"):
-        allocate(cohort, queues, spec, ranks=ranks[:-1])
+        given = allocate(cohort, queues, spec)
+        assert np.array_equal(given.treat_period, allocate(bare, queues, spec).treat_period)
 
 
 def test_arrival_ranks_break_ties_by_id():

@@ -7,7 +7,9 @@ go through warm-started design solves under both objectives and both
 regularizers (k = 2 and k = 3), bootstrap bands, rationed bias
 replications through both estimators, the forced counterfactual map, and
 an estimate run whose status cells read ``positivity_error``,
-``relevance_error`` and ``ok``.  A hash changes only when the written bytes
+``relevance_error`` and ``ok``.  The propensity check, the estimate run
+and the frontier are each pinned under both service disciplines: strict
+priority and rationed shares (k = 3, alpha target 0.9/0.5/0.2).  A hash changes only when the written bytes
 change, so a failure here means a change moved the paper's numbers or
 relabelled a failure.
 
@@ -17,7 +19,9 @@ bit-exact speed-ups of the design solve and the bias replications
 single sort per cohort); the estimate hash on the code before failure
 statuses became exception types, when they were read from message text;
 the default-grid hash on the code that still built the default arms as the
-product of two separate alpha-top and floor-fraction lists.
+product of two separate alpha-top and floor-fraction lists; the three
+rationed propensity, estimate and frontier hashes on the code that still
+chose the discipline's alpha and shares in each driver.
 """
 
 import hashlib
@@ -27,6 +31,11 @@ import pytest
 from queuedesign import experiments
 from queuedesign.cli import write_csv
 from queuedesign.config import config_from_dict
+
+_RATIONED_K3 = {
+    "k": 3, "p": [0.3, 0.3, 0.4], "beta": 0.5,
+    "mode": "rationed", "alpha_target": [0.9, 0.5, 0.2],
+}
 
 _SMALL_PARETO = {
     "cohort": {"n": 300},
@@ -67,6 +76,24 @@ CONFIGS = {
         "execution": {"seed": 606, "n_grid": [150], "propensity_reps": 20,
                       "treated_mass_reps": 5},
     }),
+    "propensity_rationed_k3": ("run_propensity_check", {
+        "cohort": {"n": 200, "tau": 6},
+        "mechanism": _RATIONED_K3,
+        "execution": {"seed": 606, "n_grid": [150], "propensity_reps": 20,
+                      "treated_mass_reps": 5},
+    }),
+    "estimate_rationed": ("run_estimate", {
+        "cohort": {"n": 400, "tau": 4},
+        "mechanism": _RATIONED_K3,
+        "estimation": {"bootstrap_reps": 200},
+        "execution": {"seed": 7},
+    }),
+    "pareto_rationed": ("run_pareto", {
+        **_SMALL_PARETO,
+        "mechanism": _RATIONED_K3,
+        "design": {**_SMALL_PARETO["design"], "c_grid_size": 3},
+        "execution": {"seed": 13},
+    }),
     # beta = 0.005 puts every propensity below gamma (positivity_error), and a
     # relevance floor above the instrument variance fails PLIV
     # (relevance_error); the raw ratio still reads ok
@@ -92,6 +119,9 @@ EXPECTED = {
     "bias_default_grid": {
         "bias.csv": "adea0163a8dd7f97f39c97ee49861b8dfb0903afad1002295ccb8007409c39a4",
     },
+    "estimate_rationed": {
+        "estimates.csv": "bcf9bca8a435b8067eb9dc0ecaeb3bbd24a1ece863ef1fb685b51a441ce63d0f",
+    },
     "estimate_mixed_status": {
         "estimates.csv": "221c2576fce4d8dfff4f992bf17c82f10379952d5c95160ca63dd0d5226bf7d6",
     },
@@ -106,6 +136,13 @@ EXPECTED = {
     "pareto_exogenous_k3_l2": {
         "frontier.csv": "b6c3017f7480a3fa33506e6c4e6d6e3687d19d83ff57e492bedc0b0518f7750e",
         "bands.csv": "3e074975ef45778b1039edebe762d4d6b0e1119dc18d4026862581c6731de5cd",
+    },
+    "pareto_rationed": {
+        "frontier.csv": "3e376c8683f9be4c04822cd46278fe94671764cf8c8e2b6d857f6195c503ade5",
+        "bands.csv": "cb344d31292967d93d2966448c68f2df319cc50f643487fcc271e62796a28486",
+    },
+    "propensity_rationed_k3": {
+        "propensity.csv": "154bca9d8b647baee3cd033b8ee4809b84be06a75241c1d8dca7055c40e375e9",
     },
     "propensity_strict_k3": {
         "propensity.csv": "75e9f35581d56e283a2bdc0e7a77ead7053f4d64633d8c38c0bd875065ab1efd",
