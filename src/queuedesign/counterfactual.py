@@ -87,47 +87,62 @@ def _cascade_table(pending, by_key, key, t_served, none):
     return act
 
 
-def _forced_map(s, ranks, queues, t_served, caps, cascade):
+def _forced_workspace(tau, n, k):
+    """The (tau, n) buffers of ``_forced_map``, built once per MC call.
+
+    Counts never exceed n, so budgets capped at n + 1 pass the same tests
+    and share one dtype with counts and keys (at most none = (k + 1) * n).
+    Column 0 of ``below`` stays zero: the cumulative sum writes [:, 1:].
+    """
+    dtype = np.int16 if (k + 1) * n < 2**15 else np.int32
+    return (
+        dtype,
+        np.empty((tau, n), dtype=bool),  # arrived
+        np.empty((tau, n), dtype=bool),  # waiting
+        np.zeros((tau, n + 1), dtype=dtype),  # below
+        np.empty((tau, n), dtype=bool),  # flag
+        np.empty((tau, n), dtype=dtype),  # count
+    )
+
+
+def _forced_map(s, ranks, queues, t_served, caps, cascade, work):
     """Forced treatment map of one world from its base allocation.
 
     Probe i forced into queue kk is served iff at some period t >= s_i
     fewer than caps[t, kk] other units wait with a key below (kk, r_i).
     Strict mode (``cascade``) counts queues 1..kk-1 too, less the probe
     itself and the cascade member active at t; rationed queues never share
-    capacity, so there only queue kk counts.  All (tau, n) temporaries go
-    through the ``count`` and ``flag`` buffers.
+    capacity, so there only queue kk counts.  All (tau, n) arrays are the
+    buffers of ``work``, from ``_forced_workspace(tau, n, k)``.
     """
     n = s.shape[0]
     tau, k = caps.shape
-    # counts never exceed n, so budgets capped at n + 1 pass the same tests
-    # and share one dtype with counts and keys (at most none = (k + 1) * n)
-    dtype = np.int16 if (k + 1) * n < 2**15 else np.int32
+    dtype, arrived, waiting, below, flag, count = work
     caps = np.minimum(caps, n + 1).astype(dtype)
     order = np.empty(n, dtype=np.int64)
     order[ranks] = np.arange(n)
     s, queues, t_served = s[order], queues[order], t_served[order]
     t = np.arange(1, tau + 1)[:, None]
-    arrived = s <= t
-    waiting = t <= np.where(t_served > 0, t_served, tau)
+    np.less_equal(s, t, out=arrived)
+    np.less_equal(t, np.where(t_served > 0, t_served, tau), out=waiting)
     waiting &= arrived
     by_key = np.argsort(queues, kind="stable")
-    below = np.zeros((tau, n + 1), dtype=dtype)
-    np.cumsum(waiting[:, by_key], axis=1, out=below[:, 1:])
-    flag = np.empty((tau, n), dtype=bool)
+    # waiting in key order goes through flag; "clip" lets take write into
+    # out unbuffered (every index is in range)
+    np.take(waiting, by_key, axis=1, out=flag, mode="clip")
+    np.cumsum(flag, axis=1, out=below[:, 1:])
     if cascade:
         rank = np.arange(n, dtype=dtype)
         key = queues.astype(dtype) * n + rank
         np.not_equal(t_served, t, out=flag)
         flag &= waiting
         act_t = _cascade_table(flag, by_key, key, t_served, (k + 1) * n).T[1:]
-    count = np.empty((tau, n), dtype=dtype)
     z = np.empty((n, k), dtype=bool)
     start = 0
     for kk in range(1, k + 1):
         in_q = queues == kk
         if cascade:
-            # cascade member active at t ranks below the probe key; "clip"
-            # lets take write into out unbuffered (every index is in range)
+            # cascade member active at t ranks below the probe key
             np.take(act_t, t_served, axis=1, out=count, mode="clip")
             np.less(count, kk * n + rank, out=flag)
         # insertion point of key (kk, r_i) among the (queue, rank) keys
@@ -176,6 +191,8 @@ def mc_propensities(
             "reduce reps or use the limiting alpha rates"
         )
     cum = row_cumsum(theta)
+    if forced:
+        work = _forced_workspace(spec.tau, n, k)
     hits = np.zeros((n, k), dtype=np.int64)
     visits = np.zeros((n, k), dtype=np.int64)
     rows = np.arange(n)
@@ -187,7 +204,9 @@ def mc_propensities(
         queues = _draw_queues(cum, rng)
         tp = _serve(spec, s, ranks, queues)
         if forced:
-            hits += _forced_map(s, ranks, queues, tp, spec.caps, cascade=spec.mode == "strict")
+            hits += _forced_map(
+                s, ranks, queues, tp, spec.caps, cascade=spec.mode == "strict", work=work
+            )
             visits += 1
         else:
             visits[rows, queues - 1] += 1

@@ -20,6 +20,9 @@ The reported ``objective_value`` is always the *unregularized* objective of
 the returned policy; kappa only selects among near-optimal policies.  Any
 constant rescaling of the nuisance uncertainty bound multiplies the
 objective but never moves the argmin, so no such bound appears here.
+
+scipy.optimize is imported inside ``_solve``, so commands that solve no
+design (check-propensity, estimate) never load it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.optimize
 
 from ._bitexact import PAIRWISE_MIN
 from .errors import InfeasibleFloor
@@ -423,6 +425,8 @@ def _solve(problem: DesignProblem, x0: Optional[np.ndarray]) -> DesignSolution:
     def neg_dual(x):
         value, grad, _, _ = _dual_state(x, problem, phi, phi_prime, offset)
         return -value, -grad
+
+    import scipy.optimize  # about 0.6 s to load; commands that solve no design skip it
 
     res = scipy.optimize.minimize(
         neg_dual,

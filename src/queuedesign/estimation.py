@@ -28,7 +28,7 @@ import numpy as np
 
 from .cohorts import Cohort, EstimateReport, residual_variance, wald_report
 from .counterfactual import ExactOracle
-from .errors import BoundaryPropensity, PositivityError, RelevanceError
+from .errors import BoundaryPropensity, PositivityError, RelevanceError, RunFailure
 from .propensity import (
     AlphaVector,
     finite_instrument,
@@ -291,7 +291,7 @@ def estimate_pliv(
     f = (alpha.alpha[queues - 1] - pi) / sig
     den = float(np.mean(f * (z - pi)))
     if den == 0.0:
-        raise ValueError("realized instrument-treatment covariance is zero")
+        raise RunFailure("realized instrument-treatment covariance is zero")
     num = float(np.mean(f * (y - nuisances.m(h))))
     point = num / den
     # asymptotic variance: inverse of the design-expected information, which

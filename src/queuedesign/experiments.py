@@ -21,8 +21,6 @@ Stream ids used here (0..3 are reserved by cohorts/estimation), one
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
 from .cohorts import (
@@ -103,6 +101,8 @@ def _map_indexed(worker, reps: int, threads: int, initargs):
     if threads <= 1:
         _set_context(initargs)
         return [worker(rep) for rep in range(reps)]
+    from concurrent.futures import ProcessPoolExecutor  # ~25 ms to load; serial runs skip it
+
     chunk = max(1, reps // (int(threads) * 8))
     with ProcessPoolExecutor(
         max_workers=int(threads), initializer=_set_context, initargs=(initargs,)
@@ -238,7 +238,9 @@ def _bias_rep(rep: int):
     policy, and each estimator is applied to its own design's data: the
     instrument estimator to the endogenous-design allocation, the DR
     estimator (with nuisances that omit the confounder, as an exogeneity
-    believer would fit them) to the exogenous-design allocation.
+    believer would fit them) to the exogenous-design allocation.  A failed
+    statistical precondition (``RunFailure``) leaves NaN in that estimator's
+    slot; any other error ends the run.
     """
     ctx = _CONTEXT
     h = ctx["h"]
@@ -268,7 +270,7 @@ def _bias_rep(rep: int):
             cohort.h, z, y, queues, theta_endo, alpha, nuis,
             relevance_floor=float(ctx["relevance_floor"]),
         ).point
-    except ValueError:
+    except RunFailure:
         pliv = float("nan")
 
     theta_exo = ctx["theta_exo"]
@@ -277,7 +279,7 @@ def _bias_rep(rep: int):
     nuis = oracle_nuisances(cohort, psi, marginal_pi=lambda _h: pi)
     try:
         dr = estimate_dr_ate(cohort.h, z, y, pi, nuis, gamma=float(ctx["gamma"])).point
-    except ValueError:
+    except RunFailure:
         dr = float("nan")
     return pliv, dr
 

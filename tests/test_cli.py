@@ -1,4 +1,11 @@
-"""CLI contract: subcommands, CSV schemas, exit codes, and determinism."""
+"""CLI contract: subcommands, CSV schemas, exit codes, determinism, and
+what a cold start imports."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +13,8 @@ import yaml
 from click.testing import CliRunner
 
 from queuedesign.cli import main, write_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, data, name="run.yaml"):
@@ -198,3 +207,48 @@ class TestDeterminism:
         r2 = invoke(["bias", "--config", cfg, "--out", str(out2), "--threads", "2"])
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert read(out1 / "bias.csv") == read(out2 / "bias.csv")
+
+
+# Runs in a fresh interpreter: this one has already imported scipy.
+COLD_START = """
+import json, sys
+from queuedesign.cli import main
+
+HEAVY = ("scipy.optimize", "concurrent.futures.process")
+
+def run(*args):
+    main(list(args), standalone_mode=False)
+    return [name in sys.modules for name in HEAVY]
+
+cfg, out = sys.argv[1], sys.argv[2]
+seen = {}
+for name in ("check-propensity", "estimate"):
+    seen[name] = run(name, "--config", cfg, "--out", out + "/" + name)
+seen["pareto"] = run("pareto", "--config", cfg, "--out", out + "/pareto")
+seen["bias"] = run("bias", "--config", cfg, "--out", out + "/bias", "--threads", "2")
+print(json.dumps(seen))
+"""
+
+
+class TestColdStart:
+    def test_only_solves_and_worker_pools_load_their_modules(self, tmp_path):
+        data = {}
+        for small in (SMALL_ESTIMATE, SMALL_PARETO, SMALL_PROPENSITY, SMALL_BIAS):
+            for block, vals in small.items():
+                data.setdefault(block, {}).update(vals)
+        cfg = write_config(tmp_path, data)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", COLD_START, cfg, str(tmp_path / "out")],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        seen = json.loads(result.stdout.splitlines()[-1])
+        # (scipy.optimize loaded, concurrent.futures.process loaded) after each
+        assert seen == {
+            "check-propensity": [False, False],
+            "estimate": [False, False],
+            "pareto": [True, False],
+            "bias": [True, True],
+        }

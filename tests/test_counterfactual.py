@@ -14,7 +14,12 @@ import math
 import numpy as np
 import pytest
 
-from queuedesign.counterfactual import _forced_map, exact_oracle, mc_propensities
+from queuedesign.counterfactual import (
+    _forced_map,
+    _forced_workspace,
+    exact_oracle,
+    mc_propensities,
+)
 from queuedesign.mechanism import QueueSpec, _serve, arrival_periods, arrival_ranks
 
 
@@ -85,7 +90,10 @@ def forced_map(spec, s, ranks, queues):
     """Forced map and base allocation of one world, as ``mc_propensities``
     builds them."""
     tp = _serve(spec, s, ranks, queues)
-    return _forced_map(s, ranks, queues, tp, spec.caps, cascade=spec.mode == "strict"), tp
+    work = _forced_workspace(spec.tau, s.shape[0], spec.k)
+    return _forced_map(
+        s, ranks, queues, tp, spec.caps, cascade=spec.mode == "strict", work=work
+    ), tp
 
 
 def random_instance(rng, mode):

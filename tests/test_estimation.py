@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from queuedesign.cohorts import Cohort, generate_cohort
 from queuedesign.counterfactual import ExactOracle, WorldTable, exact_oracle
-from queuedesign.errors import BoundaryPropensity, PositivityError, RelevanceError
+from queuedesign.errors import BoundaryPropensity, PositivityError, RelevanceError, RunFailure
 from queuedesign.estimation import (
     NuisanceSet,
     dr_influence,
@@ -26,7 +26,12 @@ from queuedesign.estimation import (
     variance_pliv_formula,
 )
 from queuedesign.mechanism import QueueSpec, allocate, sample_queues
-from queuedesign.propensity import AlphaVector, PropensityTable, alpha_vector
+from queuedesign.propensity import (
+    AlphaVector,
+    PropensityTable,
+    alpha_from_target,
+    alpha_vector,
+)
 
 PSI = 0.1
 
@@ -355,6 +360,24 @@ class TestPliv:
             estimate_pliv(
                 cohort.h, np.ones(n), np.ones(n), np.ones(n, dtype=int), theta, alpha, nuis
             )
+
+    def test_zero_realized_covariance_is_a_run_failure(self):
+        # pi = 0.5 for both units and z - pi = 0.5 for both, so the two
+        # instrument values +-0.25 cancel and the denominator is exactly 0
+        alpha = alpha_from_target([0.75, 0.25], [0.5, 0.5])
+        h = np.full(2, 0.4)
+        nuis = NuisanceSet(
+            mu0=lambda hh: np.zeros(np.shape(hh)),
+            mu1=lambda hh: np.zeros(np.shape(hh)),
+            m=lambda hh: np.zeros(np.shape(hh)),
+            sigma=lambda hh: np.full(np.shape(hh), 0.3),
+            fit_tag="oracle",
+        )
+        with pytest.raises(RunFailure, match="covariance is zero") as info:
+            estimate_pliv(
+                h, np.ones(2), np.ones(2), np.array([1, 2]), rct_theta(2), alpha, nuis
+            )
+        assert info.value.status == "precondition_error"
 
     def test_monte_carlo_unbiased_and_covered(self):
         reps, n = 600, 1_000

@@ -187,6 +187,26 @@ class TestRunBias:
         rows = experiments.run_bias(cfg)
         assert rows[0][1] == pytest.approx(rows[2][1], abs=1e-12)
 
+    def test_failed_estimate_is_nan_and_uncounted(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RelevanceError("reworded")
+
+        monkeypatch.setattr(experiments, "estimate_pliv", fail)
+        rows = experiments.run_bias(self.bias_config())
+        for r in rows:
+            if r[2] == "pliv_endogenous":
+                assert np.isnan(r[3]) and r[5] == 0
+            else:
+                assert np.isfinite(r[3]) and r[5] == 24
+
+    def test_programming_error_is_not_swallowed(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("shape mismatch")
+
+        monkeypatch.setattr(experiments, "estimate_pliv", fail)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            experiments.run_bias(self.bias_config())
+
     def test_requires_two_queues(self):
         cfg = config_from_dict({
             "cohort": {"n": 100, "dgp": "partially_linear"},
