@@ -5,30 +5,32 @@ basic identifying object of the design: it conditions on unit i's own queue
 draw while averaging over everyone else's queues and the arrival pattern.
 Estimating it naively is expensive — forcing each (unit, queue) pair and
 re-running the allocation costs n * K full passes per replication — so the
-Monte Carlo here exploits the mechanism's structure to read off the entire
-n x K counterfactual treatment map from a single base allocation per world:
+Monte Carlo here reads the entire n x K counterfactual treatment map of a
+world off its per-queue arrival counts, without running the allocation:
 
-* Units ranked below a given (queue, arrival) key are never displaced by
-  anything ranked above it, so their waiting pattern is an autonomous system.
-  A unit is served iff at some period the number of waiting lower-ranked
-  units falls short of the budget.  With units held in (queue, rank) key
-  order those counts are one cumulative sum of the (tau, n) waiting matrix,
-  read at each probe key's insertion point.
+* Probe i forced into queue kk never displaces the units that outrank it,
+  so they form an autonomous system.  With B(t) its cumulative slots, the
+  number it has served by period t is D(t) = min over u <= t of
+  [A(u) + B(t) - B(u)], the backlog identity of Lindley (1952); A counts its
+  arrivals.  With X(u) = A(u) - B(u) and X(0) = 0, the probe is served iff
+  min over u >= s_i of X(u) < min over u < s_i of X(u).
 
-* Removing the probe unit from its realized slot frees capacity that pulls
-  forward the first waiting unit, whose old slot frees again, and so on: a
-  removal cascade.  The cascade depends only on the starting period and only
-  ever *advances* service times.  Each member stops competing on the
-  interval from its pull-forward period to its old service period; these
-  intervals are disjoint and contiguous, so at any period at most one member
-  is active.  A tau x tau table of active members, built backwards in tau
-  row writes, turns the cascade correction into a gather.
+* FIFO ranks follow arrival periods, so every unit arriving before period
+  s_i outranks a same-queue probe and every one outranking it has arrived by
+  s_i.  Hence X(u) = L(u) + N_kk(u) - B_kk(u) for u < s_i and
+  X(u) = L(u) + c_i - own_i - B_kk(u) for u >= s_i, where N_q(u) counts the
+  queue-q arrivals by period u and c_i the queue-kk units ranked ahead of i.
+  Strict mode shares each period's budget in priority order, so
+  L = N_1 + ... + N_{kk-1} and own_i = [Q_i < kk]; rationed queues fill
+  only their own shares, so L = 0 and own_i = 0.
 
-A world therefore costs O(k * tau * n) array operations on compact dtypes
-(bool, and int16 unless (k + 1) * n needs int32), with no per-unit Python
-loop.  Both shortcuts are verified against brute-force re-allocation in the
-test suite.  For tiny single-period instances an exact oracle enumerates all
-queue configurations (and optionally all arrival orders) instead of sampling.
+The precondition is that ``ranks`` are the FIFO ranks of the arrivals that
+gave ``s``.  Per queue, a prefix min of the first branch and a suffix min of
+L - B_kk are tau-length tables read at each probe's period, so a world costs
+O(k * (n + tau)).  The realized column is the same formula at kk = Q_i.  The
+map is checked against brute-force re-allocation in the test suite.  For
+tiny single-period instances an exact oracle enumerates all queue
+configurations (and optionally all arrival orders) instead of sampling.
 """
 
 from __future__ import annotations
@@ -60,109 +62,39 @@ WORLD_CAP = 2_000_000  # largest K^n * n! world table the exact oracle builds
 # ---------------------------------------------------------------------------
 
 
-def _cascade_table(pending, by_key, key, t_served, none):
-    """Key of the one active removal-cascade member, per (start, period).
+def _forced_map(s, ranks, queues, caps, cascade):
+    """Forced treatment map of one world: ``z[i, kk-1]`` says whether unit i
+    is served when forced into queue kk with every other draw held fixed.
 
-    Vacating a served slot at period sigma pulls the first pending unit j of
-    sigma (lowest key among arrived units not served by sigma) forward to
-    sigma; j's own slot then frees at t_served[j], which pulls the first
-    pending unit of that period, and so on.  Member j stops competing on
-    (sigma, t_served[j]], or through tau if it was never served, so the
-    members' intervals are disjoint and contiguous: ``act[sigma, t]`` is the
-    key of the member active at period t, or ``none``.  Row 0 (probes never
-    served) stays empty.  ``by_key`` lists the units in key order.
-    """
-    tau = pending.shape[0]
-    first = by_key[pending[:, by_key].argmax(axis=1)]
-    has = pending[np.arange(tau), first]
-    act = np.full((tau + 1, tau + 1), none, dtype=key.dtype)
-    for sigma in range(tau, 0, -1):
-        if not has[sigma - 1]:
-            continue
-        j = first[sigma - 1]
-        until = t_served[j] if t_served[j] > 0 else tau
-        act[sigma, sigma + 1 : until + 1] = key[j]
-        if until < tau:
-            act[sigma, until + 1 :] = act[until, until + 1 :]
-    return act
-
-
-def _forced_workspace(tau, n, k):
-    """The (tau, n) buffers of ``_forced_map``, built once per MC call.
-
-    Counts never exceed n, so budgets capped at n + 1 pass the same tests
-    and share one dtype with counts and keys (at most none = (k + 1) * n).
-    Column 0 of ``below`` stays zero: the cumulative sum writes [:, 1:].
-    """
-    dtype = np.int16 if (k + 1) * n < 2**15 else np.int32
-    return (
-        dtype,
-        np.empty((tau, n), dtype=bool),  # arrived
-        np.empty((tau, n), dtype=bool),  # waiting
-        np.zeros((tau, n + 1), dtype=dtype),  # below
-        np.empty((tau, n), dtype=bool),  # flag
-        np.empty((tau, n), dtype=dtype),  # count
-    )
-
-
-def _forced_map(s, ranks, queues, t_served, caps, cascade, work):
-    """Forced treatment map of one world from its base allocation.
-
-    Probe i forced into queue kk is served iff at some period t >= s_i
-    fewer than caps[t, kk] other units wait with a key below (kk, r_i).
-    Strict mode (``cascade``) counts queues 1..kk-1 too, less the probe
-    itself and the cascade member active at t; rationed queues never share
-    capacity, so there only queue kk counts.  All (tau, n) arrays are the
-    buffers of ``work``, from ``_forced_workspace(tau, n, k)``.
+    ``ranks`` must be the FIFO ranks of the arrivals that gave ``s``, so a
+    lower rank never has a later period.  With ``cascade`` (strict mode) the
+    budget cascades down the queues in priority order, so queues 1..kk-1
+    outrank the probe; otherwise (rationed mode) only queue kk competes.
+    The module docstring derives the identity.
     """
     n = s.shape[0]
     tau, k = caps.shape
-    dtype, arrived, waiting, below, flag, count = work
-    caps = np.minimum(caps, n + 1).astype(dtype)
+    cols = np.arange(1, k + 1)
+    # arrivals[u, q-1]: queue-q units arrived by period u = 0..tau
+    arrivals = np.bincount(s * k + queues - 1, minlength=(tau + 1) * k)
+    arrivals = arrivals.reshape(tau + 1, k).cumsum(axis=0)
+    slots = np.zeros((tau + 1, k), dtype=np.int64)
+    np.cumsum(caps, axis=0, out=slots[1:])
+    ahead = -slots  # L - B_kk
+    if cascade:
+        ahead[:, 1:] += arrivals[:, :-1].cumsum(axis=1)
+    # before[v] = min over u <= v of ahead + arrivals; row 0 is the 0 term
+    before = np.minimum.accumulate(ahead + arrivals, axis=0)
+    # after[u] = min over u' >= u of ahead
+    after = np.minimum.accumulate(ahead[::-1], axis=0)[::-1]
+    # peers[i, kk-1] = c_i - own_i: queue-kk units ranked ahead of unit i
     order = np.empty(n, dtype=np.int64)
     order[ranks] = np.arange(n)
-    s, queues, t_served = s[order], queues[order], t_served[order]
-    t = np.arange(1, tau + 1)[:, None]
-    np.less_equal(s, t, out=arrived)
-    np.less_equal(t, np.where(t_served > 0, t_served, tau), out=waiting)
-    waiting &= arrived
-    by_key = np.argsort(queues, kind="stable")
-    # waiting in key order goes through flag; "clip" lets take write into
-    # out unbuffered (every index is in range)
-    np.take(waiting, by_key, axis=1, out=flag, mode="clip")
-    np.cumsum(flag, axis=1, out=below[:, 1:])
+    hot = queues[order, None] == cols
+    peers = (np.cumsum(hot, axis=0) - hot)[ranks]
     if cascade:
-        rank = np.arange(n, dtype=dtype)
-        key = queues.astype(dtype) * n + rank
-        np.not_equal(t_served, t, out=flag)
-        flag &= waiting
-        act_t = _cascade_table(flag, by_key, key, t_served, (k + 1) * n).T[1:]
-    z = np.empty((n, k), dtype=bool)
-    start = 0
-    for kk in range(1, k + 1):
-        in_q = queues == kk
-        if cascade:
-            # cascade member active at t ranks below the probe key
-            np.take(act_t, t_served, axis=1, out=count, mode="clip")
-            np.less(count, kk * n + rank, out=flag)
-        # insertion point of key (kk, r_i) among the (queue, rank) keys
-        idx = start + np.cumsum(in_q) - in_q
-        np.take(below, idx, axis=1, out=count, mode="clip")
-        if cascade:
-            count -= flag
-            np.logical_and(waiting, queues < kk, out=flag)
-            count -= flag
-        else:
-            count -= below[:, start : start + 1]
-        np.less(count, caps[:, kk - 1 : kk], out=flag)
-        flag &= arrived
-        z[:, kk - 1] = flag.any(axis=0)
-        start += int(in_q.sum())
-    # the realized column needs no counterfactual: it is the base world
-    z[np.arange(n), queues - 1] = t_served > 0
-    out = np.empty_like(z)
-    out[order] = z
-    return out
+        peers -= queues[:, None] < cols
+    return after[s] + peers < before[s - 1]
 
 
 def mc_propensities(
@@ -191,8 +123,6 @@ def mc_propensities(
             "reduce reps or use the limiting alpha rates"
         )
     cum = row_cumsum(theta)
-    if forced:
-        work = _forced_workspace(spec.tau, n, k)
     hits = np.zeros((n, k), dtype=np.int64)
     visits = np.zeros((n, k), dtype=np.int64)
     rows = np.arange(n)
@@ -202,13 +132,11 @@ def mc_propensities(
         s = arrival_periods(a, spec.tau)
         ranks = arrival_ranks(a)
         queues = _draw_queues(cum, rng)
-        tp = _serve(spec, s, ranks, queues)
         if forced:
-            hits += _forced_map(
-                s, ranks, queues, tp, spec.caps, cascade=spec.mode == "strict", work=work
-            )
+            hits += _forced_map(s, ranks, queues, spec.caps, cascade=spec.mode == "strict")
             visits += 1
         else:
+            tp = _serve(spec, s, ranks, queues)
             visits[rows, queues - 1] += 1
             hits[rows, queues - 1] += tp > 0
     with np.errstate(invalid="ignore"):

@@ -506,7 +506,7 @@ def _perturbed_means(centered: np.ndarray, reps: int, seed: int) -> np.ndarray:
     n = centered.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3]))
     out = np.empty(reps)
-    chunk = max(1, int(2_000_000 // max(n, 1)))
+    chunk = max(1, 131_072 // max(n, 1))  # about 1 MB of normals per draw
     done = 0
     while done < reps:
         take = min(chunk, reps - done)

@@ -429,7 +429,7 @@ def run_estimate(config: RunConfig):
     Estimator preconditions (positivity, instrument relevance) are reported
     as a status column with NaN numbers rather than as hard failures: a
     degenerate design is a finding, not a crash.  A ``RunFailure`` names its
-    own status; any other ``ValueError`` is a ``precondition_error``.
+    own status; any other error propagates.
     """
     cfg_c, cfg_e, est = config.cohort, config.execution, config.estimation
     mech = config.mechanism
@@ -482,8 +482,6 @@ def run_estimate(config: RunConfig):
                 report = estimate_iv_ratio(ye, ze, r)
         except RunFailure as err:
             status = err.status
-        except ValueError:
-            status = RunFailure.status
         else:
             rows.append((
                 name, report.point, report.se, report.ci_low, report.ci_high,

@@ -1,11 +1,12 @@
 """Counterfactual machinery vs. brute-force references.
 
-The fast forced-queue map reads every unit's counterfactual off one base
-allocation via rank counting and removal cascades; the reference here
-re-runs a deliberately naive allocator once per (unit, queue) pair.  The
-exact oracle is likewise checked against full enumeration written from
-scratch.  Both references are independent reimplementations of the service
-discipline, not calls back into the package.
+The fast forced-queue map reads every unit's counterfactual off per-queue
+arrival counts through the backlog identity, without running the allocation;
+the reference here re-runs a deliberately naive allocator once per
+(unit, queue) pair.  The exact oracle is likewise checked against full
+enumeration written from scratch.  Both references are independent
+reimplementations of the service discipline, not calls back into the
+package.
 """
 
 import itertools
@@ -16,7 +17,6 @@ import pytest
 
 from queuedesign.counterfactual import (
     _forced_map,
-    _forced_workspace,
     exact_oracle,
     mc_propensities,
 )
@@ -87,13 +87,10 @@ def world_spec(rng, mode, k, tau, budgets):
 
 
 def forced_map(spec, s, ranks, queues):
-    """Forced map and base allocation of one world, as ``mc_propensities``
-    builds them."""
-    tp = _serve(spec, s, ranks, queues)
-    work = _forced_workspace(spec.tau, s.shape[0], spec.k)
-    return _forced_map(
-        s, ranks, queues, tp, spec.caps, cascade=spec.mode == "strict", work=work
-    ), tp
+    """Forced map of one world, as ``mc_propensities`` builds it, and the
+    world's base allocation."""
+    z = _forced_map(s, ranks, queues, spec.caps, cascade=spec.mode == "strict")
+    return z, _serve(spec, s, ranks, queues)
 
 
 def random_instance(rng, mode):
@@ -210,6 +207,29 @@ def test_forced_map_rationed_matches_brute_force_long_horizon():
         assert np.array_equal(tp, naive_allocate_rationed(s, ranks, queues, shares))
         slow = naive_forced_map(s, ranks, queues, k, shares=shares)
         assert np.array_equal(fast, slow), f"trial {trial}: tau={tau}, shares={shares}"
+
+
+@pytest.mark.parametrize("mode", ["strict", "rationed"])
+def test_forced_map_realized_column_matches_allocation_at_scale(mode):
+    # the one check at sizes the naive map cannot reach: forcing each unit
+    # into its own queue is the base world, so that column is _serve's
+    rng = np.random.default_rng(2028 if mode == "strict" else 2029)
+    for trial in range(100):
+        n = int(rng.integers(200, 3001))
+        k = int(rng.integers(1, 6))
+        tau = int(rng.integers(1, 71))
+        arrivals = rng.uniform(0, tau, n)
+        tied = rng.integers(0, n, size=n // 4)
+        arrivals[tied] = arrivals[rng.integers(0, n, size=tied.size)]
+        s = arrival_periods(arrivals, tau)
+        ranks = arrival_ranks(arrivals)
+        queues = rng.integers(1, k + 1, n)
+        budgets = rng.integers(0, 2 * n // tau + 2, tau).astype(int)
+        budgets[rng.random(tau) < 0.25] = 0
+        spec = world_spec(rng, mode, k, tau, budgets)
+        fast, tp = forced_map(spec, s, ranks, queues)
+        realized = fast[np.arange(n), queues - 1]
+        assert np.array_equal(realized, tp > 0), f"trial {trial}: n={n}, k={k}, tau={tau}"
 
 
 def test_forced_map_is_monotone_in_queue():

@@ -14,7 +14,7 @@ import pytest
 from queuedesign import experiments
 from queuedesign.cohorts import generate_cohort, outcome_variances, residual_variance
 from queuedesign.config import config_from_dict
-from queuedesign.errors import PositivityError, RelevanceError
+from queuedesign.errors import PositivityError, RelevanceError, RunFailure
 from queuedesign.estimation import SIGMA_FLOOR, instrument_information, variance_dr_formula
 from queuedesign.policies import rct_policy
 from queuedesign.propensity import alpha_vector
@@ -287,7 +287,7 @@ class TestRunEstimate:
     @pytest.mark.parametrize("error, status", [
         (PositivityError("reworded"), "positivity_error"),
         (RelevanceError("reworded"), "relevance_error"),
-        (ValueError("instrument relevance failure"), "precondition_error"),
+        (RunFailure("reworded"), "precondition_error"),
     ])
     def test_status_comes_from_the_error_type(self, monkeypatch, error, status):
         def fail(*args, **kwargs):
@@ -299,6 +299,16 @@ class TestRunEstimate:
         assert rows["pliv"][-1] == status
         assert np.isnan(rows["pliv"][1])
         assert rows["dr_ate"][-1] == rows["iv_ratio"][-1] == "ok"
+
+    def test_untyped_value_error_propagates(self, monkeypatch):
+        # a plain ValueError is a programming error, not a status cell
+        def fail(*args, **kwargs):
+            raise ValueError("instrument relevance failure")
+
+        monkeypatch.setattr(experiments, "estimate_pliv", fail)
+        cfg = config_from_dict({"cohort": {"n": 200}, "execution": {"seed": 4}})
+        with pytest.raises(ValueError, match="instrument relevance failure"):
+            experiments.run_estimate(cfg)
 
     def test_split_fit_reports_half_sample(self):
         cfg = config_from_dict({
