@@ -36,9 +36,8 @@ def row_cumsum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def stable_ranks(keys: np.ndarray) -> np.ndarray:
-    """Position of each key in (key, index) order: the inverse permutation
-    of ``np.argsort(keys, kind="stable")``.
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``.
 
     It sorts with the faster default kind first.  Strictly increasing sorted
     keys admit one order only, so that permutation is then the stable one;
@@ -49,6 +48,12 @@ def stable_ranks(keys: np.ndarray) -> np.ndarray:
     srt = keys[order]
     if not np.all(srt[1:] > srt[:-1]):
         order = np.argsort(keys, kind="stable")
-    ranks = np.empty(order.shape[0], dtype=np.int64)
-    ranks[order] = np.arange(order.shape[0])
+    return order
+
+
+def stable_ranks(keys: np.ndarray) -> np.ndarray:
+    """Position of each key in (key, index) order: the inverse permutation
+    of ``stable_order(keys)``."""
+    ranks = np.empty(keys.shape[0], dtype=np.int64)
+    ranks[stable_order(keys)] = np.arange(keys.shape[0])
     return ranks

@@ -9,11 +9,10 @@ Monte Carlo here reads the entire n x K counterfactual treatment map of a
 world off its per-queue arrival counts, without running the allocation:
 
 * Probe i forced into queue kk never displaces the units that outrank it,
-  so they form an autonomous system.  With B(t) its cumulative slots, the
-  number it has served by period t is D(t) = min over u <= t of
-  [A(u) + B(t) - B(u)], the backlog identity of Lindley (1952); A counts its
-  arrivals.  With X(u) = A(u) - B(u) and X(0) = 0, the probe is served iff
-  min over u >= s_i of X(u) < min over u < s_i of X(u).
+  so they form an autonomous system.  By the backlog identity in
+  ``mechanism``, with A(u) its arrivals, B(u) its slots by period u and
+  X = A - B, the probe is served iff min over u >= s_i of X(u) < min over
+  u < s_i of X(u), where X(0) = 0.
 
 * FIFO ranks follow arrival periods, so every unit arriving before period
   s_i outranks a same-queue probe and every one outranking it has arrived by
@@ -24,13 +23,16 @@ world off its per-queue arrival counts, without running the allocation:
   L = N_1 + ... + N_{kk-1} and own_i = [Q_i < kk]; rationed queues fill
   only their own shares, so L = 0 and own_i = 0.
 
-The precondition is that ``ranks`` are the FIFO ranks of the arrivals that
-gave ``s``.  Per queue, a prefix min of the first branch and a suffix min of
-L - B_kk are tau-length tables read at each probe's period, so a world costs
-O(k * (n + tau)).  The realized column is the same formula at kk = Q_i.  The
-map is checked against brute-force re-allocation in the test suite.  For
-tiny single-period instances an exact oracle enumerates all queue
-configurations (and optionally all arrival orders) instead of sampling.
+The precondition is that ``order`` is the FIFO order of the arrivals that
+gave ``s``; N_q and B_kk are the allocation's own tables
+(``mechanism._period_tables``).  A prefix min of the first branch and a
+suffix min of L - B_kk, with own_i, fold into one (tau + 1, K, K) table of
+bounds on c_i, read at each probe's period and queue; c_i is one cumulative
+count per queue in FIFO order.  So a world costs O(k * (n + tau)).  The
+realized column is the same formula at kk = Q_i.  Tests check the map against
+brute-force re-allocation.  For tiny single-period instances an exact oracle
+enumerates all queue configurations (and optionally all arrival orders)
+instead of sampling.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._bitexact import row_cumsum
+from ._bitexact import row_cumsum, stable_order
 from .mechanism import (
     QueueSpec,
     _draw_queues,
+    _period_tables,
     _serve,
     arrival_periods,
     arrival_ranks,
@@ -62,39 +65,39 @@ WORLD_CAP = 2_000_000  # largest K^n * n! world table the exact oracle builds
 # ---------------------------------------------------------------------------
 
 
-def _forced_map(s, ranks, queues, caps, cascade):
+def _forced_map(spec, s, order, queues):
     """Forced treatment map of one world: ``z[i, kk-1]`` says whether unit i
     is served when forced into queue kk with every other draw held fixed.
 
-    ``ranks`` must be the FIFO ranks of the arrivals that gave ``s``, so a
-    lower rank never has a later period.  With ``cascade`` (strict mode) the
-    budget cascades down the queues in priority order, so queues 1..kk-1
-    outrank the probe; otherwise (rationed mode) only queue kk competes.
-    The module docstring derives the identity.
+    ``order`` must be the FIFO order of the arrivals that gave ``s``, so a
+    later position never has an earlier period.  In strict mode the budget
+    cascades down the queues in priority order, so queues 1..kk-1 outrank
+    the probe; in rationed mode only queue kk competes.  The module
+    docstring derives the identity.
     """
-    n = s.shape[0]
-    tau, k = caps.shape
-    cols = np.arange(1, k + 1)
-    # arrivals[u, q-1]: queue-q units arrived by period u = 0..tau
-    arrivals = np.bincount(s * k + queues - 1, minlength=(tau + 1) * k)
-    arrivals = arrivals.reshape(tau + 1, k).cumsum(axis=0)
-    slots = np.zeros((tau + 1, k), dtype=np.int64)
-    np.cumsum(caps, axis=0, out=slots[1:])
+    n, k = s.shape[0], spec.k
+    strict = spec.mode == "strict"
+    cell, arrived, slots = _period_tables(spec, s, queues)
     ahead = -slots  # L - B_kk
-    if cascade:
-        ahead[:, 1:] += arrivals[:, :-1].cumsum(axis=1)
-    # before[v] = min over u <= v of ahead + arrivals; row 0 is the 0 term
-    before = np.minimum.accumulate(ahead + arrivals, axis=0)
+    if strict:
+        ahead[:, 1:] += arrived[:, :-1].cumsum(axis=1)
+    # before[v] = min over u <= v of ahead + arrived; row 0 is the 0 term
+    before = np.minimum.accumulate(ahead + arrived, axis=0)
     # after[u] = min over u' >= u of ahead
     after = np.minimum.accumulate(ahead[::-1], axis=0)[::-1]
-    # peers[i, kk-1] = c_i - own_i: queue-kk units ranked ahead of unit i
-    order = np.empty(n, dtype=np.int64)
-    order[ranks] = np.arange(n)
-    hot = queues[order, None] == cols
-    peers = (np.cumsum(hot, axis=0) - hot)[ranks]
-    if cascade:
-        peers -= queues[:, None] < cols
-    return after[s] + peers < before[s - 1]
+    # bound[t, q-1, kk-1] = before[t-1] - after[t] + own: a period-t unit of
+    # queue q forced into kk is served iff c_i < bound; row 0 is never read
+    bound = np.zeros((spec.tau + 1, k, k), dtype=np.int64)
+    bound[1:] = (before[:-1] - after[1:])[:, None, :]
+    if strict:
+        bound += np.arange(k)[:, None] < np.arange(k)
+    # c[i, kk-1]: queue-kk units ranked ahead of unit i
+    c = np.empty((n, k), dtype=np.int64)
+    fifo_queues = queues[order]
+    for q in range(k):
+        hot = fifo_queues == q + 1
+        c[order, q] = np.cumsum(hot) - hot
+    return c < bound.reshape(-1, k).take(cell, axis=0)
 
 
 def mc_propensities(
@@ -130,13 +133,13 @@ def mc_propensities(
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), rep]))
         a = rng.uniform(0.0, spec.tau, size=n)
         s = arrival_periods(a, spec.tau)
-        ranks = arrival_ranks(a)
+        order = stable_order(a)
         queues = _draw_queues(cum, rng)
         if forced:
-            hits += _forced_map(s, ranks, queues, spec.caps, cascade=spec.mode == "strict")
+            hits += _forced_map(spec, s, order, queues)
             visits += 1
         else:
-            tp = _serve(spec, s, ranks, queues)
+            tp = _serve(spec, s, arrival_ranks(a), queues)
             visits[rows, queues - 1] += 1
             hits[rows, queues - 1] += tp > 0
     with np.errstate(invalid="ignore"):

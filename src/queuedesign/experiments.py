@@ -246,7 +246,6 @@ def _bias_rep(rep: int):
     h = ctx["h"]
     psi = ctx["psi"]
     spec = ctx["spec"]
-    alpha = spec.alpha
     cohort = generate_bias_cohort(
         h.shape[0], spec.tau, psi, h=h,
         seed=_derived_seed(ctx["seed"], STREAM_BIAS_COHORT, ctx["arm"], rep),
@@ -263,19 +262,17 @@ def _bias_rep(rep: int):
 
     theta_endo = ctx["theta_endo"]
     queues, z, y = realize(theta_endo, STREAM_BIAS_ENDOGENOUS_QUEUES)
-    pi = marginal_propensity(theta_endo, alpha)
-    nuis = oracle_nuisances(cohort, psi, marginal_pi=lambda _h: pi)
+    nuis = oracle_nuisances(cohort, psi, marginal_pi=lambda _h: ctx["pi_endo"])
     try:
         pliv = estimate_pliv(
-            cohort.h, z, y, queues, theta_endo, alpha, nuis,
+            cohort.h, z, y, queues, theta_endo, spec.alpha, nuis,
             relevance_floor=float(ctx["relevance_floor"]),
         ).point
     except RunFailure:
         pliv = float("nan")
 
-    theta_exo = ctx["theta_exo"]
-    _, z, y = realize(theta_exo, STREAM_BIAS_EXOGENOUS_QUEUES)
-    pi = marginal_propensity(theta_exo, alpha)
+    _, z, y = realize(ctx["theta_exo"], STREAM_BIAS_EXOGENOUS_QUEUES)
+    pi = ctx["pi_exo"]
     nuis = oracle_nuisances(cohort, psi, marginal_pi=lambda _h: pi)
     try:
         dr = estimate_dr_ate(cohort.h, z, y, pi, nuis, gamma=float(ctx["gamma"])).point
@@ -344,6 +341,8 @@ def run_bias(config: RunConfig):
         # everything a replication reads that does not depend on its draws
         ctx = {
             "h": h, "theta_endo": theta_endo, "theta_exo": theta_exo,
+            "pi_endo": marginal_propensity(theta_endo, spec.alpha),
+            "pi_exo": marginal_propensity(theta_exo, spec.alpha),
             "spec": spec, "psi": psi,
             "gamma": float(config.estimation.gamma),
             "relevance_floor": float(config.estimation.relevance_floor),

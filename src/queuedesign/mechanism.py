@@ -24,6 +24,17 @@ Arrival times live on [0, tau]; a unit with arrival time a enters the pool at
 review period max(1, ceil(a)) and remains waiting until served or the horizon
 ends.  Ties in arrival time are broken by unit id, so every allocation is a
 deterministic function of (queues, arrivals, budgets).
+
+Within a queue, the units served by any period are a FIFO prefix: an earlier
+period's arrival outranks every later one, and the best-ranked waiting unit is
+always served first.  So served counts per queue and period fix the
+allocation.  A system with A(u) arrivals and B(u) slots by period u has served
+B(t) + min over u <= t of [A(u) - B(u)] units by period t, where
+A(0) = B(0) = 0 (the backlog identity of Lindley, 1952).  Each rationed queue
+is one such system; in strict mode each tier 1..q is one, since the budget
+serves it ahead of the rest, and queue q's count is tier q's minus tier q-1's.
+``_serve`` cuts each queue's FIFO order at its counts, so a world costs
+O(tau * k + n log tau), with no loop over periods.
 """
 
 from __future__ import annotations
@@ -281,62 +292,44 @@ class AllocationTrace:
         return self.queues.shape[0]
 
 
-def _allocate_strict(
-    s: np.ndarray, ranks: np.ndarray, queues: np.ndarray, budgets: np.ndarray
-) -> np.ndarray:
-    """Serve waiting units in (queue, arrival rank) order each period."""
-    n = s.shape[0]
-    # composite priority key: queue first, FIFO rank second
-    key = queues.astype(np.int64) * (n + 1) + ranks
-    treat_period = np.zeros(n, dtype=int)
-    pending = np.zeros(n, dtype=bool)
-    for t, b in enumerate(budgets, start=1):
-        pending |= s == t
-        idx = np.nonzero(pending)[0]
-        if idx.size == 0 or b == 0:
-            continue
-        if idx.size <= b:
-            served = idx
-        else:
-            part = np.argpartition(key[idx], b - 1)[:b]
-            served = idx[part]
-        treat_period[served] = t
-        pending[served] = False
-    return treat_period
-
-
-def _allocate_rationed(
-    s: np.ndarray, ranks: np.ndarray, queues: np.ndarray, shares: np.ndarray
-) -> np.ndarray:
-    """Serve each queue FIFO from its own per-period share of the budget."""
-    n = s.shape[0]
-    treat_period = np.zeros(n, dtype=int)
-    pending = np.zeros(n, dtype=bool)
-    k = shares.shape[1]
-    for t in range(1, shares.shape[0] + 1):
-        pending |= s == t
-        for q in range(1, k + 1):
-            b = shares[t - 1, q - 1]
-            if b == 0:
-                continue
-            idx = np.nonzero(pending & (queues == q))[0]
-            if idx.size == 0:
-                continue
-            if idx.size <= b:
-                served = idx
-            else:
-                part = np.argpartition(ranks[idx], b - 1)[:b]
-                served = idx[part]
-            treat_period[served] = t
-            pending[served] = False
-    return treat_period
+def _period_tables(spec: QueueSpec, s: np.ndarray, queues: np.ndarray):
+    """``cell = s * k + queues - 1``, and at [u, q-1] the queue-q units arrived
+    (``arrived``) and slots to fill (``slots``) by period u = 0..tau."""
+    tau, k = spec.caps.shape
+    cell = s * k  # in place: each n-length temporary costs page faults
+    cell += queues
+    cell -= 1
+    arrived = np.bincount(cell, minlength=(tau + 1) * k).reshape(tau + 1, k).cumsum(axis=0)
+    slots = np.zeros((tau + 1, k), dtype=np.int64)
+    np.cumsum(spec.caps, axis=0, out=slots[1:])
+    return cell, arrived, slots
 
 
 def _serve(spec: QueueSpec, s: np.ndarray, ranks: np.ndarray, queues: np.ndarray) -> np.ndarray:
-    """Treatment periods of one world under the spec's service discipline."""
+    """Treatment periods of one world under the spec's service discipline.
+
+    ``ranks`` must be the FIFO ranks of the arrivals that gave ``s``.  The
+    module docstring derives the served counts; each queue's units are then
+    cut into per-period blocks of its FIFO order by one partial sort.
+    """
+    arrived, slots = _period_tables(spec, s, queues)[1:]  # frees cell before the loop
     if spec.mode == "strict":
-        return _allocate_strict(s, ranks, queues, spec.budgets)
-    return _allocate_rationed(s, ranks, queues, spec.caps)
+        arrived = arrived.cumsum(axis=1)  # tiers 1..q
+    served = slots + np.minimum.accumulate(arrived - slots, axis=0)
+    if spec.mode == "strict":
+        served = np.diff(served, axis=1, prepend=0)
+    tp = np.zeros(s.shape[0], dtype=int)
+    periods = np.arange(1, spec.tau + 1)
+    for q in range(spec.k):
+        m = served[-1, q]
+        if m == 0:
+            continue
+        idx = np.flatnonzero(queues == q + 1)
+        cuts = served[1:, q]
+        # positions below each cut are the units served by its period
+        fifo = np.argpartition(ranks[idx], cuts[cuts < idx.size])
+        tp[idx[fifo[:m]]] = np.repeat(periods, np.diff(served[:, q]))
+    return tp
 
 
 def allocate(cohort: Cohort, queues: np.ndarray, spec: QueueSpec) -> AllocationTrace:

@@ -22,41 +22,12 @@ from queuedesign.counterfactual import (
 )
 from queuedesign.mechanism import QueueSpec, _serve, arrival_periods, arrival_ranks
 
+from naive_allocation import naive_allocate_rationed, naive_allocate_strict
+
 
 # ---------------------------------------------------------------------------
 # naive reference implementations
 # ---------------------------------------------------------------------------
-
-
-def naive_allocate_strict(s, ranks, queues, budgets):
-    n = len(s)
-    served = {}
-    for t, b in enumerate(budgets, start=1):
-        waiting = [i for i in range(n) if s[i] <= t and i not in served]
-        waiting.sort(key=lambda i: (queues[i], ranks[i]))
-        for i in waiting[: int(b)]:
-            served[i] = t
-    out = np.zeros(n, dtype=int)
-    for i, t in served.items():
-        out[i] = t
-    return out
-
-
-def naive_allocate_rationed(s, ranks, queues, shares):
-    n = len(s)
-    served = {}
-    for t in range(1, shares.shape[0] + 1):
-        for q in range(1, shares.shape[1] + 1):
-            waiting = [
-                i for i in range(n) if s[i] <= t and i not in served and queues[i] == q
-            ]
-            waiting.sort(key=lambda i: ranks[i])
-            for i in waiting[: int(shares[t - 1, q - 1])]:
-                served[i] = t
-    out = np.zeros(n, dtype=int)
-    for i, t in served.items():
-        out[i] = t
-    return out
 
 
 def naive_forced_map(s, ranks, queues, k, budgets=None, shares=None):
@@ -89,7 +60,7 @@ def world_spec(rng, mode, k, tau, budgets):
 def forced_map(spec, s, ranks, queues):
     """Forced map of one world, as ``mc_propensities`` builds it, and the
     world's base allocation."""
-    z = _forced_map(s, ranks, queues, spec.caps, cascade=spec.mode == "strict")
+    z = _forced_map(spec, s, np.argsort(ranks), queues)
     return z, _serve(spec, s, ranks, queues)
 
 

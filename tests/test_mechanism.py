@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from queuedesign.cohorts import Cohort, generate_bias_cohort, generate_cohort
 from queuedesign.mechanism import (
+    AllocationTrace,
     QueueSpec,
+    _serve,
     allocate,
     arrival_periods,
     arrival_ranks,
@@ -19,6 +21,8 @@ from queuedesign.mechanism import (
 )
 from queuedesign.propensity import alpha_from_target, alpha_vector
 from queuedesign._bitexact import row_cumsum, stable_ranks
+
+from naive_allocation import naive_allocate_rationed, naive_allocate_strict
 
 
 def toy_cohort(arrivals, tau):
@@ -222,6 +226,84 @@ class TestRationed:
                 budgets=np.array([2]), mode="rationed",
                 alpha_target=np.array([0.9, 0.4]),
             )
+
+
+class TestClosedFormServe:
+    """``_serve`` against the naive period loop, over worlds drawn to hit
+    every edge of the served-count cuts."""
+
+    EDGES = {"k=1", "tau=1", "zero budget", "queue done early", "empty queue",
+             "integer ties"}
+
+    def world(self, rng, mode):
+        n = int(rng.integers(1, 40))
+        k = int(rng.integers(1, 5))
+        tau = int(rng.integers(1, 9))
+        arrivals = rng.uniform(0, tau, n)
+        if rng.random() < 0.4:
+            arrivals = np.floor(arrivals)  # ties, and arrivals on period ends
+        queues = rng.integers(1, k + 1, n)
+        if k > 1 and rng.random() < 0.2:
+            queues[queues == k] = 1  # the last queue stays empty
+        budgets = rng.integers(0, 2 * n // tau + 3, tau)
+        budgets[rng.random(tau) < 0.2] = 0
+        p = np.full(k, 1.0 / k)
+        if mode == "strict":
+            spec = QueueSpec(k=k, p=p, beta=0.5, tau=tau, budgets=budgets)
+        else:
+            alpha = np.sort(rng.uniform(0.1, 0.9, k))[::-1]
+            if k > 1 and rng.random() < 0.25:
+                alpha[-1] = 0.0  # the last queue gets no shares
+            spec = QueueSpec(k=k, p=p, beta=float(alpha @ p), tau=tau, budgets=budgets,
+                             mode="rationed", alpha_target=alpha)
+        return arrivals, queues, spec
+
+    def edges(self, arrivals, queues, spec, tp):
+        seen = set()
+        if spec.k == 1:
+            seen.add("k=1")
+        if spec.tau == 1:
+            seen.add("tau=1")
+        if np.any(spec.budgets == 0):
+            seen.add("zero budget")
+        if np.all(arrivals == np.floor(arrivals)) and len(set(arrivals)) < arrivals.size:
+            seen.add("integer ties")
+        for q in range(1, spec.k + 1):
+            mine = tp[queues == q]
+            if mine.size == 0:
+                seen.add("empty queue")
+            elif np.all(mine > 0) and mine.max() < spec.tau:
+                seen.add("queue done early")
+            elif spec.caps[:, q - 1].sum() == 0:
+                seen.add("zero shares")
+        return seen
+
+    @pytest.mark.parametrize("mode", ["strict", "rationed"])
+    def test_matches_naive_period_loop(self, mode):
+        rng = np.random.default_rng(1952 if mode == "strict" else 1953)
+        seen = set()
+        for trial in range(300):
+            arrivals, queues, spec = self.world(rng, mode)
+            s, ranks = arrival_periods(arrivals, spec.tau), arrival_ranks(arrivals)
+            tp = _serve(spec, s, ranks, queues)
+            if mode == "strict":
+                naive = naive_allocate_strict(s, ranks, queues, spec.budgets)
+            else:
+                naive = naive_allocate_rationed(s, ranks, queues, spec.caps)
+            assert np.array_equal(tp, naive), f"trial {trial}"
+            # the trace checks periods and per-period budgets
+            AllocationTrace(queues=queues, treat_period=tp, tau=spec.tau, budgets=spec.budgets)
+            served = tp > 0
+            assert np.all(tp[served] >= s[served])
+            per_cell = np.zeros((spec.tau, spec.k), dtype=int)
+            np.add.at(per_cell, (tp[served] - 1, queues[served] - 1), 1)
+            assert np.all(per_cell <= spec.caps)
+            for q in range(1, spec.k + 1):
+                # FIFO within queue: a better rank is served no later
+                fifo = tp[queues == q][np.argsort(ranks[queues == q])]
+                assert np.all(np.diff(np.where(fifo > 0, fifo, spec.tau + 1)) >= 0)
+            seen |= self.edges(arrivals, queues, spec, tp)
+        assert seen >= self.EDGES | ({"zero shares"} if mode == "rationed" else set())
 
 
 class TestSpecDerivedValues:
