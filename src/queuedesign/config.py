@@ -32,7 +32,7 @@ def _require(cond: Callable[[], bool], key: str, constraint: str):
     """
     try:
         ok = bool(cond())
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         raise ConfigError(f"config key '{key}': {constraint}")
@@ -126,6 +126,11 @@ class DesignConfig:
         _require(lambda: int(self.c_grid_size) >= 1, "design.c_grid_size", "must be >= 1")
         if self.c_grid is not None:
             _require(lambda: len(self.c_grid) >= 1, "design.c_grid", "must be nonempty")
+            _require(
+                lambda: all(np.isfinite(float(c)) for c in self.c_grid),
+                "design.c_grid",
+                "entries must be finite numbers",
+            )
         if self.kappa is not None:
             _require(lambda: float(self.kappa) > 0, "design.kappa", "must be positive")
         for name in ("switch_strengths", "greedy_scales", "bias_arms"):
@@ -209,6 +214,11 @@ class ExecutionConfig:
         for name in ("bias_replications", "propensity_reps", "treated_mass_reps", "threads"):
             _require(lambda: int(getattr(self, name)) >= 1, f"execution.{name}", "must be >= 1")
         _require(lambda: len(self.n_grid) >= 1, "execution.n_grid", "must be nonempty")
+        _require(
+            lambda: all(int(n) == n and int(n) >= 1 for n in self.n_grid),
+            "execution.n_grid",
+            "entries must be positive integers",
+        )
         _require(lambda: len(str(self.out_dir)) > 0, "execution.out_dir", "must be nonempty")
 
 

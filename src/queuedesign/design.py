@@ -35,7 +35,6 @@ import numpy as np
 from ._bitexact import PAIRWISE_MIN
 from .errors import InfeasibleFloor
 from .propensity import AlphaVector, instrument_variance
-from .estimation import variance_dr_formula, variance_pliv_formula
 from .policies import assortative_policy
 
 REGULARIZERS = ("neg_entropy", "l2_to_p")
@@ -121,10 +120,6 @@ class DesignProblem:
 
     def utility_range(self) -> tuple[float, float]:
         return feasible_utility_range(self.utilities, self.alpha, self.p)
-
-    @property
-    def feasible(self) -> bool:
-        return self.utility_floor <= self.utility_range()[1] + CONSTRAINT_TOL
 
 
 def default_kappa(problem: DesignProblem) -> float:
@@ -528,67 +523,25 @@ def optimize_endogenous(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParetoPoint:
-    c: float
-    status: str  # "ok" or "infeasible"
-    solution: Optional[DesignSolution]
-    dr_variance: float = float("nan")
-    pliv_variance: float = float("nan")
-
-
 def pareto_sweep(
-    problem: DesignProblem,
-    c_grid: np.ndarray,
-    var1: Optional[Callable] = None,
-    var0: Optional[Callable] = None,
-    cate: Optional[Callable] = None,
-    sigma: Optional[Callable] = None,
-) -> list[ParetoPoint]:
-    """Solve the design problem along a grid of utility floors.
+    problem: DesignProblem, c_grid: np.ndarray
+) -> list[Optional[DesignSolution]]:
+    """Solve the design problem at each utility floor of ``c_grid``, in order.
 
-    Each solve is warm-started from the previous point's multipliers.  For
-    every solution the plug-in variances of both estimators are evaluated
-    when their nuisance-variance functions are supplied; a policy whose
-    propensities pin to {0, 1} (or whose instrument degenerates) gets an
-    infinite variance rather than an error, since the frontier must extend
-    to the deterministic extreme.  Infeasible floors are recorded and the
-    sweep continues.
+    Each solve is warm-started from the multipliers of the last floor that
+    had a solution.  A floor above the achievable range raises
+    ``InfeasibleFloor``; its slot holds None and the sweep continues.
+    Scoring the policies is left to the caller.
     """
-    points: list[ParetoPoint] = []
     solver = optimize_exogenous if problem.objective == "exogenous" else optimize_endogenous
+    solutions: list[Optional[DesignSolution]] = []
     x0 = None
     for c in np.asarray(c_grid, dtype=float):
-        prob_c = replace(problem, utility_floor=float(c))
         try:
-            sol = solver(prob_c, x0)
-        except InfeasibleFloor as err:
-            points.append(ParetoPoint(c=float(c), status=err.status, solution=None))
-            continue
-        x0 = np.concatenate([[sol.lam], sol.nu])
-        dr_v = float("nan")
-        pliv_v = float("nan")
-        if var1 is not None and var0 is not None and cate is not None:
-            try:
-                dr_v = variance_dr_formula(
-                    problem.utilities, sol.policy, problem.alpha, var1, var0, cate
-                )
-            except ValueError:
-                dr_v = float("inf")
-        if sigma is not None:
-            try:
-                pliv_v = variance_pliv_formula(
-                    problem.utilities, sol.policy, problem.alpha, sigma
-                )
-            except ValueError:
-                pliv_v = float("inf")
-        points.append(
-            ParetoPoint(
-                c=float(c),
-                status="ok",
-                solution=sol,
-                dr_variance=dr_v,
-                pliv_variance=pliv_v,
-            )
-        )
-    return points
+            sol = solver(replace(problem, utility_floor=float(c)), x0)
+        except InfeasibleFloor:
+            sol = None
+        else:
+            x0 = np.concatenate([[sol.lam], sol.nu])
+        solutions.append(sol)
+    return solutions

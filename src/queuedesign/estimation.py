@@ -67,23 +67,24 @@ class NuisanceSet:
             raise ValueError(f"fit_tag must be one of {NUISANCE_METHODS}")
 
 
-def oracle_nuisances(cohort: Cohort, psi: float, marginal_pi: Fn) -> NuisanceSet:
+def oracle_nuisances(cohort: Cohort, psi: float, pi: np.ndarray | float) -> NuisanceSet:
     """Analytic nuisance functions for the synthetic data generating processes.
 
-    ``marginal_pi`` maps the risk score to the design's marginal treatment
-    probability pi(X); it enters E[Y|X] = mu0 + pi*psi and the residual
-    variance ``cohorts.residual_variance``.
+    ``pi`` holds the design's marginal treatment probabilities at the units
+    the functions are evaluated on (or one shared value); it enters
+    E[Y|X] = mu0 + pi*psi and the residual variance
+    ``cohorts.residual_variance``.
     """
     mu0 = lambda h: np.asarray(h, dtype=float)
     mu1 = lambda h: np.asarray(h, dtype=float) + psi
 
     def m(h):
         h = np.asarray(h, dtype=float)
-        return h + psi * marginal_pi(h)
+        return h + psi * pi
 
     def sigma(h):
         h = np.asarray(h, dtype=float)
-        v = residual_variance(cohort.dgp_tag, psi, h, marginal_pi(h))
+        v = residual_variance(cohort.dgp_tag, psi, h, pi)
         return np.maximum(v, SIGMA_FLOOR)
 
     return NuisanceSet(mu0=mu0, mu1=mu1, m=m, sigma=sigma, fit_tag="oracle")
@@ -435,7 +436,6 @@ def dr_variance_terms(
     """
     h = np.asarray(h, dtype=float)
     pi = marginal_propensity(theta, alpha)
-    pi = np.broadcast_to(np.asarray(pi, dtype=float), h.shape)
     if np.any(pi <= 0.0) or np.any(pi >= 1.0):
         raise BoundaryPropensity("propensities on the boundary: DR variance undefined")
     effects = cate(h)

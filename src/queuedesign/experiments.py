@@ -39,7 +39,7 @@ from .design import (
     optimize_exogenous,
     pareto_sweep,
 )
-from .errors import InfeasibleFloor, NotConverged, RelevanceError, RunFailure
+from .errors import InfeasibleFloor, NotConverged, RunFailure
 from .estimation import (
     SIGMA_FLOOR,
     dr_variance_terms,
@@ -51,6 +51,8 @@ from .estimation import (
     multiplier_bootstrap,
     oracle_nuisances,
     split_indices,
+    variance_dr_formula,
+    variance_pliv_formula,
 )
 from .mechanism import (
     QueueSpec,
@@ -124,25 +126,28 @@ def _set_context(ctx: dict):
 
 
 def _frontier_row(method, param, theta, h, alpha, lens, band_reps, band_seed, status):
-    """Score one policy under the configured variance lens, with a band.
+    """Score one policy by its estimator's variance formula, with a band.
 
-    The band is a multiplier bootstrap over per-unit contributions; for the
-    instrument lens the proxy is 1/mean(info), so the interval for mean(info)
-    is inverted (bounds swap sides).  ``status`` is written unless scoring
-    fails.
+    The proxy is ``variance_dr_formula`` under the exogenous lens and
+    ``variance_pliv_formula`` under the endogenous one.  The band is a
+    multiplier bootstrap of the per-unit terms each formula averages:
+    ``dr_variance_terms``, or ``instrument_information``, whose interval for
+    mean(info) is inverted for the proxy 1/mean(info) (bounds swap sides).
+    A ``RunFailure`` of the formula writes inf under its own status;
+    otherwise ``status`` is written.
     """
     utility = float(np.mean(h * marginal_propensity(theta, alpha)))
     try:
         if lens["objective"] == "exogenous":
-            terms = dr_variance_terms(h, theta, alpha, lens["var1"], lens["var0"], lens["cate"])
+            fns = lens["var1"], lens["var0"], lens["cate"]
+            proxy = variance_dr_formula(h, theta, alpha, *fns)
+            terms = dr_variance_terms(h, theta, alpha, *fns)
             boot = multiplier_bootstrap(terms, reps=band_reps, seed=band_seed)
-            proxy, lo, hi = boot.point, boot.ci_low, boot.ci_high
+            lo, hi = boot.ci_low, boot.ci_high
         else:
+            proxy = variance_pliv_formula(h, theta, alpha, lens["sigma"])
             info = instrument_information(theta, alpha, lens["sigma"](h))
-            if np.mean(info) <= 0.0:
-                raise RelevanceError("relevance failure: instrument variance is zero")
             boot = multiplier_bootstrap(info, reps=band_reps, seed=band_seed)
-            proxy = 1.0 / boot.point
             lo = 1.0 / boot.ci_high if boot.ci_high > 0 else float("inf")
             hi = 1.0 / boot.ci_low if boot.ci_low > 0 else float("inf")
     except RunFailure as err:
@@ -187,17 +192,12 @@ def run_pareto(config: RunConfig):
         utilities=h, alpha=alpha, p=p, utility_floor=c_rct,
         regularizer=cfg_d.regularizer, kappa=cfg_d.kappa, objective=cfg_d.objective,
     )
-    points = pareto_sweep(
-        problem, c_grid, var1=var1, var0=var0, cate=lens["cate"], sigma=sigma
-    )
-
     # (method, parameter, policy, status); an infeasible floor has no policy,
     # and a solve that stopped short of its tolerance keeps its numbers
     candidates = [
-        ("optimized", c, None, InfeasibleFloor.status) if pt.solution is None
-        else ("optimized", c, pt.solution.policy,
-              "ok" if pt.solution.converged else NotConverged.status)
-        for c, pt in zip(c_grid, points)
+        ("optimized", c, None, InfeasibleFloor.status) if sol is None
+        else ("optimized", c, sol.policy, "ok" if sol.converged else NotConverged.status)
+        for c, sol in zip(c_grid, pareto_sweep(problem, c_grid))
     ]
     candidates.append(("rct", c_rct, rct_policy(cohort.n, p), "ok"))
     candidates += [("switch", s, switch_policy(h, p, float(s)), "ok")
@@ -262,7 +262,7 @@ def _bias_rep(rep: int):
 
     theta_endo = ctx["theta_endo"]
     queues, z, y = realize(theta_endo, STREAM_BIAS_ENDOGENOUS_QUEUES)
-    nuis = oracle_nuisances(cohort, psi, marginal_pi=lambda _h: ctx["pi_endo"])
+    nuis = oracle_nuisances(cohort, psi, ctx["pi_endo"])
     try:
         pliv = estimate_pliv(
             cohort.h, z, y, queues, theta_endo, spec.alpha, nuis,
@@ -273,7 +273,7 @@ def _bias_rep(rep: int):
 
     _, z, y = realize(ctx["theta_exo"], STREAM_BIAS_EXOGENOUS_QUEUES)
     pi = ctx["pi_exo"]
-    nuis = oracle_nuisances(cohort, psi, marginal_pi=lambda _h: pi)
+    nuis = oracle_nuisances(cohort, psi, pi)
     try:
         dr = estimate_dr_ate(cohort.h, z, y, pi, nuis, gamma=float(ctx["gamma"])).point
     except RunFailure:
@@ -450,7 +450,7 @@ def run_estimate(config: RunConfig):
     if est.nuisance_method == "oracle":
         fit_idx = np.arange(n)
         eval_idx = np.arange(n)
-        nuis = oracle_nuisances(cohort, psi, marginal_pi=lambda _h: pi[eval_idx])
+        nuis = oracle_nuisances(cohort, psi, pi[eval_idx])
     else:
         # Split fit: nuisances learned on one half, estimates on the other,
         # so estimation errors stay first-order orthogonal to fitting noise.

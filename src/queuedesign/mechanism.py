@@ -70,12 +70,9 @@ def validate_policy(theta: np.ndarray, k: Optional[int] = None) -> np.ndarray:
     return theta
 
 
-def sample_queues(theta: np.ndarray, rng: np.random.Generator | int) -> np.ndarray:
+def sample_queues(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one queue label in 1..K per unit from its policy row."""
-    theta = validate_policy(theta)
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    return _draw_queues(row_cumsum(theta), rng)
+    return _draw_queues(row_cumsum(validate_policy(theta)), rng)
 
 
 def _draw_queues(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -104,16 +104,12 @@ def alpha_from_target(alpha: np.ndarray, p: np.ndarray) -> AlphaVector:
     return AlphaVector(alpha=alpha, beta=beta, p=p)
 
 
-def marginal_propensity(theta: np.ndarray, alpha: AlphaVector | np.ndarray) -> np.ndarray:
+def marginal_propensity(theta: np.ndarray, alpha: AlphaVector) -> np.ndarray:
     """Affine marginal treatment probability pi(theta) = sum_k alpha_k theta_k.
 
-    theta may be a single assignment row (K,) or a policy matrix (n, K);
-    the result is a scalar or an (n,) vector accordingly.
+    theta is a policy matrix (n, K); the result is the (n,) vector of pi.
     """
-    a = alpha.alpha if isinstance(alpha, AlphaVector) else np.asarray(alpha, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    out = theta @ a
-    return float(out) if out.ndim == 0 else out
+    return np.asarray(theta, dtype=float) @ alpha.alpha
 
 
 def instrument_variance(theta: np.ndarray, alpha: AlphaVector) -> np.ndarray:

@@ -254,3 +254,19 @@ class TestColdStart:
             "pareto": [True, False, True],
             "bias": [True, True, True],
         }
+
+    def test_design_loads_neither_estimation_nor_counterfactual(self):
+        # the design layer solves; scoring its policies belongs to the drivers
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        probe = (
+            "import json, sys\n"
+            "import queuedesign.design\n"
+            "print(json.dumps([m in sys.modules for m in "
+            "('queuedesign.estimation', 'queuedesign.counterfactual')]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [False, False]

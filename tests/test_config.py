@@ -73,6 +73,13 @@ class TestValidationMessages:
             ({"mechanism": {"p": ["a", "b"]}}, "mechanism.p"),
             ({"design": {"bias_arms": [["x", 0.5]]}}, "design.bias_arms"),
             ({"estimation": {"gamma": [0.1]}}, "estimation.gamma"),
+            # grid entries: a nan floor is not solved and labelled, a
+            # fractional size is not truncated, and text is refused by key
+            ({"design": {"c_grid": [float("nan")]}}, "design.c_grid"),
+            ({"design": {"c_grid": ["a"]}}, "design.c_grid"),
+            ({"execution": {"n_grid": [2.5]}}, "execution.n_grid"),
+            ({"execution": {"n_grid": ["x"]}}, "execution.n_grid"),
+            ({"execution": {"n_grid": [0]}}, "execution.n_grid"),
         ],
     )
     def test_bad_value_names_key(self, data, key):

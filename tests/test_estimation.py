@@ -156,12 +156,12 @@ class TestFitNuisances:
 
     def test_oracle_nuisances_match_dgp(self):
         cohort = generate_cohort(200, tau=1, psi=PSI, seed=5)
-        nuis = oracle_nuisances(cohort, PSI, marginal_pi=lambda h: 0.5)
+        nuis = oracle_nuisances(cohort, PSI, 0.5)
         assert np.allclose(nuis.mu0(cohort.h), cohort.h)
         assert np.allclose(nuis.mu1(cohort.h), cohort.h + PSI)
         assert np.allclose(nuis.m(cohort.h), cohort.h + 0.5 * PSI)
         lin = exogenous_linear_cohort(50, PSI, seed=6)
-        nuis = oracle_nuisances(lin, PSI, marginal_pi=lambda h: 0.5)
+        nuis = oracle_nuisances(lin, PSI, 0.5)
         # Var of Uniform(-0.2h, 0.2h) is (0.4h)^2 / 12
         assert np.allclose(nuis.sigma(lin.h), (0.4 * lin.h) ** 2 / 12.0)
 
@@ -185,7 +185,7 @@ class TestDrAte:
         pi[3] = 0.001
         pi[17] = 0.9999
         nuis = oracle_nuisances(
-            generate_cohort(n, tau=1, psi=PSI, seed=8), PSI, lambda hh: 0.5
+            generate_cohort(n, tau=1, psi=PSI, seed=8), PSI, 0.5
         )
         with pytest.raises(PositivityError) as err:
             estimate_dr_ate(h, np.zeros(n), np.zeros(n), pi, nuis, gamma=0.01)
@@ -193,7 +193,7 @@ class TestDrAte:
 
     def test_gamma_range_checked(self):
         nuis = oracle_nuisances(
-            generate_cohort(4, tau=1, psi=PSI, seed=9), PSI, lambda hh: 0.5
+            generate_cohort(4, tau=1, psi=PSI, seed=9), PSI, 0.5
         )
         with pytest.raises(ValueError, match="gamma"):
             estimate_dr_ate(
@@ -229,7 +229,7 @@ class TestDrAte:
         covered_boot = np.empty(reps, dtype=bool)
         for rep in range(reps):
             cohort = generate_cohort(n, tau=1, psi=PSI, seed=rep)
-            nuis = oracle_nuisances(cohort, PSI, lambda hh: 0.5)
+            nuis = oracle_nuisances(cohort, PSI, 0.5)
             rng = np.random.default_rng(np.random.SeedSequence([777, rep]))
             queues = sample_queues(theta, rng)
             trace = allocate(cohort, queues, spec)
@@ -328,7 +328,7 @@ class TestPliv:
     def test_point_invariant_to_sigma_scale_but_se_scales(self):
         n = 400
         cohort, theta, alpha, queues, z, y = self.make_run(n, seed=14)
-        base = oracle_nuisances(cohort, PSI, lambda hh: 0.5)
+        base = oracle_nuisances(cohort, PSI, 0.5)
         scaled = NuisanceSet(
             mu0=base.mu0,
             mu1=base.mu1,
@@ -344,7 +344,7 @@ class TestPliv:
     def test_se_is_the_formula_variance(self):
         n = 400
         cohort, theta, alpha, queues, z, y = self.make_run(n, seed=14)
-        nuis = oracle_nuisances(cohort, PSI, lambda hh: 0.5)
+        nuis = oracle_nuisances(cohort, PSI, 0.5)
         rep = estimate_pliv(cohort.h, z, y, queues, theta, alpha, nuis)
         v = variance_pliv_formula(cohort.h, theta, alpha, nuis.sigma)
         assert rep.se == np.sqrt(v / n)
@@ -355,7 +355,7 @@ class TestPliv:
         theta = np.zeros((n, 2))
         theta[:, 0] = 1.0
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
-        nuis = oracle_nuisances(cohort, PSI, lambda hh: 0.5)
+        nuis = oracle_nuisances(cohort, PSI, 0.5)
         with pytest.raises(RelevanceError, match="relevance"):
             estimate_pliv(
                 cohort.h, np.ones(n), np.ones(n), np.ones(n, dtype=int), theta, alpha, nuis
@@ -385,7 +385,7 @@ class TestPliv:
         covered = np.empty(reps, dtype=bool)
         for rep in range(reps):
             cohort, theta, alpha, queues, z, y = self.make_run(n, seed=1000 + rep)
-            nuis = oracle_nuisances(cohort, PSI, lambda hh: 0.5)
+            nuis = oracle_nuisances(cohort, PSI, 0.5)
             est = estimate_pliv(cohort.h, z, y, queues, theta, alpha, nuis)
             points[rep] = est.point
             covered[rep] = est.ci_low <= PSI <= est.ci_high

@@ -128,11 +128,8 @@ class TestRunPareto:
 
         def unconverged_sweep(*args, **kwargs):
             return [
-                pt if pt.solution is None
-                else dataclasses.replace(
-                    pt, solution=dataclasses.replace(pt.solution, converged=False)
-                )
-                for pt in sweep(*args, **kwargs)
+                sol if sol is None else dataclasses.replace(sol, converged=False)
+                for sol in sweep(*args, **kwargs)
             ]
 
         monkeypatch.setattr(experiments, "pareto_sweep", unconverged_sweep)

@@ -363,7 +363,7 @@ class TestPolicies:
 
     def test_sample_queues_matches_policy_frequencies(self):
         theta = np.tile(np.array([0.2, 0.3, 0.5]), (20_000, 1))
-        q = sample_queues(theta, 5)
+        q = sample_queues(theta, np.random.default_rng(5))
         freq = np.bincount(q, minlength=4)[1:] / 20_000
         assert np.max(np.abs(freq - np.array([0.2, 0.3, 0.5]))) < 0.02
 
@@ -383,7 +383,7 @@ class TestPolicies:
     def test_sample_queues_deterministic_rows(self):
         theta = np.zeros((5, 3))
         theta[:, 1] = 1.0
-        assert np.all(sample_queues(theta, 0) == 2)
+        assert np.all(sample_queues(theta, np.random.default_rng(0)) == 2)
 
 
 def test_treated_mass_profile_cumulative_in_both_axes():
