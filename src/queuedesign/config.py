@@ -2,14 +2,17 @@
 
 The file mirrors the RunConfig blocks (cohort, mechanism, design,
 estimation, execution); every field has a validated default so a minimal
-config can be empty.  Validation errors always name the offending key as
+config can be empty.  Each field's annotation is its type rule, applied
+once when a block is built: integer fields take integral numbers, float
+fields take real numbers, neither takes a boolean or a string, and lists
+become tuples of typed entries.  Validation thus returns the typed values
+the drivers read, and its errors always name the offending key as
 ``block.field`` so sweep scripts fail loudly and early.
 """
 
-from __future__ import annotations
-
+import numbers
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional
+from typing import ClassVar, Optional, Union, get_args, get_origin
 
 import numpy as np
 import yaml
@@ -24,16 +27,8 @@ class ConfigError(ValueError):
     """A configuration value failed validation; the message names the key."""
 
 
-def _require(cond: Callable[[], bool], key: str, constraint: str):
-    """Raise a ConfigError naming ``key`` unless ``cond()`` holds.
-
-    A value the check cannot read, such as a string where a number belongs,
-    fails it as well.
-    """
-    try:
-        ok = bool(cond())
-    except (TypeError, ValueError, OverflowError):
-        ok = False
+def _require(ok: bool, key: str, constraint: str):
+    """Raise a ConfigError naming ``key`` unless ``ok``."""
     if not ok:
         raise ConfigError(f"config key '{key}': {constraint}")
 
@@ -46,180 +41,207 @@ def _check(key: str, build):
         raise ConfigError(f"config key '{key}': {err}") from err
 
 
+# what a scalar annotation accepts; booleans are refused before these run
+_ACCEPTS = {
+    int: lambda x: isinstance(x, numbers.Integral)
+    or (isinstance(x, numbers.Real) and float(x).is_integer()),
+    float: lambda x: isinstance(x, numbers.Real),
+    str: lambda x: isinstance(x, str),
+}
+
+
+def _typed(key: str, hint, value):
+    """``value`` as the annotation ``hint`` types it, or a ConfigError.
+
+    ``Optional[X]`` keeps None; ``tuple[X, ...]`` and ``tuple[X, Y]`` take a
+    list or tuple and type each entry; a bare ``tuple`` keeps its entries
+    for the constructor that owns their rule (``QueueSpec`` for budgets).
+    """
+    args = get_args(hint)
+    if get_origin(hint) is Union:
+        return None if value is None else _typed(key, args[0], value)
+    if tuple in (hint, get_origin(hint)):
+        if isinstance(value, (list, tuple)):
+            if not args:
+                return tuple(value)
+            if args[-1] is Ellipsis:
+                return tuple(_typed(key, args[0], v) for v in value)
+            if len(args) == len(value):
+                return tuple(_typed(key, a, v) for a, v in zip(args, value))
+    elif not isinstance(value, bool) and _ACCEPTS[hint](value):
+        return hint(value)
+    name = hint if get_origin(hint) else hint.__name__
+    raise ConfigError(f"config key '{key}': expected {name}, got {value!r}")
+
+
+class _Block:
+    """A config block whose fields are stored as their annotations type them."""
+
+    block: ClassVar[str]
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = _typed(f"{self.block}.{f.name}", f.type, getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+
+
 @dataclass(frozen=True)
-class CohortConfig:
+class CohortConfig(_Block):
+    block: ClassVar[str] = "cohort"
     n: int = 2000
     tau: int = 1
     psi: float = -0.1
     dgp: str = "bernoulli"
 
     def validate(self):
-        _require(lambda: int(self.n) >= 1, "cohort.n", "must be a positive integer")
-        _require(lambda: int(self.tau) >= 1, "cohort.tau", "must be a positive integer")
-        _require(lambda: self.dgp in DGP_TAGS, "cohort.dgp", f"must be one of {DGP_TAGS}")
+        _require(self.n >= 1, "cohort.n", "must be a positive integer")
+        _require(self.tau >= 1, "cohort.tau", "must be a positive integer")
+        _require(self.dgp in DGP_TAGS, "cohort.dgp", f"must be one of {DGP_TAGS}")
         _require(
-            lambda: -0.1 - 1e-12 <= float(self.psi) <= 0.1 + 1e-12,
+            -0.1 - 1e-12 <= self.psi <= 0.1 + 1e-12,
             "cohort.psi",
             "must keep h + psi inside [0, 1] for the default h law (|psi| <= 0.1)",
         )
 
 
 @dataclass(frozen=True)
-class MechanismConfig:
+class MechanismConfig(_Block):
+    block: ClassVar[str] = "mechanism"
     k: int = 2
-    p: tuple = (0.5, 0.5)
+    p: tuple[float, ...] = (0.5, 0.5)
     beta: float = 0.5
     mode: str = "strict"
     budgets: Optional[tuple] = None  # None: spread round(beta*n) over periods
-    alpha_target: Optional[tuple] = None  # rationed mode only
+    alpha_target: Optional[tuple[float, ...]] = None  # rationed mode only
 
     def validate(self):
-        _require(lambda: int(self.k) >= 1, "mechanism.k", "must be a positive integer")
-
-        def is_share_vector():
-            p = np.asarray(self.p, dtype=float)
-            return p.shape == (int(self.k),) and np.all(p > 0) and abs(p.sum() - 1) <= 1e-9
-
+        _require(self.k >= 1, "mechanism.k", "must be a positive integer")
+        p = np.asarray(self.p)
         _require(
-            is_share_vector,
+            p.shape == (self.k,) and np.all(p > 0) and abs(p.sum() - 1) <= 1e-9,
             "mechanism.p",
             "must be a positive probability vector of length k",
         )
-        _require(lambda: 0.0 < float(self.beta) < 1.0, "mechanism.beta", "must lie in (0, 1)")
-        _require(lambda: self.mode in MODES, "mechanism.mode", f"must be one of {MODES}")
+        _require(0.0 < self.beta < 1.0, "mechanism.beta", "must lie in (0, 1)")
+        _require(self.mode in MODES, "mechanism.mode", f"must be one of {MODES}")
 
     def queue_spec(self, n: int, tau: int) -> QueueSpec:
         """The mechanism a run over n units and tau review periods allocates under."""
-        target = None if self.alpha_target is None else np.asarray(self.alpha_target, float)
-        shared = dict(k=int(self.k), p=np.asarray(self.p, float), beta=float(self.beta),
-                      tau=int(tau), mode=self.mode, alpha_target=target)
+        shared = dict(k=self.k, p=self.p, beta=self.beta, tau=tau, mode=self.mode,
+                      alpha_target=self.alpha_target)
         if self.budgets is None:
             return QueueSpec.auto(n, **shared)
         return QueueSpec(budgets=self.budgets, **shared)
 
 
 @dataclass(frozen=True)
-class DesignConfig:
+class DesignConfig(_Block):
+    block: ClassVar[str] = "design"
     objective: str = "exogenous"
     c_grid_size: int = 10
-    c_grid: Optional[tuple] = None  # explicit floors override the size
+    c_grid: Optional[tuple[float, ...]] = None  # explicit floors override the size
     kappa: Optional[float] = None  # None: 1e-3 * objective scale
     regularizer: str = "neg_entropy"
-    switch_strengths: tuple = (0.25, 0.5, 0.75)
-    greedy_scales: tuple = (0.5, 1.0, 2.0, 4.0, 8.0)
+    switch_strengths: tuple[float, ...] = (0.25, 0.5, 0.75)
+    greedy_scales: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0)
     greedy_cap: float = 1.0
-    bias_arms: tuple = (  # (alpha_top, c_frac) pairs
+    bias_arms: tuple[tuple[float, float], ...] = (  # (alpha_top, c_frac) pairs
         (0.6, 0.0), (0.6, 0.5), (0.6, 0.9),
         (0.8, 0.0), (0.8, 0.5), (0.8, 0.9),
         (0.95, 0.0), (0.95, 0.5), (0.95, 0.9),
     )
 
     def validate(self):
+        _require(self.objective in OBJECTIVES, "design.objective", f"must be one of {OBJECTIVES}")
         _require(
-            lambda: self.objective in OBJECTIVES, "design.objective", f"must be one of {OBJECTIVES}"
-        )
-        _require(
-            lambda: self.regularizer in REGULARIZERS,
+            self.regularizer in REGULARIZERS,
             "design.regularizer",
             f"must be one of {REGULARIZERS}",
         )
-        _require(lambda: int(self.c_grid_size) >= 1, "design.c_grid_size", "must be >= 1")
-        if self.c_grid is not None:
-            _require(lambda: len(self.c_grid) >= 1, "design.c_grid", "must be nonempty")
-            _require(
-                lambda: all(np.isfinite(float(c)) for c in self.c_grid),
-                "design.c_grid",
-                "entries must be finite numbers",
-            )
-        if self.kappa is not None:
-            _require(lambda: float(self.kappa) > 0, "design.kappa", "must be positive")
-        for name in ("switch_strengths", "greedy_scales", "bias_arms"):
-            vals = getattr(self, name)
-            _require(lambda: len(vals) >= 1, f"design.{name}", "must be nonempty")
+        _require(self.c_grid_size >= 1, "design.c_grid_size", "must be >= 1")
         _require(
-            lambda: all(0.0 <= float(b) < 1.0 for b in self.switch_strengths),
+            self.c_grid is None or (len(self.c_grid) >= 1 and np.all(np.isfinite(self.c_grid))),
+            "design.c_grid",
+            "must be a nonempty list of finite numbers",
+        )
+        _require(self.kappa is None or self.kappa > 0, "design.kappa", "must be positive")
+        for name in ("switch_strengths", "greedy_scales", "bias_arms"):
+            _require(len(getattr(self, name)) >= 1, f"design.{name}", "must be nonempty")
+        _require(
+            all(0.0 <= b < 1.0 for b in self.switch_strengths),
             "design.switch_strengths",
             "entries must lie in [0, 1)",
         )
         _require(
-            lambda: all(float(a) > 0 for a in self.greedy_scales),
+            all(a > 0 for a in self.greedy_scales),
             "design.greedy_scales",
             "entries must be positive",
         )
+        _require(0.0 < self.greedy_cap <= 1.0, "design.greedy_cap", "must lie in (0, 1]")
         _require(
-            lambda: 0.0 < float(self.greedy_cap) <= 1.0, "design.greedy_cap", "must lie in (0, 1]"
+            all(0.0 < top < 1.0 for top, _ in self.bias_arms),
+            "design.bias_arms",
+            "alpha_top must lie in (0, 1)",
         )
-        for arm in self.bias_arms:
-            _require(
-                lambda: isinstance(arm, (tuple, list)) and len(arm) == 2,
-                "design.bias_arms",
-                "each arm must be an (alpha_top, c_frac) pair",
-            )
-            _require(
-                lambda: 0.0 < float(arm[0]) < 1.0,
-                "design.bias_arms",
-                "alpha_top must lie in (0, 1)",
-            )
-            _require(
-                lambda: 0.0 <= float(arm[1]) <= 1.0,
-                "design.bias_arms",
-                "c_frac must lie in [0, 1]",
-            )
+        _require(
+            all(0.0 <= frac <= 1.0 for _, frac in self.bias_arms),
+            "design.bias_arms",
+            "c_frac must lie in [0, 1]",
+        )
 
 
 @dataclass(frozen=True)
-class EstimationConfig:
+class EstimationConfig(_Block):
+    block: ClassVar[str] = "estimation"
     nuisance_method: str = "oracle"
     bins: int = 20
     degree: int = 3
     bootstrap_reps: int = 10_000
     gamma: float = 0.01
     relevance_floor: float = 1e-8
-    estimators: tuple = ("dr_ate", "pliv", "iv_ratio")
+    estimators: tuple[str, ...] = ("dr_ate", "pliv", "iv_ratio")
 
     def validate(self):
         _require(
-            lambda: self.nuisance_method in NUISANCE_METHODS,
+            self.nuisance_method in NUISANCE_METHODS,
             "estimation.nuisance_method",
             f"must be one of {NUISANCE_METHODS}",
         )
-        _require(lambda: int(self.bins) >= 1, "estimation.bins", "must be >= 1")
-        _require(lambda: int(self.degree) >= 0, "estimation.degree", "must be >= 0")
+        _require(self.bins >= 1, "estimation.bins", "must be >= 1")
+        _require(self.degree >= 0, "estimation.degree", "must be >= 0")
+        _require(self.bootstrap_reps >= 1, "estimation.bootstrap_reps", "must be >= 1")
+        _require(0.0 <= self.gamma < 0.5, "estimation.gamma", "must lie in [0, 0.5)")
+        _require(self.relevance_floor > 0, "estimation.relevance_floor", "must be > 0")
+        _require(len(self.estimators) >= 1, "estimation.estimators", "must be nonempty")
         _require(
-            lambda: int(self.bootstrap_reps) >= 1, "estimation.bootstrap_reps", "must be >= 1"
+            all(e in ESTIMATORS for e in self.estimators),
+            "estimation.estimators",
+            f"entries must be in {ESTIMATORS}",
         )
-        _require(lambda: 0.0 <= float(self.gamma) < 0.5, "estimation.gamma", "must lie in [0, 0.5)")
-        _require(
-            lambda: float(self.relevance_floor) > 0, "estimation.relevance_floor", "must be > 0"
-        )
-        _require(lambda: len(self.estimators) >= 1, "estimation.estimators", "must be nonempty")
-        for e in self.estimators:
-            _require(
-                lambda: e in ESTIMATORS, "estimation.estimators", f"entries must be in {ESTIMATORS}"
-            )
 
 
 @dataclass(frozen=True)
-class ExecutionConfig:
+class ExecutionConfig(_Block):
+    block: ClassVar[str] = "execution"
     seed: int = 0
     bias_replications: int = 10_000
     propensity_reps: int = 200
     treated_mass_reps: int = 50
-    n_grid: tuple = (500, 1000, 2000)
+    n_grid: tuple[int, ...] = (500, 1000, 2000)
     threads: int = 1
     out_dir: str = "out"
 
     def validate(self):
-        _require(lambda: int(self.seed) >= 0, "execution.seed", "must be a nonnegative integer")
+        _require(self.seed >= 0, "execution.seed", "must be a nonnegative integer")
         for name in ("bias_replications", "propensity_reps", "treated_mass_reps", "threads"):
-            _require(lambda: int(getattr(self, name)) >= 1, f"execution.{name}", "must be >= 1")
-        _require(lambda: len(self.n_grid) >= 1, "execution.n_grid", "must be nonempty")
+            _require(getattr(self, name) >= 1, f"execution.{name}", "must be >= 1")
+        _require(len(self.n_grid) >= 1, "execution.n_grid", "must be nonempty")
         _require(
-            lambda: all(int(n) == n and int(n) >= 1 for n in self.n_grid),
+            all(n >= 1 for n in self.n_grid),
             "execution.n_grid",
             "entries must be positive integers",
         )
-        _require(lambda: len(str(self.out_dir)) > 0, "execution.out_dir", "must be nonempty")
+        _require(len(self.out_dir) > 0, "execution.out_dir", "must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -235,36 +257,14 @@ class RunConfig:
             getattr(self, block.name).validate()
         # QueueSpec owns the rules that tie mechanism fields together; with
         # automatic budgets, whatever it rejects is about alpha_target
-        mech, n, tau = self.mechanism, int(self.cohort.n), int(self.cohort.tau)
+        mech, n, tau = self.mechanism, self.cohort.n, self.cohort.tau
         _check("mechanism.alpha_target", lambda: replace(mech, budgets=None).queue_spec(n, tau))
         if mech.budgets is not None:
             _check("mechanism.budgets", lambda: mech.queue_spec(n, tau))
         return self
 
 
-_BLOCKS = {
-    "cohort": CohortConfig,
-    "mechanism": MechanismConfig,
-    "design": DesignConfig,
-    "estimation": EstimationConfig,
-    "execution": ExecutionConfig,
-}
-
-
-def _build_block(name: str, cls, data: dict):
-    known = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"config key '{name}.{key}': unknown field")
-    coerced = {}
-    for key, value in data.items():
-        if isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        coerced[key] = value
-    try:
-        return cls(**coerced)
-    except TypeError as err:
-        raise ConfigError(f"config block '{name}': {err}") from err
+_BLOCKS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def config_from_dict(data: Optional[dict]) -> RunConfig:
@@ -280,7 +280,11 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
         block_data = data.get(name, {}) or {}
         if not isinstance(block_data, dict):
             raise ConfigError(f"config key '{name}': must be a mapping")
-        blocks[name] = _build_block(name, cls, block_data)
+        known = {f.name for f in fields(cls)}
+        for key in block_data:
+            if key not in known:
+                raise ConfigError(f"config key '{name}.{key}': unknown field")
+        blocks[name] = cls(**block_data)
     return RunConfig(**blocks).validate()
 
 
@@ -300,12 +304,6 @@ def apply_overrides(
     threads: Optional[int] = None,
 ) -> RunConfig:
     """Apply the --seed/--out/--threads command-line overrides."""
-    execu = config.execution
-    if seed is not None:
-        execu = replace(execu, seed=int(seed))
-    if out_dir is not None:
-        execu = replace(execu, out_dir=str(out_dir))
-    if threads is not None:
-        execu = replace(execu, threads=int(threads))
-    cfg = replace(config, execution=execu)
-    return cfg.validate()
+    given = dict(seed=seed, out_dir=out_dir, threads=threads)
+    execu = replace(config.execution, **{k: v for k, v in given.items() if v is not None})
+    return replace(config, execution=execu).validate()

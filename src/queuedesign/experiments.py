@@ -31,7 +31,7 @@ from .cohorts import (
     outcome_variances,
     residual_variance,
 )
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .design import (
     DesignProblem,
     feasible_utility_range,
@@ -94,7 +94,7 @@ STREAM_BIAS_EXOGENOUS_QUEUES = 109
 
 def _derived_seed(*entries) -> int:
     """Collapse a seed path into one 64-bit integer for APIs taking an int."""
-    ss = np.random.SeedSequence([int(e) for e in entries])
+    ss = np.random.SeedSequence(entries)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -105,9 +105,9 @@ def _map_indexed(worker, reps: int, threads: int, initargs):
         return [worker(rep) for rep in range(reps)]
     from concurrent.futures import ProcessPoolExecutor  # ~25 ms to load; serial runs skip it
 
-    chunk = max(1, reps // (int(threads) * 8))
+    chunk = max(1, reps // (threads * 8))
     with ProcessPoolExecutor(
-        max_workers=int(threads), initializer=_set_context, initargs=(initargs,)
+        max_workers=threads, initializer=_set_context, initargs=(initargs,)
     ) as pool:
         return list(pool.map(worker, range(reps), chunksize=chunk))
 
@@ -165,9 +165,9 @@ def run_pareto(config: RunConfig):
     ``variance_pliv_formula`` for the endogenous one.
     """
     cfg_c, cfg_d, cfg_e = config.cohort, config.design, config.execution
-    psi, beta = float(cfg_c.psi), float(config.mechanism.beta)
+    psi, beta = cfg_c.psi, config.mechanism.beta
     p = np.asarray(config.mechanism.p, dtype=float)
-    cohort = _make_cohort(config, seed=int(cfg_e.seed))
+    cohort = _make_cohort(config, seed=cfg_e.seed)
     h = cohort.h
     alpha = config.mechanism.queue_spec(cohort.n, cohort.tau).alpha
 
@@ -179,14 +179,14 @@ def run_pareto(config: RunConfig):
         "objective": cfg_d.objective, "var1": var1, "var0": var0,
         "cate": lambda x: np.full(np.shape(x), psi, dtype=float), "sigma": sigma,
     }
-    band_reps = int(config.estimation.bootstrap_reps)
+    band_reps = config.estimation.bootstrap_reps
 
     c_hi = feasible_utility_range(h, alpha, p)[1]
     c_rct = beta * float(h.mean())
     if cfg_d.c_grid is not None:
         c_grid = np.asarray(cfg_d.c_grid, dtype=float)
     else:
-        c_grid = np.linspace(c_rct, c_hi, int(cfg_d.c_grid_size))
+        c_grid = np.linspace(c_rct, c_hi, cfg_d.c_grid_size)
 
     problem = DesignProblem(
         utilities=h, alpha=alpha, p=p, utility_floor=c_rct,
@@ -200,10 +200,9 @@ def run_pareto(config: RunConfig):
         for c, sol in zip(c_grid, pareto_sweep(problem, c_grid))
     ]
     candidates.append(("rct", c_rct, rct_policy(cohort.n, p), "ok"))
-    candidates += [("switch", s, switch_policy(h, p, float(s)), "ok")
+    candidates += [("switch", s, switch_policy(h, p, s), "ok")
                    for s in cfg_d.switch_strengths]
-    cap = float(cfg_d.greedy_cap)
-    candidates += [("greedy", g, greedy_softmax_policy(h, p, float(g), cap=cap), "ok")
+    candidates += [("greedy", g, greedy_softmax_policy(h, p, g, cap=cfg_d.greedy_cap), "ok")
                    for g in cfg_d.greedy_scales]
 
     nan = float("nan")
@@ -222,8 +221,8 @@ def run_pareto(config: RunConfig):
 def _make_cohort(config: RunConfig, seed: int) -> Cohort:
     c = config.cohort
     if c.dgp == "bernoulli":
-        return generate_cohort(int(c.n), int(c.tau), float(c.psi), seed=seed)
-    return generate_bias_cohort(int(c.n), int(c.tau), float(c.psi), seed=seed)
+        return generate_cohort(c.n, c.tau, c.psi, seed=seed)
+    return generate_bias_cohort(c.n, c.tau, c.psi, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +252,7 @@ def _bias_rep(rep: int):
 
     def realize(theta, stream):
         rng = np.random.default_rng(
-            np.random.SeedSequence([int(ctx["seed"]), stream, int(ctx["arm"]), int(rep)])
+            np.random.SeedSequence([ctx["seed"], stream, ctx["arm"], rep])
         )
         queues = sample_queues(theta, rng)
         # both allocations serve the same cohort, whose draw ranked its arrivals
@@ -266,7 +265,7 @@ def _bias_rep(rep: int):
     try:
         pliv = estimate_pliv(
             cohort.h, z, y, queues, theta_endo, spec.alpha, nuis,
-            relevance_floor=float(ctx["relevance_floor"]),
+            relevance_floor=ctx["relevance_floor"],
         ).point
     except RunFailure:
         pliv = float("nan")
@@ -275,7 +274,7 @@ def _bias_rep(rep: int):
     pi = ctx["pi_exo"]
     nuis = oracle_nuisances(cohort, psi, pi)
     try:
-        dr = estimate_dr_ate(cohort.h, z, y, pi, nuis, gamma=float(ctx["gamma"])).point
+        dr = estimate_dr_ate(cohort.h, z, y, pi, nuis, gamma=ctx["gamma"]).point
     except RunFailure:
         dr = float("nan")
     return pliv, dr
@@ -298,36 +297,34 @@ def run_bias(config: RunConfig):
     """
     cfg_c, cfg_d, cfg_e = config.cohort, config.design, config.execution
     mech = config.mechanism
-    if int(mech.k) != 2:
-        raise ValueError("the bias study is defined for k=2 queues")
-    n, tau, psi = int(cfg_c.n), int(cfg_c.tau), float(cfg_c.psi)
+    if mech.k != 2:
+        raise ConfigError("config key 'mechanism.k': the bias study is defined for k=2 queues")
+    n, tau, psi = cfg_c.n, cfg_c.tau, cfg_c.psi
     p = np.asarray(mech.p, dtype=float)
-    beta = float(mech.beta)
-    reps = int(cfg_e.bias_replications)
+    beta = mech.beta
 
     rng = np.random.default_rng(
-        np.random.SeedSequence([int(cfg_e.seed), STREAM_BIAS_COVARIATES])
+        np.random.SeedSequence([cfg_e.seed, STREAM_BIAS_COVARIATES])
     )
     h = default_h_law(rng, n)
     c_rct = beta * float(h.mean())
 
-    arms = [(float(a), float(f)) for a, f in cfg_d.bias_arms]
-
     specs = {}
-    for top, _ in arms:
+    for top, _ in cfg_d.bias_arms:
         second = (beta - top * p[0]) / p[1]
         if not 0.0 <= second <= 1.0:
-            raise ValueError(
-                f"alpha top {top} cannot satisfy the budget identity with beta={beta}"
+            raise ConfigError(
+                f"config key 'design.bias_arms': alpha top {top} cannot satisfy "
+                f"the budget identity with beta={beta}"
             )
         specs[top] = QueueSpec.auto(
-            n, k=int(mech.k), p=p, beta=beta, tau=tau,
+            n, k=mech.k, p=p, beta=beta, tau=tau,
             mode="rationed", alpha_target=np.array([top, second]),
         )
     c_end = min(feasible_utility_range(h, spec.alpha, p)[1] for spec in specs.values())
 
     rows = []
-    for arm_id, (top, frac) in enumerate(arms):
+    for arm_id, (top, frac) in enumerate(cfg_d.bias_arms):
         spec = specs[top]
         c = c_rct + frac * (c_end - c_rct)
         problem = DesignProblem(
@@ -344,11 +341,11 @@ def run_bias(config: RunConfig):
             "pi_endo": marginal_propensity(theta_endo, spec.alpha),
             "pi_exo": marginal_propensity(theta_exo, spec.alpha),
             "spec": spec, "psi": psi,
-            "gamma": float(config.estimation.gamma),
-            "relevance_floor": float(config.estimation.relevance_floor),
-            "seed": int(cfg_e.seed), "arm": arm_id,
+            "gamma": config.estimation.gamma,
+            "relevance_floor": config.estimation.relevance_floor,
+            "seed": cfg_e.seed, "arm": arm_id,
         }
-        results = _map_indexed(_bias_rep, reps, int(cfg_e.threads), ctx)
+        results = _map_indexed(_bias_rep, cfg_e.bias_replications, cfg_e.threads, ctx)
         points = np.asarray(results, dtype=float)  # (reps, 2): pliv, dr
 
         label = "/".join(f"{a:g}" for a in spec.alpha_target)
@@ -383,32 +380,31 @@ def run_propensity_check(config: RunConfig):
 
     rows = []
     for n in cfg_e.n_grid:
-        n = int(n)
-        spec = mech.queue_spec(n, int(cfg_c.tau))
+        spec = mech.queue_spec(n, cfg_c.tau)
         alpha = spec.alpha
         # in strict mode this is min(beta, c_k): capacity fills tiers in order
         mass_limit = np.cumsum(alpha.alpha * p)
         theta = rct_policy(n, p)
         table = mc_propensities(
-            theta, spec, reps=int(cfg_e.propensity_reps),
+            theta, spec, reps=cfg_e.propensity_reps,
             seed=_derived_seed(cfg_e.seed, STREAM_PROPENSITY_MC, n), forced=True,
         )
         pi_tilde = table.queue_conditional.mean(axis=0)
 
-        mass_acc = np.zeros(int(mech.k))
-        for rep in range(int(cfg_e.treated_mass_reps)):
+        mass_acc = np.zeros(mech.k)
+        for rep in range(cfg_e.treated_mass_reps):
             rep_cohort = generate_cohort(
-                n, int(cfg_c.tau), float(cfg_c.psi),
+                n, cfg_c.tau, cfg_c.psi,
                 seed=_derived_seed(cfg_e.seed, STREAM_TREATED_MASS_COHORT, n, rep),
             )
             qrng = np.random.default_rng(
-                np.random.SeedSequence([int(cfg_e.seed), STREAM_TREATED_MASS_QUEUES, n, rep])
+                np.random.SeedSequence([cfg_e.seed, STREAM_TREATED_MASS_QUEUES, n, rep])
             )
             trace = allocate(rep_cohort, sample_queues(theta, qrng), spec)
-            mass_acc += treated_mass_profile(trace, int(mech.k))[:, -1]
-        mass = mass_acc / int(cfg_e.treated_mass_reps)
+            mass_acc += treated_mass_profile(trace, mech.k)[:, -1]
+        mass = mass_acc / cfg_e.treated_mass_reps
 
-        for k in range(int(mech.k)):
+        for k in range(mech.k):
             rows.append((
                 n, k + 1, float(pi_tilde[k]), float(alpha.alpha[k]),
                 float(abs(pi_tilde[k] - alpha.alpha[k])),
@@ -432,13 +428,11 @@ def run_estimate(config: RunConfig):
     """
     cfg_c, cfg_e, est = config.cohort, config.execution, config.estimation
     mech = config.mechanism
-    n = int(cfg_c.n)
-    psi = float(cfg_c.psi)
+    n, psi, seed = cfg_c.n, cfg_c.psi, cfg_e.seed
     p = np.asarray(mech.p, dtype=float)
-    seed = int(cfg_e.seed)
 
     cohort = _make_cohort(config, seed=seed)
-    spec = mech.queue_spec(n, int(cfg_c.tau))
+    spec = mech.queue_spec(n, cfg_c.tau)
     alpha = spec.alpha
     theta = rct_policy(n, p)
     qrng = np.random.default_rng(np.random.SeedSequence([seed, STREAM_ESTIMATE_QUEUES]))
@@ -457,7 +451,7 @@ def run_estimate(config: RunConfig):
         fit_idx, eval_idx = split_indices(n, seed)
         nuis = fit_nuisances(
             cohort.h[fit_idx], z[fit_idx], y[fit_idx],
-            method=est.nuisance_method, bins=int(est.bins), degree=int(est.degree),
+            method=est.nuisance_method, bins=est.bins, degree=est.degree,
         )
     he, ze, ye = cohort.h[eval_idx], z[eval_idx], y[eval_idx]
     qe, te, pe = queues[eval_idx], theta[eval_idx], pi[eval_idx]
@@ -468,13 +462,13 @@ def run_estimate(config: RunConfig):
         try:
             if name == "dr_ate":
                 report = estimate_dr_ate(
-                    he, ze, ye, pe, nuis, gamma=float(est.gamma),
-                    bootstrap_reps=int(est.bootstrap_reps), seed=seed,
+                    he, ze, ye, pe, nuis, gamma=est.gamma,
+                    bootstrap_reps=est.bootstrap_reps, seed=seed,
                 )
             elif name == "pliv":
                 report = estimate_pliv(
                     he, ze, ye, qe, te, alpha, nuis,
-                    relevance_floor=float(est.relevance_floor),
+                    relevance_floor=est.relevance_floor,
                 )
             else:
                 r = alpha.alpha[qe - 1] - pe

@@ -1,6 +1,8 @@
 """Configuration loading, defaults, and per-key validation messages."""
 
 import dataclasses
+import typing
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,18 @@ from queuedesign.config import (
     apply_overrides,
     config_from_dict,
     load_config,
+)
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted(REPO_ROOT.glob("configs/*.yaml")) + sorted(
+    REPO_ROOT.glob("bench/configs/*.yaml")
+)
+
+INTEGER_FIELDS = (
+    "cohort.n", "cohort.tau", "mechanism.k", "design.c_grid_size", "estimation.bins",
+    "estimation.degree", "estimation.bootstrap_reps", "execution.seed",
+    "execution.bias_replications", "execution.propensity_reps",
+    "execution.treated_mass_reps", "execution.threads",
 )
 
 
@@ -80,11 +94,23 @@ class TestValidationMessages:
             ({"execution": {"n_grid": [2.5]}}, "execution.n_grid"),
             ({"execution": {"n_grid": ["x"]}}, "execution.n_grid"),
             ({"execution": {"n_grid": [0]}}, "execution.n_grid"),
+            # integer fields are stored as ints, not truncated later
+            ({"cohort": {"n": 2.5, "tau": 1.7},
+              "execution": {"propensity_reps": 3.9, "seed": 1.5}}, "cohort.n"),
+            # a quoted number is a string, not a float
+            ({"mechanism": {"beta": "0.5"}}, "mechanism.beta"),
         ],
     )
     def test_bad_value_names_key(self, data, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("key", INTEGER_FIELDS)
+    def test_integer_field_refuses_fractions_and_booleans(self, key, value):
+        block, name = key.split(".")
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            config_from_dict({block: {name: value}})
 
     def test_unknown_block_rejected(self):
         with pytest.raises(ConfigError, match="simulation"):
@@ -148,3 +174,50 @@ class TestOverrides:
     def test_invalid_override_is_caught(self):
         with pytest.raises(ConfigError, match=r"execution\.threads"):
             apply_overrides(config_from_dict({}), threads=0)
+
+    def test_fractional_seed_override_is_refused(self):
+        with pytest.raises(ConfigError, match=r"execution\.seed"):
+            apply_overrides(config_from_dict({}), seed=1.5)
+
+
+def conforms(value, hint) -> bool:
+    """Whether ``value`` is exactly of the annotated type ``hint``."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union:
+        return value is None or conforms(value, args[0])
+    if tuple in (hint, typing.get_origin(hint)):
+        if type(value) is not tuple:
+            return False
+        if not args:
+            return True
+        if args[-1] is Ellipsis:
+            return all(conforms(v, args[0]) for v in value)
+        return len(args) == len(value) and all(map(conforms, value, args))
+    return type(value) is hint
+
+
+class TestTypes:
+    """Each block stores its fields as their annotations type them."""
+
+    def test_integral_float_is_stored_as_int(self):
+        n = config_from_dict({"cohort": {"n": 2000.0}}).cohort.n
+        assert type(n) is int and n == 2000
+
+    def test_int_is_stored_as_float(self):
+        assert type(config_from_dict({"cohort": {"psi": 0}}).cohort.psi) is float
+
+    def test_yaml_ints_in_a_float_list_load_as_floats(self):
+        cfg = load_config(str(REPO_ROOT / "configs" / "pareto_exogenous.yaml"))
+        assert cfg.design.greedy_scales == (0.5, 1.0, 2.0, 4.0, 8.0)
+        assert all(type(g) is float for g in cfg.design.greedy_scales)
+
+    def test_shipped_configs_are_found(self):
+        assert len(SHIPPED) == 9
+
+    @pytest.mark.parametrize("path", [None] + SHIPPED, ids=lambda p: p and p.name)
+    def test_every_field_has_its_declared_type(self, path):
+        cfg = config_from_dict({}) if path is None else load_config(str(path))
+        for block in dataclasses.fields(cfg):
+            values = getattr(cfg, block.name)
+            for f in dataclasses.fields(values):
+                assert conforms(getattr(values, f.name), f.type), f"{block.name}.{f.name}"

@@ -13,7 +13,7 @@ import pytest
 
 from queuedesign import experiments
 from queuedesign.cohorts import generate_cohort, outcome_variances, residual_variance
-from queuedesign.config import config_from_dict
+from queuedesign.config import ConfigError, config_from_dict
 from queuedesign.errors import PositivityError, RelevanceError, RunFailure
 from queuedesign.estimation import SIGMA_FLOOR, instrument_information, variance_dr_formula
 from queuedesign.policies import rct_policy
@@ -210,7 +210,7 @@ class TestRunBias:
             "mechanism": {"k": 3, "p": [0.4, 0.3, 0.3]},
             "execution": {"bias_replications": 4},
         })
-        with pytest.raises(ValueError, match="k=2"):
+        with pytest.raises(ConfigError, match=r"mechanism\.k.*k=2"):
             experiments.run_bias(cfg)
 
     def test_infeasible_alpha_top_rejected(self):
@@ -220,7 +220,7 @@ class TestRunBias:
             "design": {"bias_arms": [[0.6, 0.0]]},
             "execution": {"bias_replications": 4},
         })
-        with pytest.raises(ValueError, match="budget identity"):
+        with pytest.raises(ConfigError, match=r"design\.bias_arms.*budget identity"):
             experiments.run_bias(cfg)
 
 
@@ -316,6 +316,29 @@ class TestRunEstimate:
         rows = experiments.run_estimate(cfg)
         assert rows[0][5] == 200
         assert rows[0][-1] == "ok"
+
+
+class TestTypedConfig:
+    """The drivers read the config's typed values and cast none of them."""
+
+    @staticmethod
+    def spelled_with(number):
+        return config_from_dict({
+            "cohort": {"n": number(200), "tau": number(2)},
+            "estimation": {"bootstrap_reps": number(50)},
+            "execution": {
+                "seed": number(4), "n_grid": [number(200)], "propensity_reps": number(20),
+                "treated_mass_reps": number(4),
+            },
+        })
+
+    @pytest.mark.parametrize("driver", [
+        experiments.run_propensity_check, experiments.run_estimate,
+    ], ids=lambda d: d.__name__)
+    def test_integral_floats_give_the_rows_of_ints(self, driver):
+        as_floats, as_ints = driver(self.spelled_with(float)), driver(self.spelled_with(int))
+        assert as_floats == as_ints
+        assert [list(map(type, r)) for r in as_floats] == [list(map(type, r)) for r in as_ints]
 
 
 class TestStreamRegistry:
