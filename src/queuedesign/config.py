@@ -54,16 +54,13 @@ def _typed(key: str, hint, value):
     """``value`` as the annotation ``hint`` types it, or a ConfigError.
 
     ``Optional[X]`` keeps None; ``tuple[X, ...]`` and ``tuple[X, Y]`` take a
-    list or tuple and type each entry; a bare ``tuple`` keeps its entries
-    for the constructor that owns their rule (``QueueSpec`` for budgets).
+    list or tuple and type each entry.
     """
     args = get_args(hint)
     if get_origin(hint) is Union:
         return None if value is None else _typed(key, args[0], value)
     if tuple in (hint, get_origin(hint)):
         if isinstance(value, (list, tuple)):
-            if not args:
-                return tuple(value)
             if args[-1] is Ellipsis:
                 return tuple(_typed(key, args[0], v) for v in value)
             if len(args) == len(value):
@@ -111,7 +108,7 @@ class MechanismConfig(_Block):
     p: tuple[float, ...] = (0.5, 0.5)
     beta: float = 0.5
     mode: str = "strict"
-    budgets: Optional[tuple] = None  # None: spread round(beta*n) over periods
+    budgets: Optional[tuple[int, ...]] = None  # None: spread round(beta*n) over periods
     alpha_target: Optional[tuple[float, ...]] = None  # rationed mode only
 
     def validate(self):

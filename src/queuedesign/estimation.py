@@ -11,8 +11,7 @@ Three estimators share the queue-induced randomization:
   the queue draw is independent of everything given X.
 * ``estimate_iv_ratio`` — the raw instrument ratio E_n[rY] / E_n[rZ], whose
   population value is a nonnegatively weighted average of pairwise local
-  effects across queue margins; ``late_decomposition`` verifies that
-  identity exhaustively on enumerable instances.
+  effects across queue margins.
 
 Nuisance functions (outcome means, E[Y|X], and sigma) are either analytic
 (oracle) or fit on an explicit independent split — never on the estimation
@@ -27,14 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cohorts import Cohort, EstimateReport, residual_variance, wald_report
-from .counterfactual import ExactOracle
 from .errors import BoundaryPropensity, PositivityError, RelevanceError, RunFailure
-from .propensity import (
-    AlphaVector,
-    finite_instrument,
-    instrument_variance,
-    marginal_propensity,
-)
+from .propensity import AlphaVector, instrument_variance, marginal_propensity
 
 SIGMA_FLOOR = 1e-6
 NUISANCE_METHODS = ("oracle", "binned", "polynomial")
@@ -319,106 +312,6 @@ def estimate_iv_ratio(
     phi = r * (y - point * z) / den
     se = float(phi.std(ddof=1) / np.sqrt(n))
     return wald_report(point, se, n, "iv_ratio")
-
-
-# ---------------------------------------------------------------------------
-# LATE decomposition on enumerable instances
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LateDecomposition:
-    """Pairwise complier decomposition of the population IV ratio.
-
-    Row (k, l) with k < l holds, per unit: the probability of being a
-    (k, l)-complier (served in queue k, not in queue l), the conditional
-    effect among those compliers, and the weight theta_k * theta_l *
-    (pi_tilde_k - pi_tilde_l)^2.  The weighted average over pairs and units
-    reproduces the population IV ratio exactly.
-    """
-
-    pairs: tuple
-    complier_prob: np.ndarray
-    effects: np.ndarray
-    weights: np.ndarray
-    weighted_average: float
-    iv_ratio: float
-
-    def __post_init__(self):
-        if np.any(self.weights < -1e-15):
-            raise ValueError("decomposition weights must be nonnegative")
-
-
-def late_decomposition(oracle: ExactOracle, cohort: Cohort) -> LateDecomposition:
-    """Decompose the population IV ratio into pairwise local effects.
-
-    Uses the exhaustive world table: every (unit, world) is classified as a
-    (k, l) complier iff forcing queue k serves it and forcing queue l does
-    not.  Any world where a higher-priority queue serves *less* is a
-    mechanism bug and raises immediately.  The IV ratio is computed from the
-    same joint law (realized queues and treatments world by world) and must
-    match the weighted average to 1e-10.
-    """
-    worlds = oracle.worlds
-    if worlds is None:
-        raise ValueError(
-            "the exact oracle was built without a world table (instance too "
-            "large); the decomposition needs exhaustive worlds"
-        )
-    table = oracle.table
-    theta = table.theta
-    qc = table.queue_conditional
-    n, k = qc.shape
-    zmap = worlds.zmap
-    if np.any(np.diff(zmap.astype(np.int8), axis=2) > 0):
-        raise ValueError(
-            "monotonicity violated: some world treats a unit under a lower "
-            "priority but not a higher one — allocator bug"
-        )
-    delta = cohort.y1 - cohort.y0
-    pairs = tuple((a + 1, b + 1) for a in range(k) for b in range(a + 1, k))
-    complier = np.zeros((len(pairs), n))
-    weights = np.zeros((len(pairs), n))
-    effects = np.tile(delta, (len(pairs), 1))
-    for idx, (ka, kb) in enumerate(pairs):
-        comp = zmap[:, :, ka - 1] & ~zmap[:, :, kb - 1]
-        complier[idx] = worlds.probs @ comp
-        weights[idx] = (
-            theta[:, ka - 1] * theta[:, kb - 1] * (qc[:, ka - 1] - qc[:, kb - 1]) ** 2
-        )
-    total_weight = weights.sum()
-    if total_weight <= 0:
-        raise ValueError(
-            "degenerate design: no pair of queues produces complier mass"
-        )
-    weighted_average = float((weights * effects).sum() / total_weight)
-
-    # IV ratio from the same joint law: average rY and rZ over every world
-    r = finite_instrument(table)
-    labels = worlds.configs[worlds.config_idx]  # (W, n)
-    r_realized = np.take_along_axis(
-        np.broadcast_to(r, (worlds.n_worlds, n, k)), (labels - 1)[:, :, None], axis=2
-    )[:, :, 0]
-    z_realized = worlds.realized_z().astype(float)
-    y_realized = cohort.y0[None, :] + z_realized * delta[None, :]
-    e_rz = float(worlds.probs @ (r_realized * z_realized).mean(axis=1))
-    e_ry = float(worlds.probs @ (r_realized * y_realized).mean(axis=1))
-    if e_rz == 0.0:
-        raise ValueError("population instrument-treatment covariance is zero")
-    iv_ratio = e_ry / e_rz
-    if abs(iv_ratio - weighted_average) > 1e-10:
-        raise ValueError(
-            f"decomposition identity violated: IV ratio {iv_ratio!r} vs "
-            f"weighted average {weighted_average!r}"
-        )
-    return LateDecomposition(
-        pairs=pairs,
-        complier_prob=complier,
-        effects=effects,
-        weights=weights,
-        weighted_average=weighted_average,
-        iv_ratio=iv_ratio,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,15 @@ theta_k, and the centered residual alpha_Q - pi(theta) is the instrument that
 queue randomization contributes for free.
 
 Finite-population analogues replace alpha with queue-conditional service
-frequencies pi_tilde(i, k) estimated or enumerated elsewhere; this module
-holds the shared container type and the residual calculus.
+frequencies pi_tilde(i, k), which ``counterfactual`` estimates by Monte
+Carlo; this module holds their container type and the residual calculus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-PROPENSITY_SOURCES = ("monte_carlo", "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +134,12 @@ class PropensityTable:
     ``queue_conditional[i, k-1]`` is P(Z_i = 1 | Q_i = k); NaN marks a cell a
     Monte Carlo run never visited.  ``marginal`` aggregates the conditional
     cells through the policy, marginal_i = sum_k theta_ik * qc_ik, and is NaN
-    wherever a needed cell is absent.  ``source`` records how the numbers
-    were produced; exact tables are additionally guaranteed monotone in
-    queue priority.
+    wherever a needed cell is absent.
     """
 
     queue_conditional: np.ndarray
     marginal: np.ndarray
     theta: np.ndarray
-    source: str
-    reps: Optional[int] = None
 
     def __post_init__(self):
         qc = np.asarray(self.queue_conditional, dtype=float)
@@ -155,8 +148,6 @@ class PropensityTable:
         object.__setattr__(self, "queue_conditional", qc)
         object.__setattr__(self, "marginal", marginal)
         object.__setattr__(self, "theta", theta)
-        if self.source not in PROPENSITY_SOURCES:
-            raise ValueError(f"source must be one of {PROPENSITY_SOURCES}")
         if qc.ndim != 2:
             raise ValueError("queue_conditional must be an (n, K) matrix")
         n, k = qc.shape
@@ -165,17 +156,6 @@ class PropensityTable:
         finite = np.isfinite(qc)
         if np.any((qc[finite] < -1e-9) | (qc[finite] > 1.0 + 1e-9)):
             raise ValueError("queue-conditional propensities must lie in [0, 1]")
-        if self.source == "monte_carlo":
-            if self.reps is None or self.reps < 1:
-                raise ValueError("monte_carlo tables must record a positive rep count")
-        elif np.any(~finite):
-            raise ValueError(f"{self.source} tables cannot contain absent cells")
-        if self.source == "exact":
-            if np.any(np.diff(qc, axis=1) > 1e-9):
-                raise ValueError(
-                    "queue-conditional propensities must be nonincreasing in the "
-                    "queue index for exact tables"
-                )
         # Aggregation consistency where every needed cell is present.
         needed = self.theta > 0.0
         usable = np.all(finite | ~needed, axis=1)
@@ -195,23 +175,3 @@ class PropensityTable:
     def k(self) -> int:
         return self.queue_conditional.shape[1]
 
-
-def finite_instrument(table: PropensityTable) -> np.ndarray:
-    """Finite-population instrument r(i, q) = pi_tilde(i, q) - pi(i).
-
-    Requires every cell the policy can realize (theta_ik > 0): a Monte Carlo
-    table with an absent needed cell cannot center the residual, so the call
-    fails naming the first offending unit.  Cells the policy never realizes
-    keep NaN; the centering identity sum_q theta_iq r(i, q) = 0 holds over
-    realized cells.
-    """
-    qc = table.queue_conditional
-    needed = table.theta > 0.0
-    missing = needed & ~np.isfinite(qc)
-    if np.any(missing):
-        i, k = np.argwhere(missing)[0]
-        raise ValueError(
-            f"queue-conditional propensity absent for unit {int(i)}, queue {int(k) + 1}; "
-            "increase Monte Carlo replications or use an exact table"
-        )
-    return qc - table.marginal[:, None]

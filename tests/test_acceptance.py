@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from queuedesign.cohorts import default_h_law, generate_cohort
-from queuedesign.counterfactual import exact_oracle, mc_propensities
+from queuedesign.counterfactual import mc_propensities
 from queuedesign.design import (
     DesignProblem,
     feasible_utility_range,
@@ -35,7 +35,6 @@ from queuedesign.design import (
 from queuedesign.errors import RunFailure
 from queuedesign.estimation import (
     estimate_dr_ate,
-    late_decomposition,
     oracle_nuisances,
     variance_dr_formula,
     variance_pliv_formula,
@@ -48,6 +47,8 @@ from queuedesign.policies import (
     switch_policy,
 )
 from queuedesign.propensity import alpha_vector, marginal_propensity
+
+from identification_oracles import exact_oracle, late_decomposition
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"

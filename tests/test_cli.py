@@ -255,18 +255,30 @@ class TestColdStart:
             "bias": [True, True, True],
         }
 
-    def test_design_loads_neither_estimation_nor_counterfactual(self):
-        # the design layer solves; scoring its policies belongs to the drivers
+    @staticmethod
+    def loaded_after_import(module, names):
+        """Which of ``names`` a fresh interpreter holds after importing ``module``."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         probe = (
             "import json, sys\n"
-            "import queuedesign.design\n"
-            "print(json.dumps([m in sys.modules for m in "
-            "('queuedesign.estimation', 'queuedesign.counterfactual')]))\n"
+            f"import {module}\n"
+            f"print(json.dumps([m in sys.modules for m in {names!r}]))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout.splitlines()[-1]) == [False, False]
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_design_loads_neither_estimation_nor_counterfactual(self):
+        # the design layer solves; scoring its policies belongs to the drivers
+        loaded = self.loaded_after_import(
+            "queuedesign.design", ("queuedesign.estimation", "queuedesign.counterfactual")
+        )
+        assert loaded == [False, False]
+
+    def test_estimation_does_not_load_counterfactual(self):
+        # the estimators read propensities, not the Monte Carlo that makes them
+        loaded = self.loaded_after_import("queuedesign.estimation", ("queuedesign.counterfactual",))
+        assert loaded == [False]

@@ -99,6 +99,9 @@ class TestValidationMessages:
               "execution": {"propensity_reps": 3.9, "seed": 1.5}}, "cohort.n"),
             # a quoted number is a string, not a float
             ({"mechanism": {"beta": "0.5"}}, "mechanism.beta"),
+            # budgets take the integer rule of every other integer field
+            ({"cohort": {"n": 500}, "mechanism": {"budgets": [2.5]}}, "mechanism.budgets"),
+            ({"cohort": {"n": 500}, "mechanism": {"budgets": [True]}}, "mechanism.budgets"),
         ],
     )
     def test_bad_value_names_key(self, data, key):
@@ -188,8 +191,6 @@ def conforms(value, hint) -> bool:
     if tuple in (hint, typing.get_origin(hint)):
         if type(value) is not tuple:
             return False
-        if not args:
-            return True
         if args[-1] is Ellipsis:
             return all(conforms(v, args[0]) for v in value)
         return len(args) == len(value) and all(map(conforms, value, args))
@@ -202,6 +203,8 @@ class TestTypes:
     def test_integral_float_is_stored_as_int(self):
         n = config_from_dict({"cohort": {"n": 2000.0}}).cohort.n
         assert type(n) is int and n == 2000
+        cfg = config_from_dict({"cohort": {"n": 500}, "mechanism": {"budgets": [250.0]}})
+        assert cfg.mechanism.budgets == (250,) and type(cfg.mechanism.budgets[0]) is int
 
     def test_int_is_stored_as_float(self):
         assert type(config_from_dict({"cohort": {"psi": 0}}).cohort.psi) is float

@@ -15,13 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from queuedesign.counterfactual import (
-    _forced_map,
-    exact_oracle,
-    mc_propensities,
-)
+from queuedesign.counterfactual import _forced_map, mc_propensities
 from queuedesign.mechanism import QueueSpec, _serve, arrival_periods, arrival_ranks
 
+from identification_oracles import exact_oracle, exact_table
 from naive_allocation import naive_allocate_rationed, naive_allocate_strict
 
 
@@ -253,7 +250,6 @@ def test_unforced_mc_flags_unvisited_cells():
     theta = np.tile(np.array([0.995, 0.005]), (n, 1))
     spec = small_spec(n=n, k=2, b=2)
     table = mc_propensities(theta, spec, reps=40, seed=5, forced=False)
-    assert table.source == "monte_carlo"
     missing = ~np.isfinite(table.queue_conditional[:, 1])
     assert missing.any()
     assert np.all(~np.isfinite(table.marginal[missing]))
@@ -357,6 +353,14 @@ class TestExactOracle:
                           budgets=np.array([1, 1]))
         with pytest.raises(ValueError, match="single review period"):
             exact_oracle(theta2, spec2)
+
+    def test_table_refuses_absent_and_rising_cells(self):
+        # enumeration fills every cell and never serves a lower queue more
+        theta = np.full((1, 2), 0.5)
+        with pytest.raises(ValueError, match="absent cells"):
+            exact_table(np.array([[0.5, np.nan]]), theta)
+        with pytest.raises(ValueError, match="nonincreasing"):
+            exact_table(np.array([[0.2, 0.6]]), theta)
 
     def test_alpha_limit_is_exact_for_degenerate_policy(self):
         # with everyone pinned to their queue and b = n*beta the exact

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queuedesign.cohorts import Cohort, generate_cohort
-from queuedesign.counterfactual import ExactOracle, WorldTable, exact_oracle
 from queuedesign.errors import BoundaryPropensity, PositivityError, RelevanceError, RunFailure
 from queuedesign.estimation import (
     NuisanceSet,
@@ -18,7 +17,6 @@ from queuedesign.estimation import (
     estimate_iv_ratio,
     estimate_pliv,
     fit_nuisances,
-    late_decomposition,
     multiplier_bootstrap,
     oracle_nuisances,
     split_indices,
@@ -31,6 +29,13 @@ from queuedesign.propensity import (
     PropensityTable,
     alpha_from_target,
     alpha_vector,
+)
+
+from identification_oracles import (
+    ExactOracle,
+    WorldTable,
+    exact_oracle,
+    late_decomposition,
 )
 
 PSI = 0.1
@@ -503,7 +508,6 @@ class TestLateDecomposition:
             queue_conditional=np.array([[0.5, 0.5]]),
             marginal=np.array([0.5]),
             theta=np.array([[0.5, 0.5]]),
-            source="exact",
         )
         worlds = WorldTable(
             zmap=np.array([[[False, True]]]),

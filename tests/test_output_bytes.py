@@ -22,10 +22,20 @@ the default-grid hash on the code that still built the default arms as the
 product of two separate alpha-top and floor-fraction lists; the three
 rationed propensity, estimate and frontier hashes on the code that still
 chose the discipline's alpha and shares in each driver.
+
+The hashes hold for the CPU dispatch they were recorded under: OpenBLAS's
+``SkylakeX`` kernels and numpy's AVX-512 loops.  Forcing
+``OPENBLAS_CORETYPE=Haswell`` or ``Prescott``, or switching numpy's AVX-512
+targets off, changes 3 or 4 of the 10 pins, so a mismatch prints the
+recorded dispatch beside the one this process runs.
 """
 
+import ctypes
+import glob
 import hashlib
+import os
 
+import numpy as np
 import pytest
 
 from queuedesign import experiments
@@ -150,6 +160,41 @@ EXPECTED = {
 }
 
 
+RECORDED_DISPATCH = {
+    "openblas_core": "SkylakeX",
+    # numpy's baseline, then the dispatch targets the CPU enabled; X86_V4,
+    # AVX512_ICL and AVX512_SPR are its AVX-512 loops
+    "numpy_simd": ("X86_V2", "X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"),
+}
+
+
+def cpu_dispatch():
+    """The OpenBLAS core and the numpy SIMD targets this process runs.
+
+    Either reads "unknown" when numpy's bundled OpenBLAS, its core-name
+    symbol or numpy's CPU feature table is absent.
+    """
+    core = "unknown"
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+        break
+    try:
+        from numpy._core._multiarray_umath import (
+            __cpu_baseline__, __cpu_dispatch__, __cpu_features__,
+        )
+    except ImportError:
+        return {"openblas_core": core, "numpy_simd": ("unknown",)}
+    enabled = tuple(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+    return {"openblas_core": core, "numpy_simd": tuple(__cpu_baseline__) + enabled}
+
+
 def csv_digests(name, out_dir):
     """Run config ``name`` through its ``experiments.run_*`` function and
     ``write_csv``; return the sha256 of each CSV written into ``out_dir``."""
@@ -167,4 +212,13 @@ def csv_digests(name, out_dir):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_bytes_match_recorded_hashes(name, tmp_path):
-    assert csv_digests(name, tmp_path) == EXPECTED[name]
+    assert csv_digests(name, tmp_path) == EXPECTED[name], (
+        f"recorded under {RECORDED_DISPATCH}, running under {cpu_dispatch()}"
+    )
+
+
+def test_dispatch_reader_names_core_and_features():
+    seen = cpu_dispatch()
+    assert isinstance(seen["openblas_core"], str) and seen["openblas_core"]
+    assert isinstance(seen["numpy_simd"], tuple) and seen["numpy_simd"]
+    assert all(isinstance(t, str) for t in seen["numpy_simd"])
