@@ -19,7 +19,8 @@ Status cells (each failure is the ``status`` of a ``queuedesign.errors`` type):
   boundary_propensity  pareto, exogenous lens: a propensity sits on {0, 1}
   relevance_error      pareto, endogenous lens; estimate: PLIV, IV ratio
   positivity_error     estimate: DR propensities outside [gamma, 1 - gamma]
-  precondition_error   estimate: any other failed estimator precondition
+  precondition_error   estimate: any other failed estimator precondition, or
+                       a nuisance fit the data cannot support (DR, PLIV)
 """
 
 from __future__ import annotations

@@ -48,9 +48,9 @@ class Cohort:
     ``confounder`` holds the disturbance U for the partially linear DGP and
     is None for the bernoulli DGP (there is no hidden variable to record).
     ``arrival_ranks`` holds each unit's position in (arrival, id) order,
-    ``mechanism.arrival_ranks(arrival)``, when the draw already knows it, and
-    is None otherwise; ``mechanism.allocate`` reads them as its FIFO order
-    and ranks the arrivals itself only when they are None.
+    ``stable_ranks(arrival)``; a draw that already knows them passes them,
+    and otherwise they are ranked here.  ``mechanism.allocate`` reads them
+    as its FIFO order.
     """
 
     h: np.ndarray
@@ -88,7 +88,9 @@ class Cohort:
             if conf.shape != (n,):
                 raise ValueError("confounder must match cohort length")
             object.__setattr__(self, "confounder", conf)
-        if self.arrival_ranks is not None and np.shape(self.arrival_ranks) != (n,):
+        if self.arrival_ranks is None:
+            object.__setattr__(self, "arrival_ranks", stable_ranks(arrival))
+        elif np.shape(self.arrival_ranks) != (n,):
             raise ValueError("arrival_ranks must match cohort length")
 
     @property

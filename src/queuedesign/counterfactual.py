@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bitexact import row_cumsum, stable_order
+from ._bitexact import row_cumsum, stable_order, stable_ranks
 from .mechanism import (
     QueueSpec,
     _draw_queues,
     _period_tables,
     _serve,
     arrival_periods,
-    arrival_ranks,
     validate_policy,
 )
 from .propensity import PropensityTable
@@ -125,15 +124,13 @@ def mc_propensities(
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), rep]))
         a = rng.uniform(0.0, spec.tau, size=n)
         s = arrival_periods(a, spec.tau)
-        order = stable_order(a)
         queues = _draw_queues(cum, rng)
         if forced:
-            hits += _forced_map(spec, s, order, queues)
+            hits += _forced_map(spec, s, stable_order(a), queues)
             visits += 1
         else:
-            tp = _serve(spec, s, arrival_ranks(a), queues)
             visits[rows, queues - 1] += 1
-            hits[rows, queues - 1] += tp > 0
+            hits[rows, queues - 1] += _serve(spec, s, stable_ranks(a), queues)
     with np.errstate(invalid="ignore"):
         qc = np.where(visits > 0, hits / np.maximum(visits, 1), np.nan)
     needed = theta > 0.0

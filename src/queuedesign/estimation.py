@@ -105,7 +105,8 @@ def fit_nuisances(
     means, automatically coarsening (halving the bin count) until every bin
     contains both treatment arms; ``polynomial`` fits least-squares
     polynomials in h per arm.  sigma is fit by the same method applied to
-    squared residuals against the pooled fit m-hat, then floored.
+    squared residuals against the pooled fit m-hat, then floored.  A sample
+    too thin for either fit raises ``RunFailure``.
     """
     h = np.asarray(h, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -147,14 +148,14 @@ def fit_nuisances(
                     fit_tag="binned",
                 )
             b //= 2
-        raise ValueError(
+        raise RunFailure(
             "cannot fit binned nuisances: some bin has an empty treatment arm "
             "even with a single bin"
         )
     if method == "polynomial":
         deg = int(degree)
         if (z == 1).sum() <= deg or (z == 0).sum() <= deg:
-            raise ValueError("too few observations per arm for the polynomial degree")
+            raise RunFailure("too few observations per arm for the polynomial degree")
 
         def polyfit(xs, ys):
             coeffs = np.polynomial.polynomial.polyfit(xs, ys, deg)

@@ -21,6 +21,8 @@ Stream ids used here (0..3 are reserved by cohorts/estimation), one
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .cohorts import (
@@ -58,7 +60,7 @@ from .mechanism import (
     QueueSpec,
     allocate,
     sample_queues,
-    treated_mass_profile,
+    treated_mass,
 )
 from .policies import greedy_softmax_policy, rct_policy, switch_policy
 from .propensity import marginal_propensity
@@ -100,14 +102,16 @@ def _derived_seed(*entries) -> int:
 
 def _map_indexed(worker, reps: int, threads: int, initargs):
     """Run worker(rep) for rep in range(reps), reducing in index order."""
-    if threads <= 1:
+    # a pool starts all its workers at its first task: no more than reps or CPUs
+    workers = min(threads, reps, len(os.sched_getaffinity(0)))
+    if workers <= 1:
         _set_context(initargs)
         return [worker(rep) for rep in range(reps)]
     from concurrent.futures import ProcessPoolExecutor  # ~25 ms to load; serial runs skip it
 
-    chunk = max(1, reps // (threads * 8))
+    chunk = max(1, reps // (workers * 8))
     with ProcessPoolExecutor(
-        max_workers=threads, initializer=_set_context, initargs=(initargs,)
+        max_workers=workers, initializer=_set_context, initargs=(initargs,)
     ) as pool:
         return list(pool.map(worker, range(reps), chunksize=chunk))
 
@@ -255,7 +259,6 @@ def _bias_rep(rep: int):
             np.random.SeedSequence([ctx["seed"], stream, ctx["arm"], rep])
         )
         queues = sample_queues(theta, rng)
-        # both allocations serve the same cohort, whose draw ranked its arrivals
         z = allocate(cohort, queues, spec).z
         return queues, z, np.where(z, cohort.y1, cohort.y0)
 
@@ -401,7 +404,7 @@ def run_propensity_check(config: RunConfig):
                 np.random.SeedSequence([cfg_e.seed, STREAM_TREATED_MASS_QUEUES, n, rep])
             )
             trace = allocate(rep_cohort, sample_queues(theta, qrng), spec)
-            mass_acc += treated_mass_profile(trace, mech.k)[:, -1]
+            mass_acc += treated_mass(trace)
         mass = mass_acc / cfg_e.treated_mass_reps
 
         for k in range(mech.k):
@@ -424,7 +427,8 @@ def run_estimate(config: RunConfig):
     Estimator preconditions (positivity, instrument relevance) are reported
     as a status column with NaN numbers rather than as hard failures: a
     degenerate design is a finding, not a crash.  A ``RunFailure`` names its
-    own status; any other error propagates.
+    own status; any other error propagates.  A nuisance fit that lacks the
+    data it needs fails the estimators that read nuisances (DR and PLIV).
     """
     cfg_c, cfg_e, est = config.cohort, config.execution, config.estimation
     mech = config.mechanism
@@ -441,18 +445,21 @@ def run_estimate(config: RunConfig):
     y = np.where(z, cohort.y1, cohort.y0)
     pi = marginal_propensity(theta, alpha)
 
+    fit_failure = None
     if est.nuisance_method == "oracle":
-        fit_idx = np.arange(n)
         eval_idx = np.arange(n)
         nuis = oracle_nuisances(cohort, psi, pi[eval_idx])
     else:
         # Split fit: nuisances learned on one half, estimates on the other,
         # so estimation errors stay first-order orthogonal to fitting noise.
         fit_idx, eval_idx = split_indices(n, seed)
-        nuis = fit_nuisances(
-            cohort.h[fit_idx], z[fit_idx], y[fit_idx],
-            method=est.nuisance_method, bins=est.bins, degree=est.degree,
-        )
+        try:
+            nuis = fit_nuisances(
+                cohort.h[fit_idx], z[fit_idx], y[fit_idx],
+                method=est.nuisance_method, bins=est.bins, degree=est.degree,
+            )
+        except RunFailure as err:
+            fit_failure = err
     he, ze, ye = cohort.h[eval_idx], z[eval_idx], y[eval_idx]
     qe, te, pe = queues[eval_idx], theta[eval_idx], pi[eval_idx]
 
@@ -460,6 +467,8 @@ def run_estimate(config: RunConfig):
     rows = []
     for name in est.estimators:
         try:
+            if name != "iv_ratio" and fit_failure is not None:
+                raise fit_failure  # the IV ratio reads no nuisance
             if name == "dr_ate":
                 report = estimate_dr_ate(
                     he, ze, ye, pe, nuis, gamma=est.gamma,

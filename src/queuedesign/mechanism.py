@@ -27,14 +27,14 @@ deterministic function of (queues, arrivals, budgets).
 
 Within a queue, the units served by any period are a FIFO prefix: an earlier
 period's arrival outranks every later one, and the best-ranked waiting unit is
-always served first.  So served counts per queue and period fix the
+always served first.  So served counts per queue by the horizon fix the
 allocation.  A system with A(u) arrivals and B(u) slots by period u has served
-B(t) + min over u <= t of [A(u) - B(u)] units by period t, where
+B(tau) + min over u <= tau of [A(u) - B(u)] units by the horizon, where
 A(0) = B(0) = 0 (the backlog identity of Lindley, 1952).  Each rationed queue
 is one such system; in strict mode each tier 1..q is one, since the budget
 serves it ahead of the rest, and queue q's count is tier q's minus tier q-1's.
-``_serve`` cuts each queue's FIFO order at its counts, so a world costs
-O(tau * k + n log tau), with no loop over periods.
+``_serve`` marks that many best-ranked units of each queue as served, so a
+world costs O(tau * k + n), with no loop over periods.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._bitexact import row_cumsum, row_sum, stable_ranks
+from ._bitexact import row_cumsum, row_sum
 from .cohorts import Cohort
 from .propensity import AlphaVector, alpha_from_target, alpha_vector
 
@@ -195,14 +195,6 @@ def arrival_periods(arrival: np.ndarray, tau: int) -> np.ndarray:
     return np.clip(s, 1, tau)
 
 
-def arrival_ranks(arrival: np.ndarray) -> np.ndarray:
-    """Dense FIFO ranks: position of each unit in (arrival, id) order.
-
-    A stable sort on arrival alone keeps tied units in id order.
-    """
-    return stable_ranks(np.asarray(arrival, dtype=float))
-
-
 def rationed_shares(budgets: np.ndarray, alpha_target: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Split each period budget into per-queue integer shares.
 
@@ -254,35 +246,28 @@ def rationed_shares(budgets: np.ndarray, alpha_target: np.ndarray, p: np.ndarray
 class AllocationTrace:
     """Realized service outcome of one allocation run.
 
-    ``treat_period[i]`` is the review period in 1..tau at which unit i was
-    served, or 0 if it was never served; ``treated`` is the induced indicator.
+    ``queues`` holds integer labels in 1..K; ``treated[i]``, a boolean, says
+    whether unit i was served by the horizon; ``spec`` is the queue
+    specification it was served under.
     """
 
     queues: np.ndarray
-    treat_period: np.ndarray
-    tau: int
-    budgets: np.ndarray
+    treated: np.ndarray
+    spec: QueueSpec
 
     def __post_init__(self):
-        queues = np.asarray(self.queues, dtype=int)
-        tp = np.asarray(self.treat_period, dtype=int)
-        object.__setattr__(self, "queues", queues)
-        object.__setattr__(self, "treat_period", tp)
-        if tp.shape != queues.shape:
-            raise ValueError("treat_period must match queues in length")
-        if np.any((tp < 0) | (tp > self.tau)):
-            raise ValueError("treat periods must lie in 0..tau")
-        counts = np.bincount(tp[tp > 0], minlength=self.tau + 1)[1:]
-        if np.any(counts > np.asarray(self.budgets)):
-            raise ValueError("per-period service counts exceed the budget")
-
-    @property
-    def treated(self) -> np.ndarray:
-        return self.treat_period > 0
+        if self.treated.shape != self.queues.shape:
+            raise ValueError("treated must match queues in length")
+        # label 0 counts the unserved; a product, since a random mask is slow
+        served = np.bincount(self.queues * self.treated, minlength=self.spec.k + 1)[1:]
+        if np.any(served > self.spec.caps.sum(axis=0)):
+            raise ValueError("a queue is served beyond its slots")
+        if served.sum() > self.spec.budgets.sum():
+            raise ValueError("service exceeds the total budget")
 
     @property
     def z(self) -> np.ndarray:
-        return (self.treat_period > 0).astype(float)
+        return self.treated.astype(float)
 
     @property
     def n(self) -> int:
@@ -303,37 +288,30 @@ def _period_tables(spec: QueueSpec, s: np.ndarray, queues: np.ndarray):
 
 
 def _serve(spec: QueueSpec, s: np.ndarray, ranks: np.ndarray, queues: np.ndarray) -> np.ndarray:
-    """Treatment periods of one world under the spec's service discipline.
+    """Which units of one world the spec's service discipline serves.
 
     ``ranks`` must be the FIFO ranks of the arrivals that gave ``s``.  The
-    module docstring derives the served counts; each queue's units are then
-    cut into per-period blocks of its FIFO order by one partial sort.
+    module docstring derives each queue's served count by the horizon; the
+    served units are that many best-ranked units of the queue, found by one
+    partial sort.
     """
     arrived, slots = _period_tables(spec, s, queues)[1:]  # frees cell before the loop
     if spec.mode == "strict":
         arrived = arrived.cumsum(axis=1)  # tiers 1..q
-    served = slots + np.minimum.accumulate(arrived - slots, axis=0)
+    served = slots[-1] + (arrived - slots).min(axis=0)
     if spec.mode == "strict":
-        served = np.diff(served, axis=1, prepend=0)
-    tp = np.zeros(s.shape[0], dtype=int)
-    periods = np.arange(1, spec.tau + 1)
-    for q in range(spec.k):
-        m = served[-1, q]
-        if m == 0:
-            continue
+        served = np.diff(served, prepend=0)
+    treated = np.zeros(s.shape[0], dtype=bool)
+    for q in np.flatnonzero(served):
         idx = np.flatnonzero(queues == q + 1)
-        cuts = served[1:, q]
-        # positions below each cut are the units served by its period
-        fifo = np.argpartition(ranks[idx], cuts[cuts < idx.size])
-        tp[idx[fifo[:m]]] = np.repeat(periods, np.diff(served[:, q]))
-    return tp
+        treated[idx[np.argpartition(ranks[idx], served[q] - 1)[:served[q]]]] = True
+    return treated
 
 
 def allocate(cohort: Cohort, queues: np.ndarray, spec: QueueSpec) -> AllocationTrace:
     """Run the service mechanism for one realized queue assignment.
 
-    FIFO order is the cohort's ``arrival_ranks`` when its draw carries
-    them, and is computed from its arrivals otherwise.
+    FIFO order is the cohort's ``arrival_ranks``.
     """
     queues = np.asarray(queues, dtype=int)
     if queues.shape != (cohort.n,):
@@ -343,28 +321,17 @@ def allocate(cohort: Cohort, queues: np.ndarray, spec: QueueSpec) -> AllocationT
     if cohort.tau != spec.tau:
         raise ValueError("cohort horizon and spec horizon disagree")
     s = arrival_periods(cohort.arrival, spec.tau)
-    ranks = cohort.arrival_ranks
-    if ranks is None:
-        ranks = arrival_ranks(cohort.arrival)
-    tp = _serve(spec, s, ranks, queues)
-    return AllocationTrace(queues=queues, treat_period=tp, tau=spec.tau, budgets=spec.budgets)
+    treated = _serve(spec, s, cohort.arrival_ranks, queues)
+    return AllocationTrace(queues=queues, treated=treated, spec=spec)
 
 
-def treated_mass_profile(trace: AllocationTrace, k: int) -> np.ndarray:
-    """Cumulative treated mass by priority tier and period.
+def treated_mass(trace: AllocationTrace) -> np.ndarray:
+    """Treated mass by priority tier.
 
-    Entry [k-1, t-1] is (1/n) * #{i : Q_i <= k and T_i <= t}: the fraction of
-    the population in queues 1..k already served by the end of period t.  In
-    the strict regime with uniform arrivals the final column converges to
-    min(beta, c_k), capacity filling queues in priority order.
+    Entry k-1 is (1/n) * #{i : Q_i <= k and Z_i = 1}: the fraction of the
+    population in queues 1..k served by the horizon.  In the strict regime
+    with uniform arrivals it converges to min(beta, c_k), capacity filling
+    queues in priority order.
     """
-    n = trace.n
-    out = np.zeros((int(k), trace.tau))
-    served = trace.treat_period > 0
-    for tier in range(1, int(k) + 1):
-        sel = served & (trace.queues <= tier)
-        if not np.any(sel):
-            continue
-        counts = np.bincount(trace.treat_period[sel], minlength=trace.tau + 1)[1:]
-        out[tier - 1] = np.cumsum(counts) / n
-    return out
+    served = np.bincount(trace.queues * trace.treated, minlength=trace.spec.k + 1)[1:]
+    return np.cumsum(served) / trace.n

@@ -39,7 +39,7 @@ from queuedesign.estimation import (
     variance_dr_formula,
     variance_pliv_formula,
 )
-from queuedesign.mechanism import QueueSpec, allocate, sample_queues, treated_mass_profile
+from queuedesign.mechanism import QueueSpec, allocate, sample_queues, treated_mass
 from queuedesign.policies import (
     greedy_softmax_policy,
     quantile_assignment,
@@ -111,7 +111,7 @@ class TestQueueingLimits:
             cohort = generate_cohort(n, tau=1, psi=PSI, seed=1000 + rep)
             rng = np.random.default_rng(np.random.SeedSequence([43, rep]))
             trace = allocate(cohort, sample_queues(theta, rng), spec)
-            mass += treated_mass_profile(trace, 3)[:, -1]
+            mass += treated_mass(trace)
         mass /= reps
         caps = np.minimum(0.5, np.cumsum(p))
         np.testing.assert_allclose(mass, caps, atol=0.02)

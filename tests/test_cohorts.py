@@ -9,7 +9,7 @@ from queuedesign.cohorts import (
     generate_cohort,
     wald_report,
 )
-from queuedesign.mechanism import arrival_ranks
+from queuedesign._bitexact import stable_ranks
 
 
 def test_null_effect_means_agree():
@@ -88,14 +88,14 @@ class TestBiasCohort:
         ranks[order] = np.arange(c.n)
         expected = 4 * (ranks + 0.5) / c.n
         assert np.array_equal(c.arrival, expected)
-        assert np.array_equal(c.arrival_ranks, arrival_ranks(c.arrival))
+        assert np.array_equal(c.arrival_ranks, stable_ranks(c.arrival))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 2000, 32_000])
     @pytest.mark.parametrize("tau", [1, 12, 52])
     def test_carried_ranks_are_the_arrival_ranks(self, n, tau):
         for seed in (0, 5, 505):
             c = generate_bias_cohort(n, tau, psi=-0.1, seed=seed)
-            assert np.array_equal(c.arrival_ranks, arrival_ranks(c.arrival))
+            assert np.array_equal(c.arrival_ranks, stable_ranks(c.arrival))
 
     def test_effect_is_exactly_psi(self):
         c = generate_bias_cohort(5_000, 4, psi=-0.1, seed=9)
@@ -139,6 +139,20 @@ class TestValidation:
                 tau=1,
                 dgp_tag="gaussian",
             )
+
+    def test_ranks_its_arrivals_when_built_without_ranks(self):
+        c = Cohort(
+            h=np.full(4, 0.5),
+            arrival=np.array([0.3, 0.1, 0.3, 0.0]),
+            y0=np.zeros(4),
+            y1=np.zeros(4),
+            tau=1,
+            dgp_tag="bernoulli",
+        )
+        # (arrival, id) order: a tie keeps id order
+        assert c.arrival_ranks.tolist() == [2, 1, 3, 0]
+        drawn = generate_cohort(500, 3, psi=-0.1, seed=42)
+        assert np.array_equal(drawn.arrival_ranks, stable_ranks(drawn.arrival))
 
     def test_rejects_arrival_ranks_of_another_length(self):
         with pytest.raises(ValueError, match="arrival_ranks"):

@@ -133,8 +133,11 @@ class TestFitNuisances:
         h = np.linspace(0.1, 0.9, 30)
         z = np.ones(30)
         y = np.zeros(30)
-        with pytest.raises(ValueError, match="empty treatment arm"):
+        # too little data is a run's finding, not a programming error
+        with pytest.raises(RunFailure, match="empty treatment arm"):
             fit_nuisances(h, z, y, method="binned", bins=8)
+        with pytest.raises(RunFailure, match="too few observations per arm"):
+            fit_nuisances(h, z, y, method="polynomial", degree=3)
 
     def test_constant_h_collapses_to_global_means(self):
         h = np.full(60, 0.5)
@@ -147,10 +150,12 @@ class TestFitNuisances:
 
     def test_unknown_method_and_shape_mismatch(self):
         h = np.linspace(0.1, 0.9, 10)
-        with pytest.raises(ValueError, match="method"):
+        with pytest.raises(ValueError, match="method") as info:
             fit_nuisances(h, np.zeros(10), np.zeros(10), method="forest")
-        with pytest.raises(ValueError, match="matching shapes"):
+        assert not isinstance(info.value, RunFailure)
+        with pytest.raises(ValueError, match="matching shapes") as info:
             fit_nuisances(h, np.zeros(9), np.zeros(10))
+        assert not isinstance(info.value, RunFailure)
 
     def test_split_indices_partition(self):
         a, b = split_indices(101, seed=4)

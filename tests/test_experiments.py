@@ -168,6 +168,43 @@ class TestRunBias:
         pooled = experiments.run_bias(self.bias_config(threads=2))
         assert serial == pooled
 
+    @pytest.mark.parametrize("threads, reps, cpus, workers, chunk", [
+        (5000, 24, 4, 4, 1),     # no more workers than CPUs
+        (5000, 3, 64, 3, 1),     # nor than replications
+        (3, 100, 8, 3, 4),       # the chunk follows the clamped count
+        (5000, 24, 1, None, None),  # one usable worker runs inline
+    ])
+    def test_pool_is_clamped_to_cpus_and_replications(
+        self, monkeypatch, threads, reps, cpus, workers, chunk
+    ):
+        # a pool forks all its workers at the first task; the fake starts none
+        import concurrent.futures
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                started.append(chunksize)
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        cfg = self.bias_config(threads=threads, reps=reps)
+        serial = experiments.run_bias(self.bias_config(reps=reps))
+        assert experiments.run_bias(cfg) == serial
+        assert started == ([] if workers is None else [workers, chunk] * 2)  # two arms
+
     def test_dr_bias_positive_under_confounding(self):
         # high-noise units arrive first and get served: DR inflates upward
         rows = experiments.run_bias(self.bias_config(reps=60))

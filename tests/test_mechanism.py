@@ -12,11 +12,10 @@ from queuedesign.mechanism import (
     _serve,
     allocate,
     arrival_periods,
-    arrival_ranks,
     make_budgets,
     rationed_shares,
     sample_queues,
-    treated_mass_profile,
+    treated_mass,
     validate_policy,
 )
 from queuedesign.propensity import alpha_from_target, alpha_vector
@@ -93,7 +92,8 @@ class TestAllocate:
         spec = QueueSpec(k=1, p=np.array([1.0]), beta=0.5, tau=2,
                          budgets=np.array([1, 1]))
         trace = allocate(cohort, np.ones(4, dtype=int), spec)
-        assert trace.treat_period.tolist() == [1, 2, 0, 0]
+        # period 1 serves unit 0, period 2 unit 1 ahead of the later arrivals
+        assert trace.treated.tolist() == [True, True, False, False]
 
     def test_saturating_budget_treats_everyone(self):
         cohort = toy_cohort([0.3, 0.7, 0.9], tau=1)
@@ -133,7 +133,10 @@ class TestAllocate:
             queues = rng.integers(1, k + 1, n)
             trace = allocate(cohort, queues, spec)
             s = arrival_periods(arrivals, tau)
-            served_at = trace.treat_period
+            # the per-period checks read the naive loop's periods, whose
+            # served set the allocation must reproduce
+            served_at = naive_allocate_strict(s, stable_ranks(arrivals), queues, budgets)
+            assert np.array_equal(trace.treated, served_at > 0)
             for t in range(1, tau + 1):
                 served_t = int((served_at == t).sum())
                 waiting_t = int(
@@ -259,6 +262,7 @@ class TestClosedFormServe:
         return arrivals, queues, spec
 
     def edges(self, arrivals, queues, spec, tp):
+        """Edges this world hits; ``tp`` holds the naive loop's periods."""
         seen = set()
         if spec.k == 1:
             seen.add("k=1")
@@ -284,25 +288,20 @@ class TestClosedFormServe:
         seen = set()
         for trial in range(300):
             arrivals, queues, spec = self.world(rng, mode)
-            s, ranks = arrival_periods(arrivals, spec.tau), arrival_ranks(arrivals)
-            tp = _serve(spec, s, ranks, queues)
+            s, ranks = arrival_periods(arrivals, spec.tau), stable_ranks(arrivals)
+            served = _serve(spec, s, ranks, queues)
             if mode == "strict":
                 naive = naive_allocate_strict(s, ranks, queues, spec.budgets)
             else:
                 naive = naive_allocate_rationed(s, ranks, queues, spec.caps)
-            assert np.array_equal(tp, naive), f"trial {trial}"
-            # the trace checks periods and per-period budgets
-            AllocationTrace(queues=queues, treat_period=tp, tau=spec.tau, budgets=spec.budgets)
-            served = tp > 0
-            assert np.all(tp[served] >= s[served])
-            per_cell = np.zeros((spec.tau, spec.k), dtype=int)
-            np.add.at(per_cell, (tp[served] - 1, queues[served] - 1), 1)
-            assert np.all(per_cell <= spec.caps)
+            assert np.array_equal(served, naive > 0), f"trial {trial}"
+            # the trace checks per-queue slots and the total budget
+            AllocationTrace(queues=queues, treated=served, spec=spec)
             for q in range(1, spec.k + 1):
-                # FIFO within queue: a better rank is served no later
-                fifo = tp[queues == q][np.argsort(ranks[queues == q])]
-                assert np.all(np.diff(np.where(fifo > 0, fifo, spec.tau + 1)) >= 0)
-            seen |= self.edges(arrivals, queues, spec, tp)
+                # FIFO within queue: every served unit outranks every waiting one
+                mine = queues == q
+                assert ranks[mine & served].max(initial=-1) < ranks[mine & ~served].min(initial=s.size)
+            seen |= self.edges(arrivals, queues, spec, naive)
         assert seen >= self.EDGES | ({"zero shares"} if mode == "rationed" else set())
 
 
@@ -386,35 +385,56 @@ class TestPolicies:
         assert np.all(sample_queues(theta, np.random.default_rng(0)) == 2)
 
 
-def test_treated_mass_profile_cumulative_in_both_axes():
-    cohort = toy_cohort([0.5, 0.6, 1.5, 1.7], tau=2)
-    spec = QueueSpec(k=2, p=np.array([0.5, 0.5]), beta=0.5, tau=2,
-                     budgets=np.array([1, 1]))
-    trace = allocate(cohort, np.array([1, 2, 1, 2]), spec)
-    prof = treated_mass_profile(trace, k=2)
-    # period 1 serves unit 0 (queue 1); period 2 serves unit 2 (queue 1)
-    assert np.allclose(prof[0], [0.25, 0.5])
-    assert np.allclose(prof[1], [0.25, 0.5])
-    assert np.all(np.diff(prof, axis=0) >= -1e-12)
-    assert np.all(np.diff(prof, axis=1) >= -1e-12)
+def test_treated_mass_cumulative_by_tier():
+    cohort = toy_cohort([0.5, 0.6, 1.5, 1.7, 1.8], tau=2)
+    spec = QueueSpec(k=3, p=np.full(3, 1 / 3), beta=0.4, tau=2,
+                     budgets=np.array([1, 2]))
+    trace = allocate(cohort, np.array([1, 2, 1, 2, 3]), spec)
+    # period 1 serves unit 0 (queue 1); period 2 serves unit 2 (queue 1),
+    # then unit 1, the earlier of the two queue-2 units
+    assert trace.treated.tolist() == [True, True, True, False, False]
+    assert treated_mass(trace).tolist() == [2 / 5, 3 / 5, 3 / 5]
 
 
-def test_allocate_with_precomputed_ranks():
-    # a bias cohort carries its FIFO ranks, which allocate reads in place of
-    # ranking the arrivals itself
+class TestAllocationTrace:
+    """A trace refuses a served set its spec could not have produced."""
+
+    def test_refuses_a_queue_served_beyond_its_slots(self):
+        # rationed shares (1, 1): queue 1 has one slot, not two
+        spec = QueueSpec(k=2, p=np.array([0.5, 0.5]), beta=0.5, tau=1,
+                         budgets=np.array([2]), mode="rationed",
+                         alpha_target=np.array([0.6, 0.4]))
+        queues = np.array([1, 2, 1])
+        AllocationTrace(queues=queues, treated=np.array([True, True, False]), spec=spec)
+        with pytest.raises(ValueError, match="beyond its slots"):
+            AllocationTrace(queues=queues, treated=np.array([True, False, True]), spec=spec)
+
+    def test_refuses_service_beyond_the_total_budget(self):
+        # strict: each queue may take the whole budget of 1, but not both
+        spec = QueueSpec(k=2, p=np.array([0.5, 0.5]), beta=0.5, tau=1,
+                         budgets=np.array([1]))
+        queues = np.array([1, 2])
+        AllocationTrace(queues=queues, treated=np.array([False, True]), spec=spec)
+        with pytest.raises(ValueError, match="total budget"):
+            AllocationTrace(queues=queues, treated=np.array([True, True]), spec=spec)
+
+
+def test_allocate_reads_drawn_ranks_as_built_ones():
+    # a bias cohort carries the FIFO ranks its draw made; rebuilt without
+    # them, the cohort ranks its arrivals itself, and allocate serves the same
     cohort = generate_bias_cohort(40, 3, -0.1, seed=64)
-    assert cohort.arrival_ranks is not None
     bare = dataclasses.replace(cohort, arrival_ranks=None)
+    assert np.array_equal(bare.arrival_ranks, cohort.arrival_ranks)
     queues = np.random.default_rng(64).integers(1, 3, size=40)
     for mode, target in (("strict", None), ("rationed", np.array([0.7, 0.3]))):
         spec = QueueSpec.auto(40, k=2, p=np.array([0.5, 0.5]), beta=0.5, tau=3,
                               mode=mode, alpha_target=target)
         given = allocate(cohort, queues, spec)
-        assert np.array_equal(given.treat_period, allocate(bare, queues, spec).treat_period)
+        assert np.array_equal(given.treated, allocate(bare, queues, spec).treated)
 
 
 def test_arrival_ranks_break_ties_by_id():
-    ranks = arrival_ranks(np.array([0.3, 0.1, 0.3]))
+    ranks = stable_ranks(np.array([0.3, 0.1, 0.3]))
     assert ranks.tolist() == [1, 0, 2]
 
 
@@ -433,7 +453,7 @@ def test_arrival_ranks_match_two_key_lexsort():
         order = np.lexsort((np.arange(n), arrival))
         expected = np.empty(n, dtype=np.int64)
         expected[order] = np.arange(n)
-        ranks = arrival_ranks(arrival)
+        ranks = stable_ranks(arrival)
         assert ranks.dtype == np.int64
         assert np.array_equal(ranks, expected)
 
@@ -462,4 +482,3 @@ class TestStableRanks:
         ranks = np.empty(keys.shape[0], dtype=np.int64)
         ranks[np.argsort(keys, kind="stable")] = np.arange(keys.shape[0])
         assert np.array_equal(stable_ranks(keys), ranks)
-        assert np.array_equal(arrival_ranks(keys), ranks)
