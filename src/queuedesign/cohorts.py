@@ -21,7 +21,7 @@ regressions are functions of h alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -168,14 +168,13 @@ def generate_bias_cohort(
     )
 
 
-def outcome_variances(dgp_tag: str, psi: float) -> tuple[Callable, Callable]:
+def outcome_variances(dgp_tag: str, psi: float, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conditional outcome variances (Var(Y(1) | h), Var(Y(0) | h)) of a DGP."""
+    h = np.asarray(h, dtype=float)
     if dgp_tag == "bernoulli":
-        var1 = lambda h: np.maximum((h + psi) * (1.0 - h - psi), 0.0)
-        var0 = lambda h: h * (1.0 - h)
-        return var1, var0
+        return np.maximum((h + psi) * (1.0 - h - psi), 0.0), h * (1.0 - h)
     # U | h ~ Uniform(-0.2h, 0.2h) in both arms: Var = (0.4h)^2 / 12.
-    var = lambda h: (0.2 * np.asarray(h, dtype=float)) ** 2 / 3.0
+    var = (0.2 * h) ** 2 / 3.0
     return var, var
 
 
@@ -190,7 +189,7 @@ def residual_variance(
     h = np.asarray(h, dtype=float)
     if dgp_tag == "bernoulli":
         return pi * (h + psi) * (1 - h - psi) + (1 - pi) * h * (1 - h)
-    return outcome_variances(dgp_tag, psi)[0](h)
+    return outcome_variances(dgp_tag, psi, h)[0]
 
 
 @dataclass(frozen=True)

@@ -51,10 +51,8 @@ MAX_ITERS = 500  # L-BFGS-B iterations on the dual
 # ---------------------------------------------------------------------------
 
 
-def feasible_utility_range(
-    utilities: np.ndarray, alpha: AlphaVector, p: np.ndarray
-) -> tuple[float, float]:
-    """Extremal achievable utilities over policies with column means p.
+def feasible_utility_range(utilities: np.ndarray, alpha: AlphaVector) -> tuple[float, float]:
+    """Extremal achievable utilities over policies with column means alpha.p.
 
     The utility functional is linear with a rank-one coefficient u_i*alpha_k,
     so its extrema over the transportation polytope are the two assortative
@@ -62,20 +60,21 @@ def feasible_utility_range(
     maximizes, matching high u to low alpha minimizes.
     """
     u = np.asarray(utilities, dtype=float)
-    p = np.asarray(p, dtype=float)
     a = alpha.alpha
-    hi = assortative_policy(u, p, best_first=True)
-    lo = assortative_policy(u, p, best_first=False)
+    hi = assortative_policy(u, alpha.p, best_first=True)
+    lo = assortative_policy(u, alpha.p, best_first=False)
     return float(np.mean(u * (lo @ a))), float(np.mean(u * (hi @ a)))
 
 
 @dataclass(frozen=True)
 class DesignProblem:
-    """One instance of the constrained design program."""
+    """One instance of the constrained design program.
+
+    The policy's column means are pinned to the queue shares ``alpha.p``.
+    """
 
     utilities: np.ndarray
     alpha: AlphaVector
-    p: np.ndarray
     utility_floor: float
     regularizer: str = "neg_entropy"
     kappa: Optional[float] = None
@@ -83,9 +82,7 @@ class DesignProblem:
 
     def __post_init__(self):
         u = np.asarray(self.utilities, dtype=float)
-        p = np.asarray(self.p, dtype=float)
         object.__setattr__(self, "utilities", u)
-        object.__setattr__(self, "p", p)
         if u.ndim != 1 or u.shape[0] < 1:
             raise ValueError("utilities must be a nonempty vector")
         if np.any(u <= 0.0) or np.any(u >= 1.0):
@@ -94,12 +91,14 @@ class DesignProblem:
             raise ValueError(f"regularizer must be one of {REGULARIZERS}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if p.shape != self.alpha.p.shape or np.max(np.abs(p - self.alpha.p)) > 1e-9:
-            raise ValueError("p must match the shares the alpha vector was built from")
         if self.kappa is None:
             object.__setattr__(self, "kappa", default_kappa(self))
         if not (self.kappa > 0.0):
             raise ValueError("kappa must be positive (strict convexity)")
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.alpha.p
 
     @property
     def n(self) -> int:
@@ -119,7 +118,7 @@ class DesignProblem:
         return float(self.beta * self.utilities.mean())
 
     def utility_range(self) -> tuple[float, float]:
-        return feasible_utility_range(self.utilities, self.alpha, self.p)
+        return feasible_utility_range(self.utilities, self.alpha)
 
 
 def default_kappa(problem: DesignProblem) -> float:

@@ -13,78 +13,76 @@ Three estimators share the queue-induced randomization:
   population value is a nonnegatively weighted average of pairwise local
   effects across queue margins.
 
-Nuisance functions (outcome means, E[Y|X], and sigma) are either analytic
+Nuisances (outcome means, E[Y|X], and sigma) are values at the estimation
+units, one per unit in the estimator's order.  They are either analytic
 (oracle) or fit on an explicit independent split — never on the estimation
-sample itself.
+sample itself — and the design's propensities enter the same way, so a
+caller computes what its design fixes once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .cohorts import Cohort, EstimateReport, residual_variance, wald_report
+from .cohorts import EstimateReport, residual_variance, wald_report
 from .errors import BoundaryPropensity, PositivityError, RelevanceError, RunFailure
 from .propensity import AlphaVector, instrument_variance, marginal_propensity
 
 SIGMA_FLOOR = 1e-6
 NUISANCE_METHODS = ("oracle", "binned", "polynomial")
 
-Fn = Callable[[np.ndarray], np.ndarray]
-
 
 # ---------------------------------------------------------------------------
-# nuisance functions
+# nuisances
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class NuisanceSet:
-    """Conditional-mean and residual-variance functions of the risk score.
+    """Conditional means and residual variance at the estimation units.
 
     ``mu0``/``mu1`` are E[Y | Z=z, X], ``m`` is E[Y | X], and ``sigma`` is
     the conditional residual variance E[U^2 | X], floored away from zero so
-    the inverse-variance instrument weighting stays finite.
+    the inverse-variance instrument weighting stays finite: one value per
+    unit each, in the estimator's order.
     """
 
-    mu0: Fn
-    mu1: Fn
-    m: Fn
-    sigma: Fn
+    mu0: np.ndarray
+    mu1: np.ndarray
+    m: np.ndarray
+    sigma: np.ndarray
     fit_tag: str
 
     def __post_init__(self):
         if self.fit_tag not in NUISANCE_METHODS:
             raise ValueError(f"fit_tag must be one of {NUISANCE_METHODS}")
+        if len({np.shape(v) for v in (self.mu0, self.mu1, self.m, self.sigma)}) > 1:
+            raise ValueError("mu0, mu1, m and sigma must have equal shapes")
 
 
-def oracle_nuisances(cohort: Cohort, psi: float, pi: np.ndarray | float) -> NuisanceSet:
-    """Analytic nuisance functions for the synthetic data generating processes.
+def oracle_nuisances(
+    h: np.ndarray, dgp_tag: str, psi: float, pi: np.ndarray | float
+) -> NuisanceSet:
+    """Analytic nuisances of a synthetic DGP at the risk scores ``h``.
 
-    ``pi`` holds the design's marginal treatment probabilities at the units
-    the functions are evaluated on (or one shared value); it enters
-    E[Y|X] = mu0 + pi*psi and the residual variance
-    ``cohorts.residual_variance``.
+    ``pi`` holds the design's marginal treatment probabilities at those
+    units (or one shared value); it enters E[Y|X] = mu0 + pi*psi and the
+    residual variance ``cohorts.residual_variance``.
     """
-    mu0 = lambda h: np.asarray(h, dtype=float)
-    mu1 = lambda h: np.asarray(h, dtype=float) + psi
+    h = np.asarray(h, dtype=float)
+    sigma = np.maximum(residual_variance(dgp_tag, psi, h, pi), SIGMA_FLOOR)
+    return NuisanceSet(mu0=h, mu1=h + psi, m=h + psi * pi, sigma=sigma, fit_tag="oracle")
 
-    def m(h):
-        h = np.asarray(h, dtype=float)
-        return h + psi * pi
 
-    def sigma(h):
-        h = np.asarray(h, dtype=float)
-        v = residual_variance(cohort.dgp_tag, psi, h, pi)
-        return np.maximum(v, SIGMA_FLOOR)
-
-    return NuisanceSet(mu0=mu0, mu1=mu1, m=m, sigma=sigma, fit_tag="oracle")
+def _bin_of(x, edges):
+    return np.clip(np.digitize(x, edges[1:-1]), 0, len(edges) - 2)
 
 
 def _binned_mean(train_h, train_y, edges):
-    idx = np.clip(np.digitize(train_h, edges[1:-1]), 0, len(edges) - 2)
+    idx = _bin_of(train_h, edges)
     sums = np.bincount(idx, weights=train_y, minlength=len(edges) - 1)
     counts = np.bincount(idx, minlength=len(edges) - 1)
     return sums, counts
@@ -94,23 +92,26 @@ def fit_nuisances(
     h: np.ndarray,
     z: np.ndarray,
     y: np.ndarray,
+    at: np.ndarray,
     method: str = "binned",
     bins: int = 20,
     degree: int = 3,
 ) -> NuisanceSet:
-    """Fit nuisance functions on an independent sample.
+    """Fit nuisances on an independent sample; return their values at ``at``.
 
     The caller is responsible for passing a split disjoint from the
-    estimation sample.  ``binned`` uses quantile bins of h with per-arm bin
-    means, automatically coarsening (halving the bin count) until every bin
-    contains both treatment arms; ``polynomial`` fits least-squares
-    polynomials in h per arm.  sigma is fit by the same method applied to
-    squared residuals against the pooled fit m-hat, then floored.  A sample
-    too thin for either fit raises ``RunFailure``.
+    estimation sample, whose risk scores are ``at``.  ``binned`` uses
+    quantile bins of h with per-arm bin means, automatically coarsening
+    (halving the bin count) until every bin contains both treatment arms;
+    ``polynomial`` fits least-squares polynomials in h per arm.  sigma is
+    fit by the same method applied to squared residuals against the pooled
+    fit m-hat, then floored.  A sample too thin for either fit raises
+    ``RunFailure``.
     """
     h = np.asarray(h, dtype=float)
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
+    at = np.asarray(at, dtype=float)
     if not (h.shape == z.shape == y.shape):
         raise ValueError("h, z, y must have matching shapes")
     if method == "binned":
@@ -124,27 +125,14 @@ def fit_nuisances(
             s0, c0 = _binned_mean(h[z == 0], y[z == 0], edges)
             sp, cp = _binned_mean(h, y, edges)
             if np.all(c1 > 0) and np.all(c0 > 0):
-                mu1_vals = s1 / c1
-                mu0_vals = s0 / c0
                 m_vals = sp / cp
-
-                def lookup(vals, edges=edges):
-                    def f(hq):
-                        hq = np.asarray(hq, dtype=float)
-                        idx = np.clip(np.digitize(hq, edges[1:-1]), 0, len(edges) - 2)
-                        return vals[idx]
-
-                    return f
-
-                m_fn = lookup(m_vals)
-                resid2 = (y - m_fn(h)) ** 2
-                sr, _ = _binned_mean(h, resid2, edges)
-                sig_vals = np.maximum(sr / cp, SIGMA_FLOOR)
+                sr, _ = _binned_mean(h, (y - m_vals[_bin_of(h, edges)]) ** 2, edges)
+                idx = _bin_of(at, edges)
                 return NuisanceSet(
-                    mu0=lookup(mu0_vals),
-                    mu1=lookup(mu1_vals),
-                    m=m_fn,
-                    sigma=lookup(sig_vals),
+                    mu0=(s0 / c0)[idx],
+                    mu1=(s1 / c1)[idx],
+                    m=m_vals[idx],
+                    sigma=np.maximum(sr / cp, SIGMA_FLOOR)[idx],
                     fit_tag="binned",
                 )
             b //= 2
@@ -156,20 +144,16 @@ def fit_nuisances(
         deg = int(degree)
         if (z == 1).sum() <= deg or (z == 0).sum() <= deg:
             raise RunFailure("too few observations per arm for the polynomial degree")
-
-        def polyfit(xs, ys):
-            coeffs = np.polynomial.polynomial.polyfit(xs, ys, deg)
-            return lambda hq: np.polynomial.polynomial.polyval(
-                np.asarray(hq, dtype=float), coeffs
-            )
-
-        mu1 = polyfit(h[z == 1], y[z == 1])
-        mu0 = polyfit(h[z == 0], y[z == 0])
-        m_fn = polyfit(h, y)
-        resid2 = (y - m_fn(h)) ** 2
-        sig_raw = polyfit(h, resid2)
-        sigma = lambda hq: np.maximum(sig_raw(hq), SIGMA_FLOOR)
-        return NuisanceSet(mu0=mu0, mu1=mu1, m=m_fn, sigma=sigma, fit_tag="polynomial")
+        poly = np.polynomial.polynomial
+        m_coeffs = poly.polyfit(h, y, deg)
+        resid2 = (y - poly.polyval(h, m_coeffs)) ** 2
+        return NuisanceSet(
+            mu0=poly.polyval(at, poly.polyfit(h[z == 0], y[z == 0], deg)),
+            mu1=poly.polyval(at, poly.polyfit(h[z == 1], y[z == 1], deg)),
+            m=poly.polyval(at, m_coeffs),
+            sigma=np.maximum(poly.polyval(at, poly.polyfit(h, resid2, deg)), SIGMA_FLOOR),
+            fit_tag="polynomial",
+        )
     raise ValueError("method must be 'binned' or 'polynomial'")
 
 
@@ -187,24 +171,17 @@ def split_indices(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dr_influence(
-    h: np.ndarray,
-    z: np.ndarray,
-    y: np.ndarray,
-    propensities: np.ndarray,
-    nuisances: NuisanceSet,
+    z: np.ndarray, y: np.ndarray, pi: np.ndarray, nuisances: NuisanceSet
 ) -> np.ndarray:
     """Per-unit efficient-influence contributions for the DR ATE."""
-    m1 = nuisances.mu1(h)
-    m0 = nuisances.mu0(h)
-    pi = np.asarray(propensities, dtype=float)
+    m1, m0 = nuisances.mu1, nuisances.mu0
     return m1 - m0 + z * (y - m1) / pi - (1 - z) * (y - m0) / (1 - pi)
 
 
 def estimate_dr_ate(
-    h: np.ndarray,
     z: np.ndarray,
     y: np.ndarray,
-    propensities: np.ndarray,
+    pi: np.ndarray,
     nuisances: NuisanceSet,
     gamma: float = 0.01,
     bootstrap_reps: Optional[int] = None,
@@ -212,16 +189,16 @@ def estimate_dr_ate(
 ) -> EstimateReport:
     """Doubly robust ATE with augmented inverse-propensity weighting.
 
+    ``pi`` holds the design's marginal treatment probabilities at the units.
     Positivity gamma <= pi_i <= 1 - gamma must hold for every unit: a
     violation means the design treats some units (almost) deterministically
     and the ATE is not identified from it, so the error names the offenders
     rather than returning an arbitrarily noisy number.
     """
-    h = np.asarray(h, dtype=float)
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
-    pi = np.asarray(propensities, dtype=float)
-    n = h.shape[0]
+    pi = np.asarray(pi, dtype=float)
+    n = z.shape[0]
     if not (0.0 <= gamma < 0.5):
         raise ValueError("gamma must lie in [0, 0.5)")
     bad = np.nonzero((pi < gamma) | (pi > 1 - gamma))[0]
@@ -233,48 +210,39 @@ def estimate_dr_ate(
             "propensities outside [gamma, 1-gamma]; the design is too "
             "deterministic for ATE estimation"
         )
-    phi = dr_influence(h, z, y, pi, nuisances)
+    phi = dr_influence(z, y, pi, nuisances)
     point = float(phi.mean())
     if bootstrap_reps is None:
         se = float(phi.std(ddof=1) / np.sqrt(n))
         return wald_report(point, se, n, "dr_ate")
     boot = multiplier_bootstrap(phi, reps=bootstrap_reps, seed=seed)
     return EstimateReport(
-        point=point,
-        se=boot.se,
-        ci_low=boot.ci_low,
-        ci_high=boot.ci_high,
-        n=n,
-        method="dr_ate",
-        bootstrap_reps=int(bootstrap_reps),
+        point=point, se=boot.se, ci_low=boot.ci_low, ci_high=boot.ci_high,
+        n=n, method="dr_ate", bootstrap_reps=int(bootstrap_reps),
     )
 
 
 def estimate_pliv(
-    h: np.ndarray,
     z: np.ndarray,
     y: np.ndarray,
-    queues: np.ndarray,
-    theta: np.ndarray,
-    alpha: AlphaVector,
+    r: np.ndarray,
+    pi: np.ndarray,
+    ivar: np.ndarray,
     nuisances: NuisanceSet,
     relevance_floor: float = 1e-8,
 ) -> EstimateReport:
     """Partially linear IV estimate using the variance-weighted queue residual.
 
-    The instrument is zeta_i = alpha_{Q_i} - pi(theta_i), centered by
-    construction given X, and weighted by 1/sigma(X).  Identification only
-    needs the queue draw to be independent of the disturbance given X, so
-    the estimate is consistent even when arrival order is confounded.
+    The instrument is r_i = alpha_{Q_i} - pi(theta_i), centered by
+    construction given X, and weighted by 1/sigma(X); ``pi`` and ``ivar``
+    are the design's marginal propensities and instrument variances
+    Var(alpha_Q | X) (``instrument_variance``) at the units.  Identification
+    only needs the queue draw to be independent of the disturbance given X,
+    so the estimate is consistent even when arrival order is confounded.
     """
-    h = np.asarray(h, dtype=float)
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
-    queues = np.asarray(queues, dtype=int)
-    theta = np.asarray(theta, dtype=float)
-    n = h.shape[0]
-    pi = marginal_propensity(theta, alpha)
-    ivar = instrument_variance(theta, alpha)
+    n = z.shape[0]
     expected_sq = float(np.mean(ivar))
     if expected_sq < relevance_floor:
         raise RelevanceError(
@@ -282,12 +250,12 @@ def estimate_pliv(
             f"{expected_sq:.3e} < floor {relevance_floor:.3e}; the design has "
             "no usable queue randomization"
         )
-    sig = nuisances.sigma(h)
-    f = (alpha.alpha[queues - 1] - pi) / sig
+    sig = nuisances.sigma
+    f = r / sig
     den = float(np.mean(f * (z - pi)))
     if den == 0.0:
         raise RunFailure("realized instrument-treatment covariance is zero")
-    num = float(np.mean(f * (y - nuisances.m(h))))
+    num = float(np.mean(f * (y - nuisances.m)))
     point = num / den
     # asymptotic variance: inverse of the design-expected information, which
     # is instrument_information(theta, alpha, sig) from the variance above
@@ -321,35 +289,29 @@ def estimate_iv_ratio(
 
 
 def dr_variance_terms(
-    h: np.ndarray, theta: np.ndarray, alpha: AlphaVector, var1: Fn, var0: Fn, cate: Fn
+    theta: np.ndarray, alpha: AlphaVector, var1: np.ndarray, var0: np.ndarray, cate: np.ndarray
 ) -> np.ndarray:
     """Per-unit terms of the DR ATE's asymptotic variance under (theta, alpha).
 
-    Var(Y|1,X)/pi + Var(Y|0,X)/(1-pi) + (tau(X) - mean tau)^2 at each of the
-    cohort's risk scores; their mean is ``variance_dr_formula``.
+    Var(Y|1,X)/pi + Var(Y|0,X)/(1-pi) + (tau(X) - mean tau)^2, from the
+    outcome variances ``var1``/``var0`` and effects ``cate`` at each of the
+    cohort's units; their mean is ``variance_dr_formula``.
     """
-    h = np.asarray(h, dtype=float)
     pi = marginal_propensity(theta, alpha)
     if np.any(pi <= 0.0) or np.any(pi >= 1.0):
         raise BoundaryPropensity("propensities on the boundary: DR variance undefined")
-    effects = cate(h)
-    return var1(h) / pi + var0(h) / (1.0 - pi) + (effects - effects.mean()) ** 2
+    return var1 / pi + var0 / (1.0 - pi) + (cate - cate.mean()) ** 2
 
 
 def variance_dr_formula(
-    h: np.ndarray,
-    theta: np.ndarray,
-    alpha: AlphaVector,
-    var1: Fn,
-    var0: Fn,
-    cate: Fn,
+    theta: np.ndarray, alpha: AlphaVector, var1: np.ndarray, var0: np.ndarray, cate: np.ndarray
 ) -> float:
     """Asymptotic variance of the DR ATE under the design (theta, alpha).
 
     E[Var(Y|1,X)/pi + Var(Y|0,X)/(1-pi)] + Var(E[Y|1,X] - E[Y|0,X]),
-    evaluated over the cohort's empirical risk scores.
+    averaged over the cohort's units.
     """
-    return float(np.mean(dr_variance_terms(h, theta, alpha, var1, var0, cate)))
+    return float(np.mean(dr_variance_terms(theta, alpha, var1, var0, cate)))
 
 
 def instrument_information(
@@ -363,16 +325,12 @@ def instrument_information(
     return instrument_variance(theta, alpha) / sigma
 
 
-def variance_pliv_formula(
-    h: np.ndarray, theta: np.ndarray, alpha: AlphaVector, sigma: Fn
-) -> float:
+def variance_pliv_formula(theta: np.ndarray, alpha: AlphaVector, sigma: np.ndarray) -> float:
     """Asymptotic variance of the weighted-IV estimator.
 
-    Inverse of the mean ``instrument_information`` over the empirical risk
-    scores.
+    Inverse of the mean ``instrument_information`` over the cohort's units.
     """
-    sig = sigma(np.asarray(h, dtype=float))
-    info = float(np.mean(instrument_information(theta, alpha, sig)))
+    info = float(np.mean(instrument_information(theta, alpha, sigma)))
     if info <= 0.0:
         raise RelevanceError(
             "instrument relevance failure: expected squared residual is zero "

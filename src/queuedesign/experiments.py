@@ -63,7 +63,7 @@ from .mechanism import (
     treated_mass,
 )
 from .policies import greedy_softmax_policy, rct_policy, switch_policy
-from .propensity import marginal_propensity
+from .propensity import instrument_variance, marginal_propensity
 from .counterfactual import mc_propensities
 
 FRONTIER_COLUMNS = (
@@ -129,11 +129,12 @@ def _set_context(ctx: dict):
 # ---------------------------------------------------------------------------
 
 
-def _frontier_row(method, param, theta, h, alpha, lens, band_reps, band_seed, status):
+def _frontier_row(method, param, theta, h, alpha, objective, lens, band_reps, band_seed, status):
     """Score one policy by its estimator's variance formula, with a band.
 
-    The proxy is ``variance_dr_formula`` under the exogenous lens and
-    ``variance_pliv_formula`` under the endogenous one.  The band is a
+    The proxy is ``variance_dr_formula`` under the exogenous objective and
+    ``variance_pliv_formula`` under the endogenous one; ``lens`` holds the
+    per-unit values the formula reads after (theta, alpha).  The band is a
     multiplier bootstrap of the per-unit terms each formula averages:
     ``dr_variance_terms``, or ``instrument_information``, whose interval for
     mean(info) is inverted for the proxy 1/mean(info) (bounds swap sides).
@@ -142,15 +143,14 @@ def _frontier_row(method, param, theta, h, alpha, lens, band_reps, band_seed, st
     """
     utility = float(np.mean(h * marginal_propensity(theta, alpha)))
     try:
-        if lens["objective"] == "exogenous":
-            fns = lens["var1"], lens["var0"], lens["cate"]
-            proxy = variance_dr_formula(h, theta, alpha, *fns)
-            terms = dr_variance_terms(h, theta, alpha, *fns)
+        if objective == "exogenous":
+            proxy = variance_dr_formula(theta, alpha, *lens)
+            terms = dr_variance_terms(theta, alpha, *lens)
             boot = multiplier_bootstrap(terms, reps=band_reps, seed=band_seed)
             lo, hi = boot.ci_low, boot.ci_high
         else:
-            proxy = variance_pliv_formula(h, theta, alpha, lens["sigma"])
-            info = instrument_information(theta, alpha, lens["sigma"](h))
+            proxy = variance_pliv_formula(theta, alpha, *lens)
+            info = instrument_information(theta, alpha, *lens)
             boot = multiplier_bootstrap(info, reps=band_reps, seed=band_seed)
             lo = 1.0 / boot.ci_high if boot.ci_high > 0 else float("inf")
             hi = 1.0 / boot.ci_low if boot.ci_low > 0 else float("inf")
@@ -175,17 +175,16 @@ def run_pareto(config: RunConfig):
     h = cohort.h
     alpha = config.mechanism.queue_spec(cohort.n, cohort.tau).alpha
 
-    var1, var0 = outcome_variances(cfg_c.dgp, psi)
-    # the instrument lens evaluates sigma at the budget share beta: it is
-    # policy independent, which keeps the lens comparable across rows
-    sigma = lambda x: np.maximum(residual_variance(cfg_c.dgp, psi, x, beta), SIGMA_FLOOR)
-    lens = {
-        "objective": cfg_d.objective, "var1": var1, "var0": var0,
-        "cate": lambda x: np.full(np.shape(x), psi, dtype=float), "sigma": sigma,
-    }
+    if cfg_d.objective == "exogenous":
+        # outcome variances and the constant effect psi at each unit
+        lens = (*outcome_variances(cfg_c.dgp, psi, h), np.full(h.shape, psi))
+    else:
+        # sigma at the budget share beta: it is policy independent, which
+        # keeps the lens comparable across rows
+        lens = (np.maximum(residual_variance(cfg_c.dgp, psi, h, beta), SIGMA_FLOOR),)
     band_reps = config.estimation.bootstrap_reps
 
-    c_hi = feasible_utility_range(h, alpha, p)[1]
+    c_hi = feasible_utility_range(h, alpha)[1]
     c_rct = beta * float(h.mean())
     if cfg_d.c_grid is not None:
         c_grid = np.asarray(cfg_d.c_grid, dtype=float)
@@ -193,7 +192,7 @@ def run_pareto(config: RunConfig):
         c_grid = np.linspace(c_rct, c_hi, cfg_d.c_grid_size)
 
     problem = DesignProblem(
-        utilities=h, alpha=alpha, p=p, utility_floor=c_rct,
+        utilities=h, alpha=alpha, utility_floor=c_rct,
         regularizer=cfg_d.regularizer, kappa=cfg_d.kappa, objective=cfg_d.objective,
     )
     # (method, parameter, policy, status); an infeasible floor has no policy,
@@ -213,7 +212,7 @@ def run_pareto(config: RunConfig):
     rows = [
         (method, float(param), nan, nan, nan, nan, status) if theta is None
         else _frontier_row(
-            method, param, theta, h, alpha, lens, band_reps,
+            method, param, theta, h, alpha, cfg_d.objective, lens, band_reps,
             _derived_seed(cfg_e.seed, STREAM_BAND_BOOTSTRAP, row_id), status,
         )
         for row_id, (method, param, theta, status) in enumerate(candidates)
@@ -262,22 +261,20 @@ def _bias_rep(rep: int):
         z = allocate(cohort, queues, spec).z
         return queues, z, np.where(z, cohort.y1, cohort.y0)
 
-    theta_endo = ctx["theta_endo"]
-    queues, z, y = realize(theta_endo, STREAM_BIAS_ENDOGENOUS_QUEUES)
-    nuis = oracle_nuisances(cohort, psi, ctx["pi_endo"])
+    queues, z, y = realize(ctx["theta_endo"], STREAM_BIAS_ENDOGENOUS_QUEUES)
+    pi = ctx["pi_endo"]
+    r = spec.alpha.alpha[queues - 1] - pi
     try:
         pliv = estimate_pliv(
-            cohort.h, z, y, queues, theta_endo, spec.alpha, nuis,
+            z, y, r, pi, ctx["ivar_endo"], ctx["nuis_endo"],
             relevance_floor=ctx["relevance_floor"],
         ).point
     except RunFailure:
         pliv = float("nan")
 
     _, z, y = realize(ctx["theta_exo"], STREAM_BIAS_EXOGENOUS_QUEUES)
-    pi = ctx["pi_exo"]
-    nuis = oracle_nuisances(cohort, psi, pi)
     try:
-        dr = estimate_dr_ate(cohort.h, z, y, pi, nuis, gamma=ctx["gamma"]).point
+        dr = estimate_dr_ate(z, y, ctx["pi_exo"], ctx["nuis_exo"], gamma=ctx["gamma"]).point
     except RunFailure:
         dr = float("nan")
     return pliv, dr
@@ -302,6 +299,16 @@ def run_bias(config: RunConfig):
     mech = config.mechanism
     if mech.k != 2:
         raise ConfigError("config key 'mechanism.k': the bias study is defined for k=2 queues")
+    # keys the study would otherwise ignore: it always draws partially linear
+    # cohorts and rations at each arm's alpha target
+    if cfg_c.dgp != "partially_linear":
+        raise ConfigError("config key 'cohort.dgp': the bias study draws partially_linear cohorts")
+    for key in ("budgets", "alpha_target"):
+        if getattr(mech, key) is not None:
+            raise ConfigError(
+                f"config key 'mechanism.{key}': the bias study rations at the "
+                "alpha targets of design.bias_arms"
+            )
     n, tau, psi = cfg_c.n, cfg_c.tau, cfg_c.psi
     p = np.asarray(mech.p, dtype=float)
     beta = mech.beta
@@ -324,25 +331,30 @@ def run_bias(config: RunConfig):
             n, k=mech.k, p=p, beta=beta, tau=tau,
             mode="rationed", alpha_target=np.array([top, second]),
         )
-    c_end = min(feasible_utility_range(h, spec.alpha, p)[1] for spec in specs.values())
+    c_end = min(feasible_utility_range(h, spec.alpha)[1] for spec in specs.values())
 
     rows = []
     for arm_id, (top, frac) in enumerate(cfg_d.bias_arms):
         spec = specs[top]
         c = c_rct + frac * (c_end - c_rct)
         problem = DesignProblem(
-            utilities=h, alpha=spec.alpha, p=p, utility_floor=c,
+            utilities=h, alpha=spec.alpha, utility_floor=c,
             regularizer=cfg_d.regularizer, kappa=cfg_d.kappa, objective="endogenous",
         )
         theta_endo = optimize_endogenous(problem).policy
         # keeps the endogenous kappa resolved above, not the exogenous default
         theta_exo = optimize_exogenous(problem).policy
 
-        # everything a replication reads that does not depend on its draws
+        # everything a replication reads that does not depend on its draws;
+        # the nuisances are those of the partially linear cohorts it draws
+        pi_endo = marginal_propensity(theta_endo, spec.alpha)
+        pi_exo = marginal_propensity(theta_exo, spec.alpha)
         ctx = {
             "h": h, "theta_endo": theta_endo, "theta_exo": theta_exo,
-            "pi_endo": marginal_propensity(theta_endo, spec.alpha),
-            "pi_exo": marginal_propensity(theta_exo, spec.alpha),
+            "pi_endo": pi_endo, "pi_exo": pi_exo,
+            "ivar_endo": instrument_variance(theta_endo, spec.alpha),
+            "nuis_endo": oracle_nuisances(h, "partially_linear", psi, pi_endo),
+            "nuis_exo": oracle_nuisances(h, "partially_linear", psi, pi_exo),
             "spec": spec, "psi": psi,
             "gamma": config.estimation.gamma,
             "relevance_floor": config.estimation.relevance_floor,
@@ -444,24 +456,25 @@ def run_estimate(config: RunConfig):
     z = allocate(cohort, queues, spec).z
     y = np.where(z, cohort.y1, cohort.y0)
     pi = marginal_propensity(theta, alpha)
+    r = alpha.alpha[queues - 1] - pi
+    ivar = instrument_variance(theta, alpha)
 
     fit_failure = None
     if est.nuisance_method == "oracle":
         eval_idx = np.arange(n)
-        nuis = oracle_nuisances(cohort, psi, pi[eval_idx])
+        nuis = oracle_nuisances(cohort.h, cohort.dgp_tag, psi, pi)
     else:
         # Split fit: nuisances learned on one half, estimates on the other,
         # so estimation errors stay first-order orthogonal to fitting noise.
         fit_idx, eval_idx = split_indices(n, seed)
         try:
             nuis = fit_nuisances(
-                cohort.h[fit_idx], z[fit_idx], y[fit_idx],
+                cohort.h[fit_idx], z[fit_idx], y[fit_idx], cohort.h[eval_idx],
                 method=est.nuisance_method, bins=est.bins, degree=est.degree,
             )
         except RunFailure as err:
             fit_failure = err
-    he, ze, ye = cohort.h[eval_idx], z[eval_idx], y[eval_idx]
-    qe, te, pe = queues[eval_idx], theta[eval_idx], pi[eval_idx]
+    ze, ye, re, pe, ve = (v[eval_idx] for v in (z, y, r, pi, ivar))
 
     nan = float("nan")
     rows = []
@@ -471,17 +484,16 @@ def run_estimate(config: RunConfig):
                 raise fit_failure  # the IV ratio reads no nuisance
             if name == "dr_ate":
                 report = estimate_dr_ate(
-                    he, ze, ye, pe, nuis, gamma=est.gamma,
+                    ze, ye, pe, nuis, gamma=est.gamma,
                     bootstrap_reps=est.bootstrap_reps, seed=seed,
                 )
             elif name == "pliv":
                 report = estimate_pliv(
-                    he, ze, ye, qe, te, alpha, nuis,
+                    ze, ye, re, pe, ve, nuis,
                     relevance_floor=est.relevance_floor,
                 )
             else:
-                r = alpha.alpha[qe - 1] - pe
-                report = estimate_iv_ratio(ye, ze, r)
+                report = estimate_iv_ratio(ye, ze, re)
         except RunFailure as err:
             status = err.status
         else:

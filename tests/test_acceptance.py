@@ -180,10 +180,6 @@ class TestDrCalibration:
         theta = rct_policy(n, p)
         pi = marginal_propensity(theta, alpha)
 
-        var1 = lambda h: (h + PSI) * (1 - h - PSI)
-        var0 = lambda h: h * (1 - h)
-        cate = lambda h: np.full_like(h, PSI)
-
         points = np.empty(reps)
         covered = np.empty(reps, dtype=bool)
         plugin = np.empty(reps)
@@ -196,11 +192,13 @@ class TestDrCalibration:
             trace = allocate(cohort, sample_queues(theta, rng), spec)
             z = trace.z.astype(float)
             y = np.where(trace.z, cohort.y1, cohort.y0)
-            nuis = oracle_nuisances(cohort, PSI, pi)
-            report = estimate_dr_ate(cohort.h, z, y, pi, nuis)
+            nuis = oracle_nuisances(cohort.h, cohort.dgp_tag, PSI, pi)
+            report = estimate_dr_ate(z, y, pi, nuis)
             points[rep] = report.point
             covered[rep] = report.ci_low <= PSI <= report.ci_high
-            plugin[rep] = variance_dr_formula(cohort.h, theta, alpha, var1, var0, cate)
+            h = cohort.h
+            var1, var0 = (h + PSI) * (1 - h - PSI), h * (1 - h)
+            plugin[rep] = variance_dr_formula(theta, alpha, var1, var0, np.full_like(h, PSI))
         elapsed = time.monotonic() - start
 
         bias = points.mean() - PSI
@@ -280,7 +278,7 @@ class TestDesignOptimization:
         h = default_h_law(rng, n)
         alpha = alpha_vector(beta, p)
         problem = DesignProblem(
-            utilities=h, alpha=alpha, p=p, utility_floor=beta * float(h.mean()),
+            utilities=h, alpha=alpha, utility_floor=beta * float(h.mean()),
             objective="exogenous",
         )
 
@@ -312,18 +310,17 @@ class TestDesignOptimization:
         h = default_h_law(rng, n)
         alpha = alpha_vector(beta, p)
         c_rct = beta * float(h.mean())
-        _, c_hi = feasible_utility_range(h, alpha, p)
+        _, c_hi = feasible_utility_range(h, alpha)
         grid = np.linspace(c_rct, c_hi, 10)
 
-        var1 = lambda x: (x + PSI) * (1 - x - PSI)
-        var0 = lambda x: x * (1 - x)
-        cate = lambda x: np.full_like(x, PSI)
-        sigma = lambda x: np.maximum(0.04 * x * x / 3.0, 1e-4)
+        var1 = (h + PSI) * (1 - h - PSI)
+        var0 = h * (1 - h)
+        cate = np.full_like(h, PSI)
+        sigma = np.maximum(0.04 * h * h / 3.0, 1e-4)
 
         for objective in ("exogenous", "endogenous"):
             problem = DesignProblem(
-                utilities=h, alpha=alpha, p=p, utility_floor=c_rct,
-                objective=objective,
+                utilities=h, alpha=alpha, utility_floor=c_rct, objective=objective,
             )
             proxies = []
             for c, sol in zip(grid, pareto_sweep(problem, grid)):
@@ -332,9 +329,9 @@ class TestDesignOptimization:
                 assert np.max(np.abs(sol.policy.mean(axis=0) - p)) <= 1e-6
                 try:
                     if objective == "exogenous":
-                        proxy = variance_dr_formula(h, sol.policy, alpha, var1, var0, cate)
+                        proxy = variance_dr_formula(sol.policy, alpha, var1, var0, cate)
                     else:
-                        proxy = variance_pliv_formula(h, sol.policy, alpha, sigma)
+                        proxy = variance_pliv_formula(sol.policy, alpha, sigma)
                 except RunFailure:
                     proxy = float("inf")
                 proxies.append(proxy)

@@ -66,9 +66,7 @@ def tv_distance(a, b):
 class TestFeasibleRange:
     def test_two_unit_example(self):
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
-        lo, hi = feasible_utility_range(
-            np.array([0.2, 0.8]), alpha, np.array([0.5, 0.5])
-        )
+        lo, hi = feasible_utility_range(np.array([0.2, 0.8]), alpha)
         assert lo == pytest.approx(0.1, abs=1e-12)
         assert hi == pytest.approx(0.4, abs=1e-12)
 
@@ -76,7 +74,7 @@ class TestFeasibleRange:
         # any policy with column means p treats a beta fraction on average
         alpha = alpha_vector(0.4, np.array([0.3, 0.7]))
         u = np.full(17, 0.3)
-        lo, hi = feasible_utility_range(u, alpha, np.array([0.3, 0.7]))
+        lo, hi = feasible_utility_range(u, alpha)
         assert lo == pytest.approx(0.4 * 0.3, abs=1e-12)
         assert hi == pytest.approx(0.4 * 0.3, abs=1e-12)
 
@@ -84,7 +82,7 @@ class TestFeasibleRange:
         u = random_utilities(101, seed=0)
         p = np.array([0.5, 0.5])
         alpha = alpha_vector(0.5, p)
-        lo, hi = feasible_utility_range(u, alpha, p)
+        lo, hi = feasible_utility_range(u, alpha)
         rct = 0.5 * u.mean()
         assert lo < rct < hi
 
@@ -209,7 +207,6 @@ def make_problem(n=400, beta=0.5, k=2, seed=0, **kwargs):
     defaults = dict(
         utilities=u,
         alpha=alpha,
-        p=p,
         utility_floor=float(beta * u.mean()),
         objective="exogenous",
     )
@@ -219,19 +216,16 @@ def make_problem(n=400, beta=0.5, k=2, seed=0, **kwargs):
 
 class TestDesignProblem:
     def test_validation_errors(self):
-        p = np.array([0.5, 0.5])
-        alpha = alpha_vector(0.5, p)
+        alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
         u = random_utilities(10, seed=6)
         with pytest.raises(ValueError, match="regularizer"):
-            DesignProblem(u, alpha, p, 0.1, regularizer="ridge")
+            DesignProblem(u, alpha, 0.1, regularizer="ridge")
         with pytest.raises(ValueError, match="objective"):
-            DesignProblem(u, alpha, p, 0.1, objective="both")
+            DesignProblem(u, alpha, 0.1, objective="both")
         with pytest.raises(ValueError, match="kappa"):
-            DesignProblem(u, alpha, p, 0.1, kappa=-1.0)
+            DesignProblem(u, alpha, 0.1, kappa=-1.0)
         with pytest.raises(ValueError, match="utilities"):
-            DesignProblem(np.array([0.0, 0.5]), alpha, p, 0.1)
-        with pytest.raises(ValueError, match="match"):
-            DesignProblem(u, alpha, np.array([0.4, 0.6]), 0.1)
+            DesignProblem(np.array([0.0, 0.5]), alpha, 0.1)
 
     def test_default_kappa_tracks_objective_scale(self):
         prob = make_problem(beta=0.5, k=2)
@@ -304,7 +298,7 @@ class TestOptimizeExogenous:
     def test_constant_alpha_rejected(self):
         alpha = alpha_vector(0.5, np.array([1.0]))
         u = random_utilities(20, seed=10)
-        prob = DesignProblem(u, alpha, np.array([1.0]), 0.1)
+        prob = DesignProblem(u, alpha, 0.1)
         with pytest.raises(ValueError, match="constant|equal"):
             optimize_exogenous(prob)
 
@@ -340,7 +334,7 @@ class TestOptimizeEndogenous:
     def test_degenerate_alpha_rejected(self):
         alpha = alpha_vector(0.5, np.array([1.0]))
         u = random_utilities(20, seed=13)
-        prob = DesignProblem(u, alpha, np.array([1.0]), 0.1, objective="endogenous")
+        prob = DesignProblem(u, alpha, 0.1, objective="endogenous")
         with pytest.raises(ValueError, match="degenerate"):
             optimize_endogenous(prob)
 
@@ -381,23 +375,20 @@ class TestObjectiveGeometry:
 # ---------------------------------------------------------------------------
 
 
-def oracle_variance_fns(psi=-0.1):
-    var1 = lambda h: np.clip((np.asarray(h) + psi) * (1 - np.asarray(h) - psi), 0, None)
-    var0 = lambda h: np.asarray(h) * (1 - np.asarray(h))
-    cate = lambda h: np.full(np.shape(h), psi)
-    sigma = lambda h: (0.4 * np.asarray(h)) ** 2 / 12.0
-    return var1, var0, cate, sigma
+def oracle_variance_values(h, psi=-0.1):
+    var1 = np.clip((h + psi) * (1 - h - psi), 0, None)
+    return var1, h * (1 - h), np.full(np.shape(h), psi), (0.4 * h) ** 2 / 12.0
 
 
 def lens_variance(prob, policy):
     """The objective's estimator variance of one policy, as the frontier
     scores it; inf where the formula has no finite value (the deterministic
     extreme)."""
-    var1, var0, cate, sigma = oracle_variance_fns()
+    var1, var0, cate, sigma = oracle_variance_values(prob.utilities)
     try:
         if prob.objective == "exogenous":
-            return variance_dr_formula(prob.utilities, policy, prob.alpha, var1, var0, cate)
-        return variance_pliv_formula(prob.utilities, policy, prob.alpha, sigma)
+            return variance_dr_formula(policy, prob.alpha, var1, var0, cate)
+        return variance_pliv_formula(policy, prob.alpha, sigma)
     except RunFailure:
         return float("inf")
 

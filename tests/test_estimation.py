@@ -29,6 +29,8 @@ from queuedesign.propensity import (
     PropensityTable,
     alpha_from_target,
     alpha_vector,
+    instrument_variance,
+    marginal_propensity,
 )
 
 from identification_oracles import (
@@ -47,6 +49,13 @@ def rct_theta(n, k=2):
 
 def realized_outcomes(cohort, z):
     return np.where(z > 0.5, cohort.y1, cohort.y0)
+
+
+def pliv(z, y, queues, theta, alpha, nuis, **kwargs):
+    """``estimate_pliv`` with the design's per-unit values built from (theta, alpha)."""
+    pi = marginal_propensity(theta, alpha)
+    r = alpha.alpha[np.asarray(queues) - 1] - pi
+    return estimate_pliv(z, y, r, pi, instrument_variance(theta, alpha), nuis, **kwargs)
 
 
 def exogenous_linear_cohort(n, psi, seed):
@@ -76,15 +85,16 @@ class TestFitNuisances:
         h = rng.uniform(0.1, 0.9, size=500)
         z = (rng.uniform(size=500) < 0.5).astype(float)
         y = np.full(500, 0.37)
-        nuis = fit_nuisances(h, z, y, method="binned", bins=16)
         hq = rng.uniform(0.1, 0.9, size=50)
-        assert np.allclose(nuis.mu0(hq), 0.37, atol=1e-12)
-        assert np.allclose(nuis.mu1(hq), 0.37, atol=1e-12)
-        assert np.allclose(nuis.m(hq), 0.37, atol=1e-12)
+        nuis = fit_nuisances(h, z, y, hq, method="binned", bins=16)
+        assert np.allclose(nuis.mu0, 0.37, atol=1e-12)
+        assert np.allclose(nuis.mu1, 0.37, atol=1e-12)
+        assert np.allclose(nuis.m, 0.37, atol=1e-12)
         # zero residuals leave only the floor
-        assert np.all(nuis.sigma(hq) == 1e-6)
+        assert np.all(nuis.sigma == 1e-6)
         # and the DR estimate of a null effect is zero to rounding
-        rep = estimate_dr_ate(h, z, y, np.full(500, 0.5), nuis)
+        nuis = fit_nuisances(h, z, y, h, method="binned", bins=16)
+        rep = estimate_dr_ate(z, y, np.full(500, 0.5), nuis)
         assert rep.point == pytest.approx(0.0, abs=1e-12)
         assert rep.se <= 1e-12
 
@@ -95,10 +105,10 @@ class TestFitNuisances:
         mu0 = 0.1 + 0.3 * h - 0.2 * h**2
         mu1 = 0.2 + 0.1 * h + 0.15 * h**3
         y = np.where(z == 1, mu1, mu0)
-        nuis = fit_nuisances(h, z, y, method="polynomial", degree=3)
         hq = np.linspace(0.15, 0.85, 20)
-        assert np.allclose(nuis.mu0(hq), 0.1 + 0.3 * hq - 0.2 * hq**2, atol=1e-8)
-        assert np.allclose(nuis.mu1(hq), 0.2 + 0.1 * hq + 0.15 * hq**3, atol=1e-8)
+        nuis = fit_nuisances(h, z, y, hq, method="polynomial", degree=3)
+        assert np.allclose(nuis.mu0, 0.1 + 0.3 * hq - 0.2 * hq**2, atol=1e-8)
+        assert np.allclose(nuis.mu1, 0.2 + 0.1 * hq + 0.15 * hq**3, atol=1e-8)
         assert nuis.fit_tag == "polynomial"
 
     def test_binned_mse_decreases_with_fit_sample_size(self):
@@ -110,8 +120,8 @@ class TestFitNuisances:
             rng = np.random.default_rng(np.random.SeedSequence([seed, 12]))
             z = (rng.uniform(size=n) < 0.5).astype(float)
             y = realized_outcomes(cohort, z)
-            nuis = fit_nuisances(cohort.h, z, y, method="binned", bins=20)
-            return float(np.mean((nuis.mu0(hq) - hq) ** 2))
+            nuis = fit_nuisances(cohort.h, z, y, hq, method="binned", bins=20)
+            return float(np.mean((nuis.mu0 - hq) ** 2))
 
         small = np.mean([fit_mse(1_000, s) for s in range(3)])
         large = np.mean([fit_mse(10_000, s) for s in range(3)])
@@ -123,11 +133,11 @@ class TestFitNuisances:
         z = np.zeros(40)
         z[[5, 31]] = 1.0
         y = rng.uniform(size=40)
-        nuis = fit_nuisances(h, z, y, method="binned", bins=16)
+        nuis = fit_nuisances(h, z, y, np.array([0.5]), method="binned", bins=16)
         assert nuis.fit_tag == "binned"
         # with two treated units the fit must have coarsened to wide bins;
         # wherever we query inside their bin, mu1 is a mean of observed y
-        assert np.isfinite(nuis.mu1(np.array([0.5]))).all()
+        assert np.isfinite(nuis.mu1).all()
 
     def test_single_arm_sample_is_refused(self):
         h = np.linspace(0.1, 0.9, 30)
@@ -135,26 +145,26 @@ class TestFitNuisances:
         y = np.zeros(30)
         # too little data is a run's finding, not a programming error
         with pytest.raises(RunFailure, match="empty treatment arm"):
-            fit_nuisances(h, z, y, method="binned", bins=8)
+            fit_nuisances(h, z, y, h, method="binned", bins=8)
         with pytest.raises(RunFailure, match="too few observations per arm"):
-            fit_nuisances(h, z, y, method="polynomial", degree=3)
+            fit_nuisances(h, z, y, h, method="polynomial", degree=3)
 
     def test_constant_h_collapses_to_global_means(self):
         h = np.full(60, 0.5)
         z = np.array([1.0, 0.0] * 30)
         rng = np.random.default_rng(3)
         y = rng.uniform(size=60)
-        nuis = fit_nuisances(h, z, y, method="binned", bins=10)
-        assert np.isclose(nuis.mu1(np.array([0.5]))[0], y[z == 1].mean())
-        assert np.isclose(nuis.mu0(np.array([0.5]))[0], y[z == 0].mean())
+        nuis = fit_nuisances(h, z, y, np.array([0.5]), method="binned", bins=10)
+        assert np.isclose(nuis.mu1[0], y[z == 1].mean())
+        assert np.isclose(nuis.mu0[0], y[z == 0].mean())
 
     def test_unknown_method_and_shape_mismatch(self):
         h = np.linspace(0.1, 0.9, 10)
         with pytest.raises(ValueError, match="method") as info:
-            fit_nuisances(h, np.zeros(10), np.zeros(10), method="forest")
+            fit_nuisances(h, np.zeros(10), np.zeros(10), h, method="forest")
         assert not isinstance(info.value, RunFailure)
         with pytest.raises(ValueError, match="matching shapes") as info:
-            fit_nuisances(h, np.zeros(9), np.zeros(10))
+            fit_nuisances(h, np.zeros(9), np.zeros(10), h)
         assert not isinstance(info.value, RunFailure)
 
     def test_split_indices_partition(self):
@@ -166,19 +176,24 @@ class TestFitNuisances:
 
     def test_oracle_nuisances_match_dgp(self):
         cohort = generate_cohort(200, tau=1, psi=PSI, seed=5)
-        nuis = oracle_nuisances(cohort, PSI, 0.5)
-        assert np.allclose(nuis.mu0(cohort.h), cohort.h)
-        assert np.allclose(nuis.mu1(cohort.h), cohort.h + PSI)
-        assert np.allclose(nuis.m(cohort.h), cohort.h + 0.5 * PSI)
+        nuis = oracle_nuisances(cohort.h, cohort.dgp_tag, PSI, 0.5)
+        assert np.allclose(nuis.mu0, cohort.h)
+        assert np.allclose(nuis.mu1, cohort.h + PSI)
+        assert np.allclose(nuis.m, cohort.h + 0.5 * PSI)
         lin = exogenous_linear_cohort(50, PSI, seed=6)
-        nuis = oracle_nuisances(lin, PSI, 0.5)
+        nuis = oracle_nuisances(lin.h, lin.dgp_tag, PSI, 0.5)
         # Var of Uniform(-0.2h, 0.2h) is (0.4h)^2 / 12
-        assert np.allclose(nuis.sigma(lin.h), (0.4 * lin.h) ** 2 / 12.0)
+        assert np.allclose(nuis.sigma, (0.4 * lin.h) ** 2 / 12.0)
 
     def test_nuisance_tag_validated(self):
-        f = lambda h: h
+        v = np.zeros(3)
         with pytest.raises(ValueError, match="fit_tag"):
-            NuisanceSet(mu0=f, mu1=f, m=f, sigma=f, fit_tag="guess")
+            NuisanceSet(mu0=v, mu1=v, m=v, sigma=v, fit_tag="guess")
+
+    def test_nuisance_values_share_one_shape(self):
+        v = np.zeros(3)
+        with pytest.raises(ValueError, match="equal shapes"):
+            NuisanceSet(mu0=v, mu1=v, m=v, sigma=np.zeros(2), fit_tag="oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -194,36 +209,29 @@ class TestDrAte:
         pi = np.full(n, 0.5)
         pi[3] = 0.001
         pi[17] = 0.9999
-        nuis = oracle_nuisances(
-            generate_cohort(n, tau=1, psi=PSI, seed=8), PSI, 0.5
-        )
+        nuis = oracle_nuisances(h, "bernoulli", PSI, 0.5)
         with pytest.raises(PositivityError) as err:
-            estimate_dr_ate(h, np.zeros(n), np.zeros(n), pi, nuis, gamma=0.01)
+            estimate_dr_ate(np.zeros(n), np.zeros(n), pi, nuis, gamma=0.01)
         assert "3" in str(err.value) and "17" in str(err.value)
 
     def test_gamma_range_checked(self):
-        nuis = oracle_nuisances(
-            generate_cohort(4, tau=1, psi=PSI, seed=9), PSI, 0.5
-        )
+        nuis = oracle_nuisances(np.full(4, 0.5), "bernoulli", PSI, 0.5)
         with pytest.raises(ValueError, match="gamma"):
-            estimate_dr_ate(
-                np.full(4, 0.5), np.zeros(4), np.zeros(4), np.full(4, 0.5), nuis, gamma=0.6
-            )
+            estimate_dr_ate(np.zeros(4), np.zeros(4), np.full(4, 0.5), nuis, gamma=0.6)
 
     def test_exact_when_nuisances_are_exact_and_noise_free(self):
         # constant potential outcomes: every influence value equals the effect
         n = 50
-        h = np.linspace(0.2, 0.8, n)
         z = (np.arange(n) % 2).astype(float)
         y = np.where(z == 1, 0.55, 0.30)
         nuis = NuisanceSet(
-            mu0=lambda hh: np.full(np.shape(hh), 0.30),
-            mu1=lambda hh: np.full(np.shape(hh), 0.55),
-            m=lambda hh: np.full(np.shape(hh), 0.425),
-            sigma=lambda hh: np.full(np.shape(hh), 1.0),
+            mu0=np.full(n, 0.30),
+            mu1=np.full(n, 0.55),
+            m=np.full(n, 0.425),
+            sigma=np.full(n, 1.0),
             fit_tag="oracle",
         )
-        rep = estimate_dr_ate(h, z, y, np.full(n, 0.5), nuis)
+        rep = estimate_dr_ate(z, y, np.full(n, 0.5), nuis)
         assert rep.point == pytest.approx(0.25, abs=1e-12)
         assert rep.se == 0.0
         assert rep.ci_low == rep.ci_high == rep.point
@@ -239,15 +247,13 @@ class TestDrAte:
         covered_boot = np.empty(reps, dtype=bool)
         for rep in range(reps):
             cohort = generate_cohort(n, tau=1, psi=PSI, seed=rep)
-            nuis = oracle_nuisances(cohort, PSI, 0.5)
+            nuis = oracle_nuisances(cohort.h, cohort.dgp_tag, PSI, 0.5)
             rng = np.random.default_rng(np.random.SeedSequence([777, rep]))
             queues = sample_queues(theta, rng)
             trace = allocate(cohort, queues, spec)
             y = realized_outcomes(cohort, trace.z)
-            wald = estimate_dr_ate(cohort.h, trace.z, y, pi, nuis)
-            boot = estimate_dr_ate(
-                cohort.h, trace.z, y, pi, nuis, bootstrap_reps=800, seed=rep
-            )
+            wald = estimate_dr_ate(trace.z, y, pi, nuis)
+            boot = estimate_dr_ate(trace.z, y, pi, nuis, bootstrap_reps=800, seed=rep)
             points[rep] = wald.point
             covered_wald[rep] = wald.ci_low <= PSI <= wald.ci_high
             covered_boot[rep] = boot.ci_low <= PSI <= boot.ci_high
@@ -283,8 +289,8 @@ class TestDrAte:
             trace = allocate(sub, queues[idx], spec)
             reports.append((sub, trace.z, realized_outcomes(sub, trace.z)))
         (fit_c, fit_z, fit_y), (est_c, est_z, est_y) = reports
-        nuis = fit_nuisances(fit_c.h, fit_z, fit_y, method="binned", bins=20)
-        rep = estimate_dr_ate(est_c.h, est_z, est_y, np.full(n // 2, 0.5), nuis)
+        nuis = fit_nuisances(fit_c.h, fit_z, fit_y, est_c.h, method="binned", bins=20)
+        rep = estimate_dr_ate(est_z, est_y, np.full(n // 2, 0.5), nuis)
         assert abs(rep.point - PSI) <= 4 * rep.se
 
 
@@ -312,13 +318,9 @@ class TestPliv:
         g = 0.2 + 0.4 * cohort.h**2
         y = g + PSI * z
         nuis = NuisanceSet(
-            mu0=lambda hh: 0.2 + 0.4 * np.asarray(hh) ** 2,
-            mu1=lambda hh: 0.2 + 0.4 * np.asarray(hh) ** 2 + PSI,
-            m=lambda hh: 0.2 + 0.4 * np.asarray(hh) ** 2 + PSI * 0.5,
-            sigma=lambda hh: np.full(np.shape(hh), 0.3),
-            fit_tag="oracle",
+            mu0=g, mu1=g + PSI, m=g + PSI * 0.5, sigma=np.full(n, 0.3), fit_tag="oracle"
         )
-        rep = estimate_pliv(cohort.h, z, y, queues, theta, alpha, nuis)
+        rep = pliv(z, y, queues, theta, alpha, nuis)
         assert rep.point == pytest.approx(PSI, abs=1e-10)
 
     def test_iv_ratio_exact_for_pure_instrument_outcomes(self):
@@ -338,25 +340,25 @@ class TestPliv:
     def test_point_invariant_to_sigma_scale_but_se_scales(self):
         n = 400
         cohort, theta, alpha, queues, z, y = self.make_run(n, seed=14)
-        base = oracle_nuisances(cohort, PSI, 0.5)
+        base = oracle_nuisances(cohort.h, cohort.dgp_tag, PSI, 0.5)
         scaled = NuisanceSet(
             mu0=base.mu0,
             mu1=base.mu1,
             m=base.m,
-            sigma=lambda hh: 10.0 * base.sigma(hh),
+            sigma=10.0 * base.sigma,
             fit_tag="oracle",
         )
-        r1 = estimate_pliv(cohort.h, z, y, queues, theta, alpha, base)
-        r2 = estimate_pliv(cohort.h, z, y, queues, theta, alpha, scaled)
+        r1 = pliv(z, y, queues, theta, alpha, base)
+        r2 = pliv(z, y, queues, theta, alpha, scaled)
         assert r1.point == pytest.approx(r2.point, abs=1e-10)
         assert r2.se == pytest.approx(np.sqrt(10.0) * r1.se, rel=1e-9)
 
     def test_se_is_the_formula_variance(self):
         n = 400
         cohort, theta, alpha, queues, z, y = self.make_run(n, seed=14)
-        nuis = oracle_nuisances(cohort, PSI, 0.5)
-        rep = estimate_pliv(cohort.h, z, y, queues, theta, alpha, nuis)
-        v = variance_pliv_formula(cohort.h, theta, alpha, nuis.sigma)
+        nuis = oracle_nuisances(cohort.h, cohort.dgp_tag, PSI, 0.5)
+        rep = pliv(z, y, queues, theta, alpha, nuis)
+        v = variance_pliv_formula(theta, alpha, nuis.sigma)
         assert rep.se == np.sqrt(v / n)
 
     def test_deterministic_policy_fails_relevance(self):
@@ -365,28 +367,18 @@ class TestPliv:
         theta = np.zeros((n, 2))
         theta[:, 0] = 1.0
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
-        nuis = oracle_nuisances(cohort, PSI, 0.5)
+        nuis = oracle_nuisances(cohort.h, cohort.dgp_tag, PSI, 0.5)
         with pytest.raises(RelevanceError, match="relevance"):
-            estimate_pliv(
-                cohort.h, np.ones(n), np.ones(n), np.ones(n, dtype=int), theta, alpha, nuis
-            )
+            pliv(np.ones(n), np.ones(n), np.ones(n, dtype=int), theta, alpha, nuis)
 
     def test_zero_realized_covariance_is_a_run_failure(self):
         # pi = 0.5 for both units and z - pi = 0.5 for both, so the two
         # instrument values +-0.25 cancel and the denominator is exactly 0
         alpha = alpha_from_target([0.75, 0.25], [0.5, 0.5])
-        h = np.full(2, 0.4)
-        nuis = NuisanceSet(
-            mu0=lambda hh: np.zeros(np.shape(hh)),
-            mu1=lambda hh: np.zeros(np.shape(hh)),
-            m=lambda hh: np.zeros(np.shape(hh)),
-            sigma=lambda hh: np.full(np.shape(hh), 0.3),
-            fit_tag="oracle",
-        )
+        zero = np.zeros(2)
+        nuis = NuisanceSet(mu0=zero, mu1=zero, m=zero, sigma=np.full(2, 0.3), fit_tag="oracle")
         with pytest.raises(RunFailure, match="covariance is zero") as info:
-            estimate_pliv(
-                h, np.ones(2), np.ones(2), np.array([1, 2]), rct_theta(2), alpha, nuis
-            )
+            pliv(np.ones(2), np.ones(2), np.array([1, 2]), rct_theta(2), alpha, nuis)
         assert info.value.status == "precondition_error"
 
     def test_monte_carlo_unbiased_and_covered(self):
@@ -395,8 +387,8 @@ class TestPliv:
         covered = np.empty(reps, dtype=bool)
         for rep in range(reps):
             cohort, theta, alpha, queues, z, y = self.make_run(n, seed=1000 + rep)
-            nuis = oracle_nuisances(cohort, PSI, 0.5)
-            est = estimate_pliv(cohort.h, z, y, queues, theta, alpha, nuis)
+            nuis = oracle_nuisances(cohort.h, cohort.dgp_tag, PSI, 0.5)
+            est = pliv(z, y, queues, theta, alpha, nuis)
             points[rep] = est.point
             covered[rep] = est.ci_low <= PSI <= est.ci_high
         mc_se = points.std(ddof=1) / np.sqrt(reps)
@@ -408,17 +400,10 @@ class TestPliv:
         cohort, theta, alpha, queues, z, y = self.make_run(n, seed=16)
         fit_idx, est_idx = split_indices(n, seed=17)
         nuis = fit_nuisances(
-            cohort.h[fit_idx], z[fit_idx], y[fit_idx], method="binned", bins=25
+            cohort.h[fit_idx], z[fit_idx], y[fit_idx], cohort.h[est_idx],
+            method="binned", bins=25,
         )
-        rep = estimate_pliv(
-            cohort.h[est_idx],
-            z[est_idx],
-            y[est_idx],
-            queues[est_idx],
-            theta[est_idx],
-            alpha,
-            nuis,
-        )
+        rep = pliv(z[est_idx], y[est_idx], queues[est_idx], theta[est_idx], alpha, nuis)
         assert abs(rep.point - PSI) <= 5 * rep.se
 
 
@@ -541,17 +526,11 @@ class TestVarianceFormulas:
     def test_dr_formula_balanced_design(self):
         # pi = 1/2 everywhere with equal arm variances v gives 4v exactly
         n = 64
-        h = np.linspace(0.2, 0.8, n)
         theta = rct_theta(n)
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
         v = 0.11
         out = variance_dr_formula(
-            h,
-            theta,
-            alpha,
-            var1=lambda hh: np.full(np.shape(hh), v),
-            var0=lambda hh: np.full(np.shape(hh), v),
-            cate=lambda hh: np.full(np.shape(hh), PSI),
+            theta, alpha, var1=np.full(n, v), var0=np.full(n, v), cate=np.full(n, PSI)
         )
         assert out == pytest.approx(4 * v, abs=1e-12)
 
@@ -560,35 +539,25 @@ class TestVarianceFormulas:
         h = np.linspace(0.2, 0.8, n)
         theta = rct_theta(n)
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
-        flat = variance_dr_formula(
-            h, theta, alpha,
-            var1=lambda hh: np.zeros(np.shape(hh)),
-            var0=lambda hh: np.zeros(np.shape(hh)),
-            cate=lambda hh: np.asarray(hh),
-        )
+        flat = variance_dr_formula(theta, alpha, var1=np.zeros(n), var0=np.zeros(n), cate=h)
         assert flat == pytest.approx(np.var(h), abs=1e-12)
 
     def test_dr_formula_boundary_error(self):
         n = 8
-        h = np.full(n, 0.5)
         theta = np.zeros((n, 2))
         theta[:, 0] = 1.0
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
         with pytest.raises(BoundaryPropensity, match="boundary"):
             variance_dr_formula(
-                h, theta, alpha,
-                var1=lambda hh: np.ones(np.shape(hh)),
-                var0=lambda hh: np.ones(np.shape(hh)),
-                cate=lambda hh: np.zeros(np.shape(hh)),
+                theta, alpha, var1=np.ones(n), var0=np.ones(n), cate=np.zeros(n)
             )
 
     def test_pliv_formula_balanced_design(self):
         # theta = (1/2, 1/2), alpha = (1, 0), sigma = 1: E[zeta^2] = 1/4, V = 4
         n = 32
-        h = np.full(n, 0.4)
         theta = rct_theta(n)
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
-        out = variance_pliv_formula(h, theta, alpha, sigma=lambda hh: np.ones(np.shape(hh)))
+        out = variance_pliv_formula(theta, alpha, sigma=np.ones(n))
         assert out == pytest.approx(4.0, abs=1e-12)
 
     @given(scale=st.floats(0.1, 10.0))
@@ -599,21 +568,18 @@ class TestVarianceFormulas:
         h = rng.uniform(0.2, 0.8, size=n)
         theta = rng.dirichlet(np.ones(3), size=n)
         alpha = alpha_vector(0.4, np.array([0.3, 0.4, 0.3]))
-        sig = lambda hh: 0.5 + np.asarray(hh) ** 2
-        base = variance_pliv_formula(h, theta, alpha, sigma=sig)
-        scaled = variance_pliv_formula(
-            h, theta, alpha, sigma=lambda hh: scale * sig(hh)
-        )
+        sig = 0.5 + h**2
+        base = variance_pliv_formula(theta, alpha, sigma=sig)
+        scaled = variance_pliv_formula(theta, alpha, sigma=scale * sig)
         assert scaled == pytest.approx(scale * base, rel=1e-9)
 
     def test_pliv_formula_deterministic_policy_error(self):
         n = 8
-        h = np.full(n, 0.5)
         theta = np.zeros((n, 2))
         theta[:, 1] = 1.0
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
         with pytest.raises(RelevanceError, match="relevance"):
-            variance_pliv_formula(h, theta, alpha, sigma=lambda hh: np.ones(np.shape(hh)))
+            variance_pliv_formula(theta, alpha, sigma=np.ones(n))
 
     def test_inverse_sigma_weighting_is_optimal(self):
         # sandwich variance of any other instrument weighting is larger
@@ -622,18 +588,18 @@ class TestVarianceFormulas:
         h = rng.uniform(0.15, 0.85, size=n)
         theta = rng.dirichlet(np.ones(2), size=n)
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
-        sig = lambda hh: 0.5 + np.asarray(hh) ** 2
-        v_opt = variance_pliv_formula(h, theta, alpha, sigma=sig)
+        sig = 0.5 + h**2
+        v_opt = variance_pliv_formula(theta, alpha, sigma=sig)
         a = alpha.alpha
         pi = theta @ a
         s = np.einsum("ik,ik->i", theta, (a[None, :] - pi[:, None]) ** 2)
         for _ in range(20):
             w = np.exp(rng.normal(size=n))  # arbitrary positive weights
-            v_w = np.mean(w**2 * s * sig(h)) / np.mean(w * s) ** 2
+            v_w = np.mean(w**2 * s * sig) / np.mean(w * s) ** 2
             assert v_w + 1e-12 >= v_opt
         # and the optimal weights attain it
-        w = 1.0 / sig(h)
-        v_w = np.mean(w**2 * s * sig(h)) / np.mean(w * s) ** 2
+        w = 1.0 / sig
+        v_w = np.mean(w**2 * s * sig) / np.mean(w * s) ** 2
         assert v_w == pytest.approx(v_opt, rel=1e-9)
 
 

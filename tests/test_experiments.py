@@ -15,7 +15,12 @@ from queuedesign import experiments
 from queuedesign.cohorts import generate_cohort, outcome_variances, residual_variance
 from queuedesign.config import ConfigError, config_from_dict
 from queuedesign.errors import PositivityError, RelevanceError, RunFailure
-from queuedesign.estimation import SIGMA_FLOOR, instrument_information, variance_dr_formula
+from queuedesign.estimation import (
+    SIGMA_FLOOR,
+    instrument_information,
+    oracle_nuisances,
+    variance_dr_formula,
+)
 from queuedesign.policies import rct_policy
 from queuedesign.propensity import alpha_vector
 
@@ -102,9 +107,8 @@ class TestRunPareto:
         theta = rct_policy(n, p)
         alpha = alpha_vector(beta, p)
         if objective == "exogenous":
-            var1, var0 = outcome_variances("bernoulli", psi)
-            cate = lambda x: np.full(np.shape(x), psi)
-            expected = variance_dr_formula(h, theta, alpha, var1, var0, cate)
+            var1, var0 = outcome_variances("bernoulli", psi, h)
+            expected = variance_dr_formula(theta, alpha, var1, var0, np.full(h.shape, psi))
         else:
             sigma = np.maximum(residual_variance("bernoulli", psi, h, beta), SIGMA_FLOOR)
             expected = 1.0 / np.mean(instrument_information(theta, alpha, sigma))
@@ -249,6 +253,36 @@ class TestRunBias:
         })
         with pytest.raises(ConfigError, match=r"mechanism\.k.*k=2"):
             experiments.run_bias(cfg)
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"cohort": {"n": 100}}, "cohort.dgp"),  # bernoulli, the default
+        ({"mechanism": {"budgets": [10]}}, "mechanism.budgets"),
+        ({"mechanism": {"mode": "rationed", "alpha_target": [0.9, 0.1]}},
+         "mechanism.alpha_target"),
+    ])
+    def test_keys_the_study_ignores_are_refused(self, extra, key):
+        # the study draws partially linear cohorts and rations at each arm's
+        # alpha target whatever these keys say, so they are errors, not no-ops
+        cfg = config_from_dict({
+            "cohort": {"n": 100, "dgp": "partially_linear"},
+            "execution": {"bias_replications": 4},
+            **extra,
+        })
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            experiments.run_bias(cfg)
+
+    @pytest.mark.parametrize("reps", [3, 24])
+    def test_oracle_nuisances_built_once_per_design_and_arm(self, monkeypatch, reps):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return oracle_nuisances(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "oracle_nuisances", counting)
+        experiments.run_bias(self.bias_config(reps=reps))
+        assert len(calls) == 2 * 2  # two designs, two arms
+        assert all(args[1] == "partially_linear" for args in calls)
 
     def test_infeasible_alpha_top_rejected(self):
         cfg = config_from_dict({

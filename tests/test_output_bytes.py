@@ -7,7 +7,8 @@ go through warm-started design solves under both objectives and both
 regularizers (k = 2 and k = 3), bootstrap bands, rationed bias
 replications through both estimators, the forced counterfactual map, and
 an estimate run whose status cells read ``positivity_error``,
-``relevance_error`` and ``ok``.  The propensity check, the estimate run
+``relevance_error`` and ``ok``, and estimate runs whose nuisances are fit
+on a split (binned at k = 2 strict, polynomial at k = 3 rationed).  The propensity check, the estimate run
 and the frontier are each pinned under both service disciplines: strict
 priority and rationed shares (k = 3, alpha target 0.9/0.5/0.2).  A hash changes only when the written bytes
 change, so a failure here means a change moved the paper's numbers or
@@ -21,12 +22,13 @@ statuses became exception types, when they were read from message text;
 the default-grid hash on the code that still built the default arms as the
 product of two separate alpha-top and floor-fraction lists; the three
 rationed propensity, estimate and frontier hashes on the code that still
-chose the discipline's alpha and shares in each driver.
+chose the discipline's alpha and shares in each driver; the two split-fit
+estimate hashes on the code whose nuisances were still functions of h.
 
 The hashes hold for the CPU dispatch they were recorded under: OpenBLAS's
 ``SkylakeX`` kernels and numpy's AVX-512 loops.  Forcing
 ``OPENBLAS_CORETYPE=Haswell`` or ``Prescott``, or switching numpy's AVX-512
-targets off, changes 3 or 4 of the 10 pins, so a mismatch prints the
+targets off, changes 3 or 4 of the 12 pins, so a mismatch prints the
 recorded dispatch beside the one this process runs.
 """
 
@@ -113,6 +115,18 @@ CONFIGS = {
         "estimation": {"bootstrap_reps": 200, "relevance_floor": 1e-4},
         "execution": {"seed": 7},
     }),
+    # nuisances fit on one half of the units, estimates on the other
+    "estimate_binned": ("run_estimate", {
+        "cohort": {"n": 400},
+        "estimation": {"nuisance_method": "binned", "bootstrap_reps": 200},
+        "execution": {"seed": 7},
+    }),
+    "estimate_polynomial_rationed": ("run_estimate", {
+        "cohort": {"n": 400, "tau": 4},
+        "mechanism": _RATIONED_K3,
+        "estimation": {"nuisance_method": "polynomial", "bootstrap_reps": 200},
+        "execution": {"seed": 7},
+    }),
 }
 
 OUTPUTS = {
@@ -131,6 +145,12 @@ EXPECTED = {
     },
     "estimate_rationed": {
         "estimates.csv": "bcf9bca8a435b8067eb9dc0ecaeb3bbd24a1ece863ef1fb685b51a441ce63d0f",
+    },
+    "estimate_binned": {
+        "estimates.csv": "7d66239acb7f7c63271047ed67103b19bad3e19572f8de0afe3e2b07706d75f5",
+    },
+    "estimate_polynomial_rationed": {
+        "estimates.csv": "06c7a1f9fe985b0ca9bc4505c695910a3b1b48a27da7bf137c83bfe15b92bd5c",
     },
     "estimate_mixed_status": {
         "estimates.csv": "221c2576fce4d8dfff4f992bf17c82f10379952d5c95160ca63dd0d5226bf7d6",
