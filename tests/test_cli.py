@@ -1,6 +1,8 @@
 """CLI contract: subcommands, CSV schemas, exit codes, determinism, and
 what a cold start imports."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -25,6 +27,25 @@ def write_config(tmp_path, data, name="run.yaml"):
 
 def invoke(args):
     return CliRunner().invoke(main, args)
+
+
+def run_main(args):
+    """Call ``main(args)`` in this process and return its exit code, stdout
+    and stderr.  A ``SystemExit`` is read as the interpreter reads it: no
+    code is 0, and a message is printed to stderr with code 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+            code = 0
+        except SystemExit as exit_:
+            code = exit_.code
+            if code is None:
+                code = 0
+            elif not isinstance(code, int):
+                print(code, file=sys.stderr)
+                code = 1
+    return code, out.getvalue(), err.getvalue()
 
 
 def read(path):
@@ -176,33 +197,67 @@ class TestCommands:
         assert lines[3].startswith("iv_ratio,") and lines[3].endswith("," + iv_status)
 
 
+def exit_case_args(case, tmp_path):
+    """The command line of one row of ``EXIT_CODES``."""
+    good = write_config(tmp_path, SMALL_ESTIMATE)
+    out = str(tmp_path / "o")
+    bad_yaml = tmp_path / "bad.yaml"
+    bad_yaml.write_text("cohort: [unclosed\n")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    negative_n = write_config(tmp_path, {"cohort": {"n": -5}}, "negative_n.yaml")
+    # a bias study on three queues is a configuration problem
+    three_queues = write_config(tmp_path, {
+        "cohort": {"dgp": "partially_linear"},
+        "mechanism": {"k": 3, "p": [0.4, 0.3, 0.3]},
+        "execution": {"bias_replications": 4},
+    }, "three_queues.yaml")
+    return {
+        "valid estimate": ["estimate", "--config", good, "--out", out],
+        "negative cohort.n": ["estimate", "--config", negative_n, "--out", out],
+        "invalid yaml": ["estimate", "--config", str(bad_yaml), "--out", out],
+        "bias on three queues": ["bias", "--config", three_queues, "--out", out],
+        "zero threads": ["estimate", "--config", good, "--out", out, "--threads", "0"],
+        "negative seed": ["estimate", "--config", good, "--out", out, "--seed", "-1"],
+        "uncreatable out": ["estimate", "--config", good, "--out", str(afile / "sub")],
+        "missing config file": ["estimate", "--config", str(tmp_path / "nope.yaml")],
+        "unknown command": ["frobnicate"],
+        "no command": [],
+        "non-integer seed": ["estimate", "--config", good, "--seed", "x"],
+        "out is a file": ["estimate", "--config", good, "--out", str(afile)],
+        "abbreviated option": ["estimate", "--conf", good, "--out", out],
+    }[case]
+
+
+# case, exit code, the stream that reports it, text that stream must hold.
+# 0: the run wrote its CSVs; 1: a config, I/O or driver error, printed as
+# "Error: ..."; 2: a usage error.
+EXIT_CODES = [
+    ("valid estimate", 0, "stdout", "estimates.csv: 3 rows"),
+    ("negative cohort.n", 1, "stderr", "cohort.n"),
+    ("invalid yaml", 1, "stderr", "Error: "),
+    ("bias on three queues", 1, "stderr", "k=2"),
+    ("zero threads", 1, "stderr", "execution.threads"),
+    ("negative seed", 1, "stderr", "execution.seed"),
+    ("uncreatable out", 1, "stderr", "Error: "),
+    ("missing config file", 2, "stderr", "nope.yaml"),
+    ("unknown command", 2, "stderr", "'frobnicate'"),
+    ("no command", 2, "stderr", "check-propensity"),  # the usage lists the commands
+    ("non-integer seed", 2, "stderr", "--seed"),
+    ("out is a file", 2, "stderr", "--out"),
+    ("abbreviated option", 2, "stderr", "--conf"),
+]
+
+
 class TestExitCodes:
-    def test_missing_config_file(self, tmp_path):
-        result = invoke(["estimate", "--config", str(tmp_path / "nope.yaml")])
-        assert result.exit_code != 0
-
-    def test_invalid_yaml(self, tmp_path):
-        path = tmp_path / "bad.yaml"
-        path.write_text("cohort: [unclosed\n")
-        result = invoke(["estimate", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert result.exit_code != 0
-
-    def test_bad_config_value_names_key(self, tmp_path):
-        cfg = write_config(tmp_path, {"cohort": {"n": -5}})
-        result = invoke(["estimate", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert result.exit_code != 0
-        assert "cohort.n" in result.output
-
-    def test_config_level_experiment_error_is_nonzero(self, tmp_path):
-        # bias study on three queues is a configuration problem
-        cfg = write_config(tmp_path, {
-            "cohort": {"dgp": "partially_linear"},
-            "mechanism": {"k": 3, "p": [0.4, 0.3, 0.3]},
-            "execution": {"bias_replications": 4},
-        })
-        result = invoke(["bias", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert result.exit_code != 0
-        assert "k=2" in result.output
+    @pytest.mark.parametrize("case, code, stream, text", EXIT_CODES,
+                             ids=[row[0] for row in EXIT_CODES])
+    def test_exit_code_and_message(self, tmp_path, case, code, stream, text):
+        got, out, err = run_main(exit_case_args(case, tmp_path))
+        assert got == code, (out, err)
+        assert text in {"stdout": out, "stderr": err}[stream]
+        if code == 1:
+            assert err.startswith("Error: ")
 
 
 class TestDeterminism:
