@@ -5,35 +5,26 @@ uncertainty bands), ``bias`` (fixed-design endogeneity study),
 ``check-propensity`` (MC propensities vs. the closed form), ``estimate``
 (one simulated allocation through every configured estimator).
 
-Exit-code policy: configuration and I/O problems exit nonzero; statistical
-preconditions that fail inside a run (instrument relevance, positivity) are
-recorded in the CSV status column and exit 0 — a degenerate design is a
-result, not a crash.  Floats are serialized with %.9g so reruns with the
-same config and seed produce byte-identical files at any --threads value.
-
-Status cells (each failure is the ``status`` of a ``queuedesign.errors`` type):
-  ok                   pareto, estimate: the row was computed
-  not_converged        pareto: the design solve stopped short of its tolerance;
-                       the row keeps the returned policy's numbers
-  infeasible           pareto: the utility floor is above the achievable range
-  boundary_propensity  pareto, exogenous lens: a propensity sits on {0, 1}
-  relevance_error      pareto, endogenous lens; estimate: PLIV, IV ratio
-  positivity_error     estimate: DR propensities outside [gamma, 1 - gamma]
-  precondition_error   estimate: any other failed estimator precondition, or
-                       a nuisance fit the data cannot support (DR, PLIV)
+Exit codes: 0 when the CSVs are written; 1 for a configuration, I/O or
+driver error, printed as ``Error: ...``; 2 for a usage error.  Statistical
+preconditions that fail inside a run are a result, not a crash: they are
+written to the CSV ``status`` column (README's CLI section lists the cells;
+each is the ``status`` of a ``queuedesign.errors`` type) and exit 0.
+Floats are serialized with %.9g so reruns with the same config and seed
+produce byte-identical files at any --threads value.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import os
+import sys
 
-import click
 import numpy as np
 import yaml
 
 from . import experiments
-from .config import ConfigError, RunConfig, apply_overrides, load_config
+from .config import apply_overrides, load_config
 
 
 def _format_cell(value) -> str:
@@ -53,27 +44,20 @@ def write_csv(path: str, header, rows):
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
-def _load(config_path, seed, out_dir, threads) -> RunConfig:
-    try:
-        cfg = load_config(config_path)
-        return apply_overrides(cfg, seed=seed, out_dir=out_dir, threads=threads)
-    except (ConfigError, yaml.YAMLError, OSError) as err:
-        raise click.ClickException(str(err)) from err
-
-
-def _run(driver, outputs, config_path, seed, out_dir, threads):
+def _run(args):
     """Load the config, run the driver, and write one CSV per output table."""
-    cfg = _load(config_path, seed, out_dir, threads)
     try:
-        result = driver(cfg)
-    except ValueError as err:
-        raise click.ClickException(str(err)) from err
-    tables = result if len(outputs) > 1 else (result,)
-    os.makedirs(cfg.execution.out_dir, exist_ok=True)
-    for (name, columns), rows in zip(outputs, tables):
-        path = os.path.join(cfg.execution.out_dir, name)
-        write_csv(path, columns, rows)
-        click.echo(f"{path}: {len(rows)} rows")
+        cfg = apply_overrides(load_config(args.config), seed=args.seed, out_dir=args.out,
+                              threads=args.threads)
+        result = args.driver(cfg)
+        tables = result if len(args.outputs) > 1 else (result,)
+        os.makedirs(cfg.execution.out_dir, exist_ok=True)
+        for (name, columns), rows in zip(args.outputs, tables):
+            path = os.path.join(cfg.execution.out_dir, name)
+            write_csv(path, columns, rows)
+            print(f"{path}: {len(rows)} rows")
+    except (ValueError, yaml.YAMLError, OSError) as err:  # ConfigError is a ValueError
+        sys.exit(f"Error: {err}")
 
 
 # name, driver, (file, columns) per output table, help summary
@@ -91,23 +75,36 @@ _COMMANDS = (
 )
 
 
-def _command(name, driver, outputs, summary) -> click.Command:
-    options = [
-        click.Option(["--config", "config_path"], type=click.Path(exists=True, dir_okay=False),
-                     default=None, help="YAML run configuration (defaults apply if omitted)."),
-        click.Option(["--seed"], type=int, default=None, help="Root seed override."),
-        click.Option(["--out", "out_dir"], type=click.Path(file_okay=False), default=None,
-                     help="Output directory for CSV files (default from config)."),
-        click.Option(
-            ["--threads"], type=int, default=None,
-            help="Worker processes for replication loops (output is identical at any value).",
-        ),
-    ]
-    return click.Command(
-        name, callback=functools.partial(_run, driver, outputs), params=options, help=summary
+def _existing_file(path: str) -> str:
+    if not os.path.isfile(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is not an existing file")
+    return path
+
+
+def _directory(path: str) -> str:
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is not a directory")
+    return path
+
+
+def main(argv=None):
+    """Parse ``argv`` (default: the process arguments) and run one command."""
+    parser = argparse.ArgumentParser(
+        prog="queuedesign", allow_abbrev=False,
+        description="Priority-queue experiment designs and their estimators.",
     )
-
-
-@click.group(commands=[_command(*spec) for spec in _COMMANDS])
-def main():
-    """Priority-queue experiment designs and their estimators."""
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, driver, outputs, summary in _COMMANDS:
+        command = commands.add_parser(name, help=summary, description=summary,
+                                      allow_abbrev=False)
+        command.add_argument("--config", type=_existing_file, metavar="FILE",
+                             help="YAML run configuration (defaults apply if omitted).")
+        command.add_argument("--seed", type=int, metavar="INTEGER", help="Root seed override.")
+        command.add_argument("--out", type=_directory, metavar="DIRECTORY",
+                             help="Output directory for CSV files (default from config).")
+        command.add_argument(
+            "--threads", type=int, metavar="INTEGER",
+            help="Worker processes for replication loops (output is identical at any value).",
+        )
+        command.set_defaults(driver=driver, outputs=outputs)
+    _run(parser.parse_args(argv))
