@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .cohorts import DGP_TAGS, ESTIMATOR_METHODS as ESTIMATORS
-from .design import OBJECTIVES, REGULARIZERS
+from .design import OBJECTIVES
 from .estimation import NUISANCE_METHODS
 from .mechanism import MODES, QueueSpec
 
@@ -138,7 +138,6 @@ class DesignConfig(_Block):
     c_grid_size: int = 10
     c_grid: Optional[tuple[float, ...]] = None  # explicit floors override the size
     kappa: Optional[float] = None  # None: 1e-3 * objective scale
-    regularizer: str = "neg_entropy"
     switch_strengths: tuple[float, ...] = (0.25, 0.5, 0.75)
     greedy_scales: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0)
     greedy_cap: float = 1.0
@@ -150,11 +149,6 @@ class DesignConfig(_Block):
 
     def validate(self):
         _require(self.objective in OBJECTIVES, "design.objective", f"must be one of {OBJECTIVES}")
-        _require(
-            self.regularizer in REGULARIZERS,
-            "design.regularizer",
-            f"must be one of {REGULARIZERS}",
-        )
         _require(self.c_grid_size >= 1, "design.c_grid_size", "must be >= 1")
         _require(
             self.c_grid is None or (len(self.c_grid) >= 1 and np.all(np.isfinite(self.c_grid))),

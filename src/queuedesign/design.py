@@ -9,12 +9,12 @@ pinned to the queue shares p and a floor on decision-maker utility
 * endogenous: maximize (1/n) sum_i [sum_k alpha_k^2 theta_ik - pi_i^2]
   - kappa*R(theta) (the expected conditional instrument variance), concave.
 
-Both are solved in the dual: for fixed multipliers (lambda for the utility
-floor, nu for the column constraints) the Lagrangian separates across units,
-and each per-unit subproblem reduces to a one-dimensional monotone root
-find along the regularizer's mirror path (softmax for negative entropy,
-a simplex projection for the quadratic).  The dual is maximized with
-L-BFGS-B and polished by a damped Newton step on the KKT residuals.
+R(theta) = sum_ik theta_ik log theta_ik is the negative entropy.  Both are
+solved in the dual: for fixed multipliers (lambda for the utility floor, nu
+for the column constraints) the Lagrangian separates across units, and each
+per-unit subproblem reduces to a one-dimensional monotone root find along
+R's mirror path, a softmax.  The dual is maximized with L-BFGS-B and
+polished by a damped Newton step on the KKT residuals.
 
 The reported ``objective_value`` is always the *unregularized* objective of
 the returned policy; kappa only selects among near-optimal policies.  Any
@@ -37,7 +37,6 @@ from .errors import InfeasibleFloor
 from .propensity import AlphaVector, instrument_variance
 from .policies import assortative_policy
 
-REGULARIZERS = ("neg_entropy", "l2_to_p")
 OBJECTIVES = ("exogenous", "endogenous")
 
 _PI_EPS = 1e-8  # clamp for 1/pi + 1/(1-pi) when alpha touches {0, 1}
@@ -76,7 +75,6 @@ class DesignProblem:
     utilities: np.ndarray
     alpha: AlphaVector
     utility_floor: float
-    regularizer: str = "neg_entropy"
     kappa: Optional[float] = None
     objective: str = "exogenous"
 
@@ -87,8 +85,6 @@ class DesignProblem:
             raise ValueError("utilities must be a nonempty vector")
         if np.any(u <= 0.0) or np.any(u >= 1.0):
             raise ValueError("utilities must lie strictly inside (0, 1)")
-        if self.regularizer not in REGULARIZERS:
-            raise ValueError(f"regularizer must be one of {REGULARIZERS}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.kappa is None:
@@ -99,10 +95,6 @@ class DesignProblem:
     @property
     def p(self) -> np.ndarray:
         return self.alpha.p
-
-    @property
-    def n(self) -> int:
-        return self.utilities.shape[0]
 
     @property
     def k(self) -> int:
@@ -174,24 +166,11 @@ class DesignSolution:
 # ---------------------------------------------------------------------------
 
 
-def _project_simplex(x: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean projection onto the probability simplex."""
-    srt = np.sort(x, axis=1)[:, ::-1]
-    cs = np.cumsum(srt, axis=1) - 1.0
-    idx = np.arange(1, x.shape[1] + 1)
-    cond = srt - cs / idx > 0
-    rho = np.count_nonzero(cond, axis=1)
-    tau = cs[np.arange(x.shape[0]), rho - 1] / rho
-    return np.maximum(x - tau[:, None], 0.0)
-
-
 _EXP_UNDERFLOW = -746.0  # np.exp is exactly 0.0 at and below this input
 
 
-def _mirror_policy(
-    vt: np.ndarray, p: np.ndarray, kappa: float, regularizer: str, out: np.ndarray, row: np.ndarray
-) -> np.ndarray:
-    """argmin over simplex rows of kappa*R(theta) - v.theta (closed form).
+def _mirror_policy(vt: np.ndarray, kappa: float, out: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """argmin over simplex rows of kappa*R(theta) - v.theta: the softmax of v/kappa.
 
     ``vt`` is v by columns, a C-contiguous (k, n) array, and is overwritten;
     theta is written to the C-contiguous (n, k) ``out``, and ``row`` is an
@@ -203,9 +182,6 @@ def _mirror_policy(
     0.0 too, but through a slow path, and its value in every other lane does
     not depend on its neighbours or its offset in the array.
     """
-    if regularizer != "neg_entropy":
-        out[...] = _project_simplex(p[None, :] + vt.T / kappa)
-        return out
     k = vt.shape[0]
     x = np.divide(vt, kappa, out=vt)
     row[...] = x[0]  # the row max
@@ -232,12 +208,7 @@ def _mirror_policy(
 
 
 def _inner_solve(
-    w: np.ndarray,
-    alpha: np.ndarray,
-    p: np.ndarray,
-    kappa: float,
-    phi_prime: Callable[[np.ndarray], np.ndarray],
-    regularizer: str,
+    w: np.ndarray, alpha: np.ndarray, kappa: float, phi_prime: Callable[[np.ndarray], np.ndarray]
 ):
     """Minimize phi(alpha.theta) + kappa*R(theta) - w.theta per row.
 
@@ -261,7 +232,7 @@ def _inner_solve(
     def s_of(eta):
         np.multiply(alpha[:, None], eta, out=vt)
         np.add(vt, wt, out=vt)
-        return _mirror_policy(vt, p, kappa, regularizer, theta, row) @ alpha
+        return _mirror_policy(vt, kappa, theta, row) @ alpha
 
     def g(eta):
         dphi = phi_prime(s_of(eta))
@@ -304,11 +275,9 @@ def _inner_solve(
     return theta, s
 
 
-def _regularizer_value(theta: np.ndarray, p: np.ndarray, regularizer: str) -> np.ndarray:
-    if regularizer == "neg_entropy":
-        t = np.clip(theta, 1e-300, None)
-        return np.sum(theta * np.log(t), axis=1)
-    return 0.5 * np.sum((theta - p[None, :]) ** 2, axis=1)
+def _neg_entropy(theta: np.ndarray) -> np.ndarray:
+    t = np.clip(theta, 1e-300, None)
+    return np.sum(theta * np.log(t), axis=1)
 
 
 def _overlap(s):
@@ -354,12 +323,8 @@ def _dual_state(x: np.ndarray, problem: DesignProblem, phi, phi_prime, offset):
     lam = x[0]
     nu = np.concatenate([x[1:], [0.0]])
     w = lam * u[:, None] * a[None, :] + nu[None, :] + offset[None, :]
-    theta, s = _inner_solve(w, a, p, problem.kappa, phi_prime, problem.regularizer)
-    inner = (
-        phi(s)
-        + problem.kappa * _regularizer_value(theta, p, problem.regularizer)
-        - np.sum(w * theta, axis=1)
-    )
+    theta, s = _inner_solve(w, a, problem.kappa, phi_prime)
+    inner = phi(s) + problem.kappa * _neg_entropy(theta) - np.sum(w * theta, axis=1)
     value = float(inner.mean() + lam * c + nu @ p)
     grad = np.empty(problem.k)
     grad[0] = c - float(np.mean(u * s))
@@ -509,7 +474,7 @@ def optimize_endogenous(
     if problem.objective != "endogenous":
         problem = replace(problem, objective="endogenous")
     a = problem.alpha.alpha
-    if problem.k < 2 or np.max(a) - np.min(a) <= 1e-12:
+    if np.max(a) - np.min(a) <= 1e-12:
         raise ValueError(
             "degenerate design: at least two distinct queue propensities are "
             "needed for the instrument to vary"

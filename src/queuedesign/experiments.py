@@ -57,6 +57,7 @@ from .estimation import (
     variance_pliv_formula,
 )
 from .mechanism import (
+    AllocationTrace,
     QueueSpec,
     allocate,
     sample_queues,
@@ -98,6 +99,12 @@ def _derived_seed(*entries) -> int:
     """Collapse a seed path into one 64-bit integer for APIs taking an int."""
     ss = np.random.SeedSequence(entries)
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _served(cohort: Cohort, theta: np.ndarray, spec: QueueSpec, *key) -> AllocationTrace:
+    """Draw queues from ``theta`` on SeedSequence(key) and serve the cohort."""
+    rng = np.random.default_rng(np.random.SeedSequence(key))
+    return allocate(cohort, sample_queues(theta, rng), spec)
 
 
 def _map_indexed(worker, reps: int, threads: int, initargs):
@@ -192,8 +199,8 @@ def run_pareto(config: RunConfig):
         c_grid = np.linspace(c_rct, c_hi, cfg_d.c_grid_size)
 
     problem = DesignProblem(
-        utilities=h, alpha=alpha, utility_floor=c_rct,
-        regularizer=cfg_d.regularizer, kappa=cfg_d.kappa, objective=cfg_d.objective,
+        utilities=h, alpha=alpha, utility_floor=c_rct, kappa=cfg_d.kappa,
+        objective=cfg_d.objective,
     )
     # (method, parameter, policy, status); an infeasible floor has no policy,
     # and a solve that stopped short of its tolerance keeps its numbers
@@ -254,12 +261,9 @@ def _bias_rep(rep: int):
     )
 
     def realize(theta, stream):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([ctx["seed"], stream, ctx["arm"], rep])
-        )
-        queues = sample_queues(theta, rng)
-        z = allocate(cohort, queues, spec).z
-        return queues, z, np.where(z, cohort.y1, cohort.y0)
+        trace = _served(cohort, theta, spec, ctx["seed"], stream, ctx["arm"], rep)
+        z = trace.z
+        return trace.queues, z, np.where(z, cohort.y1, cohort.y0)
 
     queues, z, y = realize(ctx["theta_endo"], STREAM_BIAS_ENDOGENOUS_QUEUES)
     pi = ctx["pi_endo"]
@@ -338,8 +342,8 @@ def run_bias(config: RunConfig):
         spec = specs[top]
         c = c_rct + frac * (c_end - c_rct)
         problem = DesignProblem(
-            utilities=h, alpha=spec.alpha, utility_floor=c,
-            regularizer=cfg_d.regularizer, kappa=cfg_d.kappa, objective="endogenous",
+            utilities=h, alpha=spec.alpha, utility_floor=c, kappa=cfg_d.kappa,
+            objective="endogenous",
         )
         theta_endo = optimize_endogenous(problem).policy
         # keeps the endogenous kappa resolved above, not the exogenous default
@@ -412,10 +416,7 @@ def run_propensity_check(config: RunConfig):
                 n, cfg_c.tau, cfg_c.psi,
                 seed=_derived_seed(cfg_e.seed, STREAM_TREATED_MASS_COHORT, n, rep),
             )
-            qrng = np.random.default_rng(
-                np.random.SeedSequence([cfg_e.seed, STREAM_TREATED_MASS_QUEUES, n, rep])
-            )
-            trace = allocate(rep_cohort, sample_queues(theta, qrng), spec)
+            trace = _served(rep_cohort, theta, spec, cfg_e.seed, STREAM_TREATED_MASS_QUEUES, n, rep)
             mass_acc += treated_mass(trace)
         mass = mass_acc / cfg_e.treated_mass_reps
 
@@ -451,12 +452,11 @@ def run_estimate(config: RunConfig):
     spec = mech.queue_spec(n, cfg_c.tau)
     alpha = spec.alpha
     theta = rct_policy(n, p)
-    qrng = np.random.default_rng(np.random.SeedSequence([seed, STREAM_ESTIMATE_QUEUES]))
-    queues = sample_queues(theta, qrng)
-    z = allocate(cohort, queues, spec).z
+    trace = _served(cohort, theta, spec, seed, STREAM_ESTIMATE_QUEUES)
+    z = trace.z
     y = np.where(z, cohort.y1, cohort.y0)
     pi = marginal_propensity(theta, alpha)
-    r = alpha.alpha[queues - 1] - pi
+    r = alpha.alpha[trace.queues - 1] - pi
     ivar = instrument_variance(theta, alpha)
 
     fit_failure = None

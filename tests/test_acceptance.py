@@ -49,6 +49,7 @@ from queuedesign.policies import (
 from queuedesign.propensity import alpha_vector, marginal_propensity
 
 from identification_oracles import exact_oracle, late_decomposition
+from test_results import assert_matches_results
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -221,6 +222,7 @@ class TestEndogeneityStudy:
             "bias", "--config", str(CONFIG_DIR / config_name), "--out", str(out_dir),
         ])
         assert result.returncode == 0, result.stderr or result.stdout
+        assert_matches_results(Path(config_name).stem, out_dir)
         rows = _read_csv(out_dir / "bias.csv")
         for row in rows:
             row["c_level"] = float(row["c_level"])

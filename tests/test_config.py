@@ -102,6 +102,8 @@ class TestValidationMessages:
             # budgets take the integer rule of every other integer field
             ({"cohort": {"n": 500}, "mechanism": {"budgets": [2.5]}}, "mechanism.budgets"),
             ({"cohort": {"n": 500}, "mechanism": {"budgets": [True]}}, "mechanism.budgets"),
+            # negative entropy is the only regularizer, so there is no knob
+            ({"design": {"regularizer": "neg_entropy"}}, "design.regularizer"),
         ],
     )
     def test_bad_value_names_key(self, data, key):

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from queuedesign import design
 from queuedesign.design import (
-    REGULARIZERS,
     DesignProblem,
     _inner_solve,
     _mirror_policy,
     _phi_functions,
-    _project_simplex,
     default_kappa,
     endogenous_objective,
     exogenous_objective,
@@ -218,8 +216,6 @@ class TestDesignProblem:
     def test_validation_errors(self):
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
         u = random_utilities(10, seed=6)
-        with pytest.raises(ValueError, match="regularizer"):
-            DesignProblem(u, alpha, 0.1, regularizer="ridge")
         with pytest.raises(ValueError, match="objective"):
             DesignProblem(u, alpha, 0.1, objective="both")
         with pytest.raises(ValueError, match="kappa"):
@@ -256,12 +252,9 @@ class TestOptimizeExogenous:
         assert sol.kkt_residual <= 1e-6
         assert sol.lam <= 1e-8
 
-    @pytest.mark.parametrize("regularizer", ["neg_entropy", "l2_to_p"])
     @pytest.mark.parametrize("objective", ["exogenous", "endogenous"])
-    def test_tie_breaking_returns_uniform_rows(self, regularizer, objective):
-        prob = make_problem(
-            n=150, beta=0.5, k=3, regularizer=regularizer, objective=objective
-        )
+    def test_tie_breaking_returns_uniform_rows(self, objective):
+        prob = make_problem(n=150, beta=0.5, k=3, objective=objective)
         prob = dataclasses.replace(prob, utility_floor=prob.c_rct - 0.01)
         solver = optimize_exogenous if objective == "exogenous" else optimize_endogenous
         sol = solver(prob)
@@ -428,22 +421,20 @@ class TestParetoSweep:
 # ---------------------------------------------------------------------------
 
 
-def mirror_policy_axis1(v, p, kappa, regularizer):
+def mirror_policy_axis1(v, kappa):
     """The mirror map with numpy's axis=1 row reductions."""
-    if regularizer == "neg_entropy":
-        x = v / kappa
-        x = x - x.max(axis=1, keepdims=True)
-        e = np.exp(x)
-        return e / e.sum(axis=1, keepdims=True)
-    return _project_simplex(p[None, :] + v / kappa)
+    x = v / kappa
+    x = x - x.max(axis=1, keepdims=True)
+    e = np.exp(x)
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def inner_solve_100_steps(w, alpha, p, kappa, phi_prime, regularizer):
+def inner_solve_100_steps(w, alpha, kappa, phi_prime):
     """The per-row bisection with no early exit: always 100 steps."""
     n = w.shape[0]
 
     def s_of(eta):
-        theta = mirror_policy_axis1(w + eta[:, None] * alpha[None, :], p, kappa, regularizer)
+        theta = mirror_policy_axis1(w + eta[:, None] * alpha[None, :], kappa)
         return theta, theta @ alpha
 
     def g(eta):
@@ -475,23 +466,24 @@ def same_bits(a, b):
     return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def mirror_policy_columns(v, p, kappa, regularizer):
+def mirror_policy_columns(v, kappa):
     """``_mirror_policy`` on an (n, k) v, through its column layout."""
     n, k = v.shape
     out = np.empty((n, k))
-    return _mirror_policy(np.ascontiguousarray(v.T), p, kappa, regularizer, out, np.empty(n))
+    return _mirror_policy(np.ascontiguousarray(v.T), kappa, out, np.empty(n))
 
 
 class TestInnerSolveBitExact:
-    @pytest.mark.parametrize("regularizer", ["neg_entropy", "l2_to_p"])
     @pytest.mark.parametrize("objective", ["exogenous", "endogenous"])
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_fixed_point_exit_matches_100_steps(self, regularizer, objective, k):
-        rng = np.random.default_rng([71, k, len(regularizer), len(objective)])
+    def test_fixed_point_exit_matches_100_steps(self, objective, k):
+        # the key and the queue-share draw the solve no longer reads keep the
+        # inputs these cases drew when the regularizer was a parameter
+        rng = np.random.default_rng([71, k, len("neg_entropy"), len(objective)])
         exits_early = 0
         for _ in range(6):
             n = int(rng.integers(1, 300))
-            p = rng.dirichlet(np.ones(k))
+            rng.dirichlet(np.ones(k))
             alpha = np.sort(rng.uniform(0.0, 1.0, size=k))[::-1]
             if rng.uniform() < 0.3:
                 alpha[0], alpha[-1] = 1.0, 0.0  # propensities touching {0, 1}
@@ -508,10 +500,10 @@ class TestInnerSolveBitExact:
                 calls.append(1)
                 return phi_prime(s)
 
-            theta, s = _inner_solve(w, alpha, p, kappa, counted, regularizer)
+            theta, s = _inner_solve(w, alpha, kappa, counted)
             ref_calls = len(calls)
             calls.clear()
-            ref_theta, ref_s = inner_solve_100_steps(w, alpha, p, kappa, counted, regularizer)
+            ref_theta, ref_s = inner_solve_100_steps(w, alpha, kappa, counted)
             assert same_bits(theta, ref_theta)
             assert same_bits(s, ref_s)
             exits_early += ref_calls < len(calls)
@@ -520,25 +512,20 @@ class TestInnerSolveBitExact:
     @pytest.mark.parametrize("k", range(2, 11))
     def test_columnwise_mirror_map_matches_axis1(self, k):
         rng = np.random.default_rng([72, k])
-        p = rng.dirichlet(np.ones(k))
+        rng.dirichlet(np.ones(k))  # unread queue shares; the draw keeps v's inputs
         for scale in (1e-3, 1.0, 50.0):
             v = scale * rng.normal(size=(500, k))
             v[:50, 1] = v[:50, 0]  # tied row maxima
             v[50:60] = 0.0
             v[55:60, 0] = -0.0
             for kappa in (1e-4, 0.013, 2.0):
-                for regularizer in REGULARIZERS:
-                    assert same_bits(
-                        mirror_policy_columns(v, p, kappa, regularizer),
-                        mirror_policy_axis1(v, p, kappa, regularizer),
-                    )
+                assert same_bits(mirror_policy_columns(v, kappa), mirror_policy_axis1(v, kappa))
 
-    @pytest.mark.parametrize("regularizer", ["neg_entropy", "l2_to_p"])
     @pytest.mark.parametrize("objective", ["exogenous", "endogenous"])
-    def test_solutions_match_100_step_solver(self, regularizer, objective, monkeypatch):
+    def test_solutions_match_100_step_solver(self, objective, monkeypatch):
         # a whole solve: the scipy outer loop and the Newton polish
         solve = optimize_exogenous if objective == "exogenous" else optimize_endogenous
-        prob = make_problem(n=150, k=3, seed=73, objective=objective, regularizer=regularizer)
+        prob = make_problem(n=150, k=3, seed=73, objective=objective)
         c = prob.c_rct + 0.4 * (prob.utility_range()[1] - prob.c_rct)
         prob = dataclasses.replace(prob, utility_floor=c)
         fast = solve(prob)
@@ -554,7 +541,6 @@ class TestInnerSolveBitExact:
         # underflow and are masked rather than passed to np.exp
         rng = np.random.default_rng([74, k])
         n = 4001
-        p = np.full(k, 1.0 / k)
         alpha = np.linspace(0.8, 0.2, k)
         u = rng.uniform(0.1, 0.9, size=n)
         _, phi_prime, offset = _phi_functions("endogenous", alpha)
@@ -563,15 +549,15 @@ class TestInnerSolveBitExact:
         masked = []
         mirror = design._mirror_policy
 
-        def counting(vt, p, kappa, *rest):
+        def counting(vt, kappa, *rest):
             x = vt / kappa
             masked.append(np.mean(x - x.max(axis=0) < -746.0))
-            return mirror(vt, p, kappa, *rest)
+            return mirror(vt, kappa, *rest)
 
         monkeypatch.setattr(design, "_mirror_policy", counting)
-        theta, s = _inner_solve(w, alpha, p, 1e-5, phi_prime, "neg_entropy")
+        theta, s = _inner_solve(w, alpha, 1e-5, phi_prime)
         assert np.mean(masked) >= 0.05
-        ref_theta, ref_s = inner_solve_100_steps(w, alpha, p, 1e-5, phi_prime, "neg_entropy")
+        ref_theta, ref_s = inner_solve_100_steps(w, alpha, 1e-5, phi_prime)
         assert same_bits(theta, ref_theta)
         assert same_bits(s, ref_s)
 

@@ -3,16 +3,16 @@
 The shipped CSVs are very sensitive to the design solver: stopping its
 bisection a few steps early moves a band bound in the 9th significant
 digit.  These configs are small enough to run in a few seconds but still
-go through warm-started design solves under both objectives and both
-regularizers (k = 2 and k = 3), bootstrap bands, rationed bias
-replications through both estimators, the forced counterfactual map, and
-an estimate run whose status cells read ``positivity_error``,
-``relevance_error`` and ``ok``, and estimate runs whose nuisances are fit
-on a split (binned at k = 2 strict, polynomial at k = 3 rationed).  The propensity check, the estimate run
-and the frontier are each pinned under both service disciplines: strict
-priority and rationed shares (k = 3, alpha target 0.9/0.5/0.2).  A hash changes only when the written bytes
-change, so a failure here means a change moved the paper's numbers or
-relabelled a failure.
+go through warm-started design solves under both objectives (k = 2 and
+k = 3), bootstrap bands, rationed bias replications through both
+estimators, the forced counterfactual map, and an estimate run whose
+status cells read ``positivity_error``, ``relevance_error`` and ``ok``, and
+estimate runs whose nuisances are fit on a split (binned at k = 2 strict,
+polynomial at k = 3 rationed).  The propensity check, the estimate run and
+the frontier are each pinned under both service disciplines: strict
+priority and rationed shares (k = 3, alpha target 0.9/0.5/0.2).  A hash
+changes only when the written bytes change, so a failure here means a
+change moved the paper's numbers or relabelled a failure.
 
 The hashes were recorded by running ``csv_digests`` on the code before the
 bit-exact speed-ups of the design solve and the bias replications
@@ -23,7 +23,9 @@ the default-grid hash on the code that still built the default arms as the
 product of two separate alpha-top and floor-fraction lists; the three
 rationed propensity, estimate and frontier hashes on the code that still
 chose the discipline's alpha and shares in each driver; the two split-fit
-estimate hashes on the code whose nuisances were still functions of h.
+estimate hashes on the code whose nuisances were still functions of h; the
+k = 3 exogenous frontier hashes on the code that still offered a quadratic
+regularizer beside the default negative entropy.
 
 The hashes hold for the CPU dispatch they were recorded under: OpenBLAS's
 ``SkylakeX`` kernels and numpy's AVX-512 loops.  Forcing
@@ -66,10 +68,9 @@ CONFIGS = {
         "design": {**_SMALL_PARETO["design"], "objective": "endogenous"},
         "execution": {"seed": 11},
     }),
-    "pareto_exogenous_k3_l2": ("run_pareto", {
+    "pareto_exogenous_k3": ("run_pareto", {
         **_SMALL_PARETO,
         "mechanism": {"k": 3, "p": [0.25, 0.35, 0.4], "beta": 0.4},
-        "design": {**_SMALL_PARETO["design"], "regularizer": "l2_to_p"},
         "execution": {"seed": 5},
     }),
     "bias": ("run_bias", {
@@ -163,9 +164,9 @@ EXPECTED = {
         "frontier.csv": "2da84132e7b28cb70ec97e8c679f7805d3f65a49845bbc63520c14daae30a036",
         "bands.csv": "8d52ab9e5f5136abe7f27423e68f71987a9b9a7b14f165990749066179c5fc2e",
     },
-    "pareto_exogenous_k3_l2": {
-        "frontier.csv": "b6c3017f7480a3fa33506e6c4e6d6e3687d19d83ff57e492bedc0b0518f7750e",
-        "bands.csv": "3e074975ef45778b1039edebe762d4d6b0e1119dc18d4026862581c6731de5cd",
+    "pareto_exogenous_k3": {
+        "frontier.csv": "1e3744e98e33fd44d784c54fd916db79c6f0431b1953fbcecd581a51dd9a036d",
+        "bands.csv": "0f42995783d136af15448ee596419f038901fd77f0a648eee6bbe20172a094bd",
     },
     "pareto_rationed": {
         "frontier.csv": "3e376c8683f9be4c04822cd46278fe94671764cf8c8e2b6d857f6195c503ade5",
@@ -186,6 +187,11 @@ RECORDED_DISPATCH = {
     # AVX512_ICL and AVX512_SPR are its AVX-512 loops
     "numpy_simd": ("X86_V2", "X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"),
 }
+
+
+def dispatch_note():
+    """The dispatch the bytes were recorded under beside the one seen here."""
+    return f"recorded under {RECORDED_DISPATCH}, running under {cpu_dispatch()}"
 
 
 def cpu_dispatch():
@@ -232,9 +238,7 @@ def csv_digests(name, out_dir):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_bytes_match_recorded_hashes(name, tmp_path):
-    assert csv_digests(name, tmp_path) == EXPECTED[name], (
-        f"recorded under {RECORDED_DISPATCH}, running under {cpu_dispatch()}"
-    )
+    assert csv_digests(name, tmp_path) == EXPECTED[name], dispatch_note()
 
 
 def test_dispatch_reader_names_core_and_features():
