@@ -12,6 +12,7 @@ from queuedesign.design import (
     DesignProblem,
     _inner_solve,
     _mirror_policy,
+    _neg_entropy,
     _phi_functions,
     default_kappa,
     endogenous_objective,
@@ -235,6 +236,16 @@ class TestDesignProblem:
         # so the problem statement deliberately has no such knob
         names = {f.name for f in dataclasses.fields(DesignProblem)}
         assert "delta" not in names and "uncertainty" not in " ".join(names)
+
+    def test_negative_entropy_is_the_only_regularizer(self):
+        # kappa*R(theta) is a tie-breaker, not a modelling choice: no field
+        # or module constant selects among regularizers
+        alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
+        u = random_utilities(10, seed=6)
+        with pytest.raises(TypeError, match="regularizer"):
+            DesignProblem(u, alpha, 0.1, regularizer="neg_entropy")
+        assert not hasattr(design, "REGULARIZERS")
+        assert not hasattr(design, "_project_simplex")
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +531,30 @@ class TestInnerSolveBitExact:
             v[55:60, 0] = -0.0
             for kappa in (1e-4, 0.013, 2.0):
                 assert same_bits(mirror_policy_columns(v, kappa), mirror_policy_axis1(v, kappa))
+
+    def test_neg_entropy_rows(self):
+        theta = np.array([[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
+        r = _neg_entropy(theta)
+        assert np.all(np.isfinite(r))  # 0 log 0 is 0, not nan
+        assert r == pytest.approx([-np.log(4.0), 0.0, -np.log(2.0)], abs=1e-15)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_mirror_policy_is_the_regularized_argmin(self, k):
+        # each row minimizes kappa*R(theta) - v.theta over the simplex
+        rng = np.random.default_rng([75, k])
+        n, kappa = 200, 0.05
+        v = rng.normal(size=(n, k))
+        theta = mirror_policy_columns(v, kappa)
+        assert np.allclose(theta.sum(axis=1), 1.0, atol=1e-12)
+        best = kappa * _neg_entropy(theta) - np.sum(v * theta, axis=1)
+        for _ in range(20):
+            other = rng.dirichlet(np.ones(k), size=n)
+            value = kappa * _neg_entropy(other) - np.sum(v * other, axis=1)
+            assert np.all(best <= value + 1e-12)
+        # a small step towards another point of the simplex cannot improve it
+        other = rng.dirichlet(np.ones(k), size=n)
+        near = 0.999 * theta + 0.001 * other
+        assert np.all(best <= kappa * _neg_entropy(near) - np.sum(v * near, axis=1) + 1e-12)
 
     @pytest.mark.parametrize("objective", ["exogenous", "endogenous"])
     def test_solutions_match_100_step_solver(self, objective, monkeypatch):

@@ -21,6 +21,7 @@ from queuedesign.estimation import (
     oracle_nuisances,
     variance_dr_formula,
 )
+from queuedesign.mechanism import QueueSpec, allocate, sample_queues
 from queuedesign.policies import rct_policy
 from queuedesign.propensity import alpha_vector
 
@@ -428,3 +429,23 @@ class TestStreamRegistry:
         source = inspect.getsource(experiments)
         for name in streams:
             assert len(re.findall(rf"\b{name}\b", source)) == 2, name
+
+
+class TestServed:
+    def test_draws_on_its_key_then_allocates(self):
+        cohort = generate_cohort(400, 2, -0.1, seed=5)
+        spec = QueueSpec(k=3, p=np.array([0.5, 0.3, 0.2]), beta=0.4, tau=2,
+                         budgets=np.array([80, 80]))
+        theta = np.random.default_rng(6).dirichlet(np.ones(3), size=400)
+        key = (7, experiments.STREAM_TREATED_MASS_QUEUES, 400, 2)
+        trace = experiments._served(cohort, theta, spec, *key)
+        rng = np.random.default_rng(np.random.SeedSequence(key))
+        ref = allocate(cohort, sample_queues(theta, rng), spec)
+        assert np.array_equal(trace.queues, ref.queues)
+        assert np.array_equal(trace.treated, ref.treated)
+        # every key entry reaches the draw
+        for i in range(len(key)):
+            other = key[:i] + (key[i] + 1,) + key[i + 1:]
+            assert not np.array_equal(
+                experiments._served(cohort, theta, spec, *other).queues, trace.queues
+            )

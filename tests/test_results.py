@@ -53,3 +53,11 @@ def test_bench_frontier_references_are_the_recorded_frontier():
         for name in ("frontier.csv", "bands.csv")
     }
     assert references["frontier-2k"]["7"] == recorded
+
+
+def test_every_shipped_config_has_recorded_results():
+    configs = {path.stem for path in (REPO_ROOT / "configs").glob("*.yaml")}
+    recorded = {path.name for path in RESULTS_DIR.iterdir() if path.is_dir()}
+    assert configs == recorded
+    for config in configs:
+        assert list((RESULTS_DIR / config).glob("*.csv")), config
