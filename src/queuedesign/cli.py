@@ -3,7 +3,7 @@
 Four subcommands map onto the experiment drivers: ``pareto`` (frontier +
 uncertainty bands), ``bias`` (fixed-design endogeneity study),
 ``check-propensity`` (MC propensities vs. the closed form), ``estimate``
-(one simulated allocation through every configured estimator).
+(one simulated allocation through each of the three estimators).
 
 Exit codes: 0 when the CSVs are written; 1 for a configuration, I/O or
 driver error, printed as ``Error: ...``; 2 for a usage error.  Statistical
@@ -71,7 +71,7 @@ _COMMANDS = (
      (("propensity.csv", experiments.PROPENSITY_COLUMNS),),
      "Compare MC propensities with the closed form; write propensity.csv."),
     ("estimate", experiments.run_estimate, (("estimates.csv", experiments.ESTIMATES_COLUMNS),),
-     "Simulate one allocation and run the configured estimators; write estimates.csv."),
+     "Simulate one allocation and run the three estimators; write estimates.csv."),
 )
 
 

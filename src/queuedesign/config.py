@@ -17,7 +17,7 @@ from typing import ClassVar, Optional, Union, get_args, get_origin
 import numpy as np
 import yaml
 
-from .cohorts import DGP_TAGS, ESTIMATOR_METHODS as ESTIMATORS
+from .cohorts import DGP_TAGS
 from .design import OBJECTIVES
 from .estimation import NUISANCE_METHODS
 from .mechanism import MODES, QueueSpec
@@ -108,7 +108,6 @@ class MechanismConfig(_Block):
     p: tuple[float, ...] = (0.5, 0.5)
     beta: float = 0.5
     mode: str = "strict"
-    budgets: Optional[tuple[int, ...]] = None  # None: spread round(beta*n) over periods
     alpha_target: Optional[tuple[float, ...]] = None  # rationed mode only
 
     def validate(self):
@@ -124,11 +123,8 @@ class MechanismConfig(_Block):
 
     def queue_spec(self, n: int, tau: int) -> QueueSpec:
         """The mechanism a run over n units and tau review periods allocates under."""
-        shared = dict(k=self.k, p=self.p, beta=self.beta, tau=tau, mode=self.mode,
-                      alpha_target=self.alpha_target)
-        if self.budgets is None:
-            return QueueSpec.auto(n, **shared)
-        return QueueSpec(budgets=self.budgets, **shared)
+        return QueueSpec.auto(n, k=self.k, p=self.p, beta=self.beta, tau=tau, mode=self.mode,
+                              alpha_target=self.alpha_target)
 
 
 @dataclass(frozen=True)
@@ -137,10 +133,8 @@ class DesignConfig(_Block):
     objective: str = "exogenous"
     c_grid_size: int = 10
     c_grid: Optional[tuple[float, ...]] = None  # explicit floors override the size
-    kappa: Optional[float] = None  # None: 1e-3 * objective scale
     switch_strengths: tuple[float, ...] = (0.25, 0.5, 0.75)
     greedy_scales: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0)
-    greedy_cap: float = 1.0
     bias_arms: tuple[tuple[float, float], ...] = (  # (alpha_top, c_frac) pairs
         (0.6, 0.0), (0.6, 0.5), (0.6, 0.9),
         (0.8, 0.0), (0.8, 0.5), (0.8, 0.9),
@@ -155,7 +149,6 @@ class DesignConfig(_Block):
             "design.c_grid",
             "must be a nonempty list of finite numbers",
         )
-        _require(self.kappa is None or self.kappa > 0, "design.kappa", "must be positive")
         for name in ("switch_strengths", "greedy_scales", "bias_arms"):
             _require(len(getattr(self, name)) >= 1, f"design.{name}", "must be nonempty")
         _require(
@@ -168,7 +161,6 @@ class DesignConfig(_Block):
             "design.greedy_scales",
             "entries must be positive",
         )
-        _require(0.0 < self.greedy_cap <= 1.0, "design.greedy_cap", "must lie in (0, 1]")
         _require(
             all(0.0 < top < 1.0 for top, _ in self.bias_arms),
             "design.bias_arms",
@@ -185,12 +177,8 @@ class DesignConfig(_Block):
 class EstimationConfig(_Block):
     block: ClassVar[str] = "estimation"
     nuisance_method: str = "oracle"
-    bins: int = 20
-    degree: int = 3
     bootstrap_reps: int = 10_000
-    gamma: float = 0.01
     relevance_floor: float = 1e-8
-    estimators: tuple[str, ...] = ("dr_ate", "pliv", "iv_ratio")
 
     def validate(self):
         _require(
@@ -198,17 +186,8 @@ class EstimationConfig(_Block):
             "estimation.nuisance_method",
             f"must be one of {NUISANCE_METHODS}",
         )
-        _require(self.bins >= 1, "estimation.bins", "must be >= 1")
-        _require(self.degree >= 0, "estimation.degree", "must be >= 0")
         _require(self.bootstrap_reps >= 1, "estimation.bootstrap_reps", "must be >= 1")
-        _require(0.0 <= self.gamma < 0.5, "estimation.gamma", "must lie in [0, 0.5)")
         _require(self.relevance_floor > 0, "estimation.relevance_floor", "must be > 0")
-        _require(len(self.estimators) >= 1, "estimation.estimators", "must be nonempty")
-        _require(
-            all(e in ESTIMATORS for e in self.estimators),
-            "estimation.estimators",
-            f"entries must be in {ESTIMATORS}",
-        )
 
 
 @dataclass(frozen=True)
@@ -246,12 +225,10 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         for block in fields(self):
             getattr(self, block.name).validate()
-        # QueueSpec owns the rules that tie mechanism fields together; with
-        # automatic budgets, whatever it rejects is about alpha_target
+        # QueueSpec owns the rules that tie mechanism fields together; its
+        # budgets are always automatic, so whatever it rejects is about alpha_target
         mech, n, tau = self.mechanism, self.cohort.n, self.cohort.tau
-        _check("mechanism.alpha_target", lambda: replace(mech, budgets=None).queue_spec(n, tau))
-        if mech.budgets is not None:
-            _check("mechanism.budgets", lambda: mech.queue_spec(n, tau))
+        _check("mechanism.alpha_target", lambda: mech.queue_spec(n, tau))
         return self
 
 

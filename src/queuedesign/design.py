@@ -281,7 +281,14 @@ def _neg_entropy(theta: np.ndarray) -> np.ndarray:
 
 
 def _overlap(s):
-    """Overlap penalty 1/pi + 1/(1-pi) with pi clamped to (0, 1)."""
+    """Overlap penalty 1/pi + 1/(1-pi) with pi clamped to (0, 1).
+
+    This is ``estimation.dr_variance_terms`` at unit outcome variances, kept
+    apart on purpose: the solver must evaluate it at every bisection step,
+    boundary included, so it clamps pi, while the DR variance refuses a
+    boundary propensity (``BoundaryPropensity``, the ``boundary_propensity``
+    status of a frontier row).  One function would branch on its caller.
+    """
     sc = np.clip(s, _PI_EPS, 1.0 - _PI_EPS)
     return 1.0 / sc + 1.0 / (1.0 - sc)
 

@@ -26,6 +26,7 @@ import os
 import numpy as np
 
 from .cohorts import (
+    ESTIMATOR_METHODS,
     Cohort,
     default_h_law,
     generate_bias_cohort,
@@ -109,8 +110,10 @@ def _served(cohort: Cohort, theta: np.ndarray, spec: QueueSpec, *key) -> Allocat
 
 def _map_indexed(worker, reps: int, threads: int, initargs):
     """Run worker(rep) for rep in range(reps), reducing in index order."""
-    # a pool starts all its workers at its first task: no more than reps or CPUs
-    workers = min(threads, reps, len(os.sched_getaffinity(0)))
+    # a pool starts all its workers at its first task: no more than reps or
+    # CPUs (those this process may run on, where the platform can say)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, reps, cpus or 1)
     if workers <= 1:
         _set_context(initargs)
         return [worker(rep) for rep in range(reps)]
@@ -199,8 +202,7 @@ def run_pareto(config: RunConfig):
         c_grid = np.linspace(c_rct, c_hi, cfg_d.c_grid_size)
 
     problem = DesignProblem(
-        utilities=h, alpha=alpha, utility_floor=c_rct, kappa=cfg_d.kappa,
-        objective=cfg_d.objective,
+        utilities=h, alpha=alpha, utility_floor=c_rct, objective=cfg_d.objective,
     )
     # (method, parameter, policy, status); an infeasible floor has no policy,
     # and a solve that stopped short of its tolerance keeps its numbers
@@ -212,7 +214,7 @@ def run_pareto(config: RunConfig):
     candidates.append(("rct", c_rct, rct_policy(cohort.n, p), "ok"))
     candidates += [("switch", s, switch_policy(h, p, s), "ok")
                    for s in cfg_d.switch_strengths]
-    candidates += [("greedy", g, greedy_softmax_policy(h, p, g, cap=cfg_d.greedy_cap), "ok")
+    candidates += [("greedy", g, greedy_softmax_policy(h, p, g), "ok")
                    for g in cfg_d.greedy_scales]
 
     nan = float("nan")
@@ -278,7 +280,7 @@ def _bias_rep(rep: int):
 
     _, z, y = realize(ctx["theta_exo"], STREAM_BIAS_EXOGENOUS_QUEUES)
     try:
-        dr = estimate_dr_ate(z, y, ctx["pi_exo"], ctx["nuis_exo"], gamma=ctx["gamma"]).point
+        dr = estimate_dr_ate(z, y, ctx["pi_exo"], ctx["nuis_exo"]).point
     except RunFailure:
         dr = float("nan")
     return pliv, dr
@@ -307,12 +309,11 @@ def run_bias(config: RunConfig):
     # cohorts and rations at each arm's alpha target
     if cfg_c.dgp != "partially_linear":
         raise ConfigError("config key 'cohort.dgp': the bias study draws partially_linear cohorts")
-    for key in ("budgets", "alpha_target"):
-        if getattr(mech, key) is not None:
-            raise ConfigError(
-                f"config key 'mechanism.{key}': the bias study rations at the "
-                "alpha targets of design.bias_arms"
-            )
+    if mech.alpha_target is not None:
+        raise ConfigError(
+            "config key 'mechanism.alpha_target': the bias study rations at the "
+            "alpha targets of design.bias_arms"
+        )
     n, tau, psi = cfg_c.n, cfg_c.tau, cfg_c.psi
     p = np.asarray(mech.p, dtype=float)
     beta = mech.beta
@@ -342,8 +343,7 @@ def run_bias(config: RunConfig):
         spec = specs[top]
         c = c_rct + frac * (c_end - c_rct)
         problem = DesignProblem(
-            utilities=h, alpha=spec.alpha, utility_floor=c, kappa=cfg_d.kappa,
-            objective="endogenous",
+            utilities=h, alpha=spec.alpha, utility_floor=c, objective="endogenous",
         )
         theta_endo = optimize_endogenous(problem).policy
         # keeps the endogenous kappa resolved above, not the exogenous default
@@ -360,7 +360,6 @@ def run_bias(config: RunConfig):
             "nuis_endo": oracle_nuisances(h, "partially_linear", psi, pi_endo),
             "nuis_exo": oracle_nuisances(h, "partially_linear", psi, pi_exo),
             "spec": spec, "psi": psi,
-            "gamma": config.estimation.gamma,
             "relevance_floor": config.estimation.relevance_floor,
             "seed": cfg_e.seed, "arm": arm_id,
         }
@@ -435,7 +434,7 @@ def run_propensity_check(config: RunConfig):
 
 
 def run_estimate(config: RunConfig):
-    """One allocation under the RCT policy, then every configured estimator.
+    """One allocation under the RCT policy, then each of the three estimators.
 
     Estimator preconditions (positivity, instrument relevance) are reported
     as a status column with NaN numbers rather than as hard failures: a
@@ -468,24 +467,21 @@ def run_estimate(config: RunConfig):
         # so estimation errors stay first-order orthogonal to fitting noise.
         fit_idx, eval_idx = split_indices(n, seed)
         try:
-            nuis = fit_nuisances(
-                cohort.h[fit_idx], z[fit_idx], y[fit_idx], cohort.h[eval_idx],
-                method=est.nuisance_method, bins=est.bins, degree=est.degree,
-            )
+            nuis = fit_nuisances(cohort.h[fit_idx], z[fit_idx], y[fit_idx], cohort.h[eval_idx],
+                                 method=est.nuisance_method)
         except RunFailure as err:
             fit_failure = err
     ze, ye, re, pe, ve = (v[eval_idx] for v in (z, y, r, pi, ivar))
 
     nan = float("nan")
     rows = []
-    for name in est.estimators:
+    for name in ESTIMATOR_METHODS:
         try:
             if name != "iv_ratio" and fit_failure is not None:
                 raise fit_failure  # the IV ratio reads no nuisance
             if name == "dr_ate":
                 report = estimate_dr_ate(
-                    ze, ye, pe, nuis, gamma=est.gamma,
-                    bootstrap_reps=est.bootstrap_reps, seed=seed,
+                    ze, ye, pe, nuis, bootstrap_reps=est.bootstrap_reps, seed=seed,
                 )
             elif name == "pliv":
                 report = estimate_pliv(

@@ -63,9 +63,10 @@ def validate_policy(theta: np.ndarray, k: Optional[int] = None) -> np.ndarray:
         raise ValueError("policy must be an (n, K) matrix")
     if k is not None and theta.shape[1] != k:
         raise ValueError(f"policy has {theta.shape[1]} queues, expected {k}")
-    if np.any(theta < -1e-12):
+    # negated comparisons, so a NaN entry fails them
+    if not np.all(theta >= -1e-12):
         raise ValueError("policy entries must be nonnegative")
-    if np.max(np.abs(row_sum(theta) - 1.0)) > 1e-9:
+    if not np.max(np.abs(row_sum(theta) - 1.0)) <= 1e-9:
         raise ValueError("policy rows must sum to 1")
     return theta
 

@@ -82,7 +82,7 @@ SUMMARIES = {
     "pareto": "Sweep utility floors and heuristics; write frontier.csv and bands.csv.",
     "bias": "Run the fixed-design endogeneity bias study; write bias.csv.",
     "check-propensity": "Compare MC propensities with the closed form; write propensity.csv.",
-    "estimate": "Simulate one allocation and run the configured estimators; write estimates.csv.",
+    "estimate": "Simulate one allocation and run the three estimators; write estimates.csv.",
 }
 
 
@@ -218,11 +218,18 @@ def exit_case_args(case, tmp_path):
         "mechanism": {"k": 3, "p": [0.4, 0.3, 0.3]},
         "execution": {"bias_replications": 4},
     }, "three_queues.yaml")
+    # expm1(1000 * h) overflows for h > 0.71 and the greedy fill's rows turn
+    # NaN: run_pareto refuses the policy rather than write a row of NaN
+    greedy_overflow = write_config(tmp_path, {
+        "cohort": {"n": 2000},
+        "design": {"c_grid_size": 1, "greedy_scales": [1000.0]},
+    }, "greedy_overflow.yaml")
     return {
         "valid estimate": ["estimate", "--config", good, "--out", out],
         "negative cohort.n": ["estimate", "--config", negative_n, "--out", out],
         "invalid yaml": ["estimate", "--config", str(bad_yaml), "--out", out],
         "bias on three queues": ["bias", "--config", three_queues, "--out", out],
+        "overflowing greedy scale": ["pareto", "--config", greedy_overflow, "--out", out],
         "zero threads": ["estimate", "--config", good, "--out", out, "--threads", "0"],
         "negative seed": ["estimate", "--config", good, "--out", out, "--seed", "-1"],
         "uncreatable out": ["estimate", "--config", good, "--out", str(afile / "sub")],
@@ -243,6 +250,7 @@ EXIT_CODES = [
     ("negative cohort.n", 1, "stderr", "cohort.n"),
     ("invalid yaml", 1, "stderr", "Error: "),
     ("bias on three queues", 1, "stderr", "k=2"),
+    ("overflowing greedy scale", 1, "stderr", "policy entries must be nonnegative"),
     ("zero threads", 1, "stderr", "execution.threads"),
     ("negative seed", 1, "stderr", "execution.seed"),
     ("uncreatable out", 1, "stderr", "Error: "),

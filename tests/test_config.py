@@ -1,6 +1,7 @@
 """Configuration loading, defaults, and per-key validation messages."""
 
 import dataclasses
+import re
 import typing
 from pathlib import Path
 
@@ -14,14 +15,25 @@ from queuedesign.config import (
     load_config,
 )
 
+from test_output_bytes import CONFIGS as PINNED
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = sorted(REPO_ROOT.glob("configs/*.yaml")) + sorted(
     REPO_ROOT.glob("bench/configs/*.yaml")
 )
 
+# the fields that no experiment sets away from its default, and why each
+# stays a key rather than a constant
+ONE_VALUE_IN_USE = {
+    "cohort.psi": "the true effect that every CSV is measured against",
+    "design.c_grid": "the only config route to the frontier's infeasible status",
+    "execution.threads": "a deployment setting, overridden by --threads",
+    "execution.out_dir": "a deployment setting, overridden by --out",
+}
+
 INTEGER_FIELDS = (
-    "cohort.n", "cohort.tau", "mechanism.k", "design.c_grid_size", "estimation.bins",
-    "estimation.degree", "estimation.bootstrap_reps", "execution.seed",
+    "cohort.n", "cohort.tau", "mechanism.k", "design.c_grid_size",
+    "estimation.bootstrap_reps", "execution.seed",
     "execution.bias_replications", "execution.propensity_reps",
     "execution.treated_mass_reps", "execution.threads",
 )
@@ -60,23 +72,14 @@ class TestValidationMessages:
             ({"mechanism": {"mode": "fifo"}}, "mechanism.mode"),
             ({"mechanism": {"mode": "rationed"}}, "mechanism.alpha_target"),
             ({"design": {"objective": "minimax"}}, "design.objective"),
-            ({"design": {"kappa": -1.0}}, "design.kappa"),
             ({"design": {"switch_strengths": [1.0]}}, "design.switch_strengths"),
-            ({"design": {"greedy_cap": 0.0}}, "design.greedy_cap"),
             ({"estimation": {"nuisance_method": "forest"}}, "estimation.nuisance_method"),
-            ({"estimation": {"gamma": 0.5}}, "estimation.gamma"),
-            ({"estimation": {"estimators": ["ols"]}}, "estimation.estimators"),
             ({"execution": {"threads": 0}}, "execution.threads"),
             ({"execution": {"seed": -1}}, "execution.seed"),
             # cross-field rules come from QueueSpec and AlphaVector
             ({"mechanism": {"alpha_target": [0.6, 0.4]}}, "mechanism.alpha_target"),
             ({"mechanism": {"mode": "rationed", "alpha_target": [0.4, 0.6]}},
              "mechanism.alpha_target"),
-            ({"cohort": {"tau": 1}, "mechanism": {"budgets": [500, 500]}},
-             "mechanism.budgets"),
-            ({"mechanism": {"budgets": [-1]}}, "mechanism.budgets"),
-            # a fractional budget is refused, not truncated to 250
-            ({"cohort": {"n": 500}, "mechanism": {"budgets": [250.7]}}, "mechanism.budgets"),
             ({"design": {"bias_arms": [[1.2, 0.5]]}}, "design.bias_arms"),
             ({"design": {"bias_arms": [[0.6, 1.5]]}}, "design.bias_arms"),
             ({"design": {"bias_arms": [0.6, 0.5]}}, "design.bias_arms"),
@@ -86,7 +89,7 @@ class TestValidationMessages:
             ({"cohort": {"tau": None}}, "cohort.tau"),
             ({"mechanism": {"p": ["a", "b"]}}, "mechanism.p"),
             ({"design": {"bias_arms": [["x", 0.5]]}}, "design.bias_arms"),
-            ({"estimation": {"gamma": [0.1]}}, "estimation.gamma"),
+            ({"estimation": {"bootstrap_reps": [10]}}, "estimation.bootstrap_reps"),
             # grid entries: a nan floor is not solved and labelled, a
             # fractional size is not truncated, and text is refused by key
             ({"design": {"c_grid": [float("nan")]}}, "design.c_grid"),
@@ -99,16 +102,33 @@ class TestValidationMessages:
               "execution": {"propensity_reps": 3.9, "seed": 1.5}}, "cohort.n"),
             # a quoted number is a string, not a float
             ({"mechanism": {"beta": "0.5"}}, "mechanism.beta"),
-            # budgets take the integer rule of every other integer field
-            ({"cohort": {"n": 500}, "mechanism": {"budgets": [2.5]}}, "mechanism.budgets"),
-            ({"cohort": {"n": 500}, "mechanism": {"budgets": [True]}}, "mechanism.budgets"),
-            # negative entropy is the only regularizer, so there is no knob
-            ({"design": {"regularizer": "neg_entropy"}}, "design.regularizer"),
+            # tuple entries take the integer rule of the scalar fields
+            ({"execution": {"n_grid": [True]}}, "execution.n_grid"),
         ],
     )
     def test_bad_value_names_key(self, data, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             config_from_dict(data)
+
+    REMOVED_KEYS = [
+        # negative entropy is the only regularizer, so there is no knob
+        ("design.regularizer", "neg_entropy"),
+        # library defaults that no experiment set otherwise; budgets are
+        # always spread over the periods by QueueSpec.auto
+        ("mechanism.budgets", [1000]),
+        ("design.kappa", 1e-3),
+        ("design.greedy_cap", 1.0),
+        ("estimation.bins", 20),
+        ("estimation.degree", 3),
+        ("estimation.gamma", 0.01),
+        ("estimation.estimators", ["dr_ate", "pliv", "iv_ratio"]),
+    ]
+
+    @pytest.mark.parametrize("key, value", REMOVED_KEYS, ids=[k for k, _ in REMOVED_KEYS])
+    def test_removed_key_is_an_unknown_field(self, key, value):
+        block, name = key.split(".")
+        with pytest.raises(ConfigError, match=rf"^config key '{re.escape(key)}': unknown field$"):
+            config_from_dict({block: {name: value}})
 
     @pytest.mark.parametrize("value", [2.5, True])
     @pytest.mark.parametrize("key", INTEGER_FIELDS)
@@ -205,8 +225,8 @@ class TestTypes:
     def test_integral_float_is_stored_as_int(self):
         n = config_from_dict({"cohort": {"n": 2000.0}}).cohort.n
         assert type(n) is int and n == 2000
-        cfg = config_from_dict({"cohort": {"n": 500}, "mechanism": {"budgets": [250.0]}})
-        assert cfg.mechanism.budgets == (250,) and type(cfg.mechanism.budgets[0]) is int
+        grid = config_from_dict({"execution": {"n_grid": [500.0, 1000]}}).execution.n_grid
+        assert grid == (500, 1000) and all(type(g) is int for g in grid)
 
     def test_int_is_stored_as_float(self):
         assert type(config_from_dict({"cohort": {"psi": 0}}).cohort.psi) is float
@@ -226,3 +246,32 @@ class TestTypes:
             values = getattr(cfg, block.name)
             for f in dataclasses.fields(values):
                 assert conforms(getattr(values, f.name), f.type), f"{block.name}.{f.name}"
+
+
+class TestKnobCensus:
+    """Every key is set away from its default by some experiment.
+
+    The experiments are the shipped configs, the benchmark's configs and
+    the byte-pinned configs; a key that none of them sets is a constant
+    with a name, and every key doubles what the tests must cover.
+    """
+
+    def test_every_field_is_set_by_an_experiment(self):
+        runs = [load_config(str(path)) for path in SHIPPED]
+        runs += [config_from_dict(data) for _, data in PINNED.values()]
+        default = RunConfig()
+        unset = {
+            f"{block.name}.{f.name}"
+            for block in dataclasses.fields(RunConfig)
+            for f in dataclasses.fields(block.type)
+            if all(
+                getattr(getattr(run, block.name), f.name)
+                == getattr(getattr(default, block.name), f.name)
+                for run in runs
+            )
+        }
+        assert unset == set(ONE_VALUE_IN_USE)
+
+    def test_the_census_reads_every_experiment(self):
+        assert len(SHIPPED) + len(PINNED) == 21
+        assert sum(len(dataclasses.fields(b.type)) for b in dataclasses.fields(RunConfig)) == 25

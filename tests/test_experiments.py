@@ -6,6 +6,7 @@ live in the acceptance suite.
 
 import dataclasses
 import inspect
+import os
 import re
 
 import numpy as np
@@ -210,6 +211,22 @@ class TestRunBias:
         assert experiments.run_bias(cfg) == serial
         assert started == ([] if workers is None else [workers, chunk] * 2)  # two arms
 
+    @pytest.mark.parametrize("threads", [1, 8])
+    def test_map_without_sched_getaffinity(self, monkeypatch, threads):
+        # os.sched_getaffinity exists only on some platforms (Linux);
+        # elsewhere the CPU count bounds the pool
+        import concurrent.futures
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+
+        def worker(rep):
+            return experiments._CONTEXT["base"] + rep * rep
+
+        got = experiments._map_indexed(worker, 5, threads, {"base": 3})
+        assert got == [3 + rep * rep for rep in range(5)]
+
     def test_dr_bias_positive_under_confounding(self):
         # high-noise units arrive first and get served: DR inflates upward
         rows = experiments.run_bias(self.bias_config(reps=60))
@@ -257,7 +274,6 @@ class TestRunBias:
 
     @pytest.mark.parametrize("extra, key", [
         ({"cohort": {"n": 100}}, "cohort.dgp"),  # bernoulli, the default
-        ({"mechanism": {"budgets": [10]}}, "mechanism.budgets"),
         ({"mechanism": {"mode": "rationed", "alpha_target": [0.9, 0.1]}},
          "mechanism.alpha_target"),
     ])
@@ -382,12 +398,13 @@ class TestRunEstimate:
     def test_split_fit_reports_half_sample(self):
         cfg = config_from_dict({
             "cohort": {"n": 400},
-            "estimation": {"nuisance_method": "binned", "estimators": ["dr_ate"]},
+            "estimation": {"nuisance_method": "binned"},
             "execution": {"seed": 4},
         })
-        rows = experiments.run_estimate(cfg)
-        assert rows[0][5] == 200
-        assert rows[0][-1] == "ok"
+        dr = experiments.run_estimate(cfg)[0]
+        assert dr[0] == "dr_ate"
+        assert dr[5] == 200
+        assert dr[-1] == "ok"
 
 
 class TestTypedConfig:

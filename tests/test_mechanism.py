@@ -360,6 +360,12 @@ class TestPolicies:
         with pytest.raises(ValueError, match="sum to 1"):
             validate_policy(np.array([[0.5, 0.4]]))
 
+    @pytest.mark.parametrize("row", [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]])
+    def test_rejects_rows_that_are_not_numbers(self, row):
+        # every comparison with NaN is False, so the checks must not pass on one
+        with pytest.raises(ValueError, match="policy"):
+            validate_policy(np.array([[0.5, 0.5], row]))
+
     def test_sample_queues_matches_policy_frequencies(self):
         theta = np.tile(np.array([0.2, 0.3, 0.5]), (20_000, 1))
         q = sample_queues(theta, np.random.default_rng(5))
