@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._bitexact import PAIRWISE_MIN
+from ._bitexact import PAIRWISE_MIN, row_sum
 from .errors import InfeasibleFloor
 from .propensity import AlphaVector, instrument_variance
 from .policies import assortative_policy
@@ -221,7 +221,10 @@ def _inner_solve(
     The bisection stops early once a step leaves every bracket bit for bit
     unchanged: the same (lo, hi) then gives the same midpoint and the same
     step forever, so the result equals that of all 100 steps.  Adjacent
-    brackets are not such a point, since hi can still move onto lo.
+    brackets are not such a point, since hi can still move onto lo.  At that
+    exit the returned eta, 0.5 * (lo + hi), is the last midpoint, so its
+    theta is already in the buffer and only s = theta @ alpha is recomputed
+    (phi' overwrote the last s).
     """
     n, k = w.shape
     wt = np.ascontiguousarray(w.T)
@@ -267,17 +270,15 @@ def _inner_solve(
         np.bitwise_xor(mid_bits, hi_bits, out=d_hi)
         d_hi &= np.invert(to_lo, out=to_lo)
         if not (d_lo.any() or d_hi.any()):
-            break
+            return theta, theta @ alpha
         lo_bits ^= d_lo
         hi_bits ^= d_hi
-    eta = 0.5 * (lo + hi)
-    s = s_of(eta)
-    return theta, s
+    return theta, s_of(0.5 * (lo + hi))
 
 
 def _neg_entropy(theta: np.ndarray) -> np.ndarray:
     t = np.clip(theta, 1e-300, None)
-    return np.sum(theta * np.log(t), axis=1)
+    return row_sum(theta * np.log(t))
 
 
 def _overlap(s):
@@ -322,16 +323,38 @@ def _phi_functions(objective: str, alpha: np.ndarray):
 
 
 def _dual_state(x: np.ndarray, problem: DesignProblem, phi, phi_prime, offset):
-    """Dual value, gradient, and the minimizing policy at multipliers x."""
+    """Dual value, gradient, and the minimizing policy at multipliers x.
+
+    At lambda == 0 every row of w is nu + offset, and the per-row solve is
+    elementwise, so one row's solution is every row's: the first two rows
+    are solved and row 0 repeated.  Two, not one: numpy computes a (1, k)
+    @ (k,) product as a dot rather than the matrix-vector kernel of the
+    full solve, and that can differ in the last bit.  That two rows give
+    the bits of n rows is not promised by numpy: it rests on the BLAS
+    kernel and its row blocking, was measured on one OpenBLAS build and
+    CPU, and is guarded by
+    ``test_zero_lambda_two_rows_match_the_full_width_solve`` and the CSV
+    byte pins, which fail on a machine where it does not hold.
+    """
     u = problem.utilities
     a = problem.alpha.alpha
     p = problem.p
     c = problem.utility_floor
     lam = x[0]
     nu = np.concatenate([x[1:], [0.0]])
-    w = lam * u[:, None] * a[None, :] + nu[None, :] + offset[None, :]
-    theta, s = _inner_solve(w, a, problem.kappa, phi_prime)
-    inner = phi(s) + problem.kappa * _neg_entropy(theta) - np.sum(w * theta, axis=1)
+    # w = lam * u[:, None] * a[None, :] + nu + offset, built by columns: each
+    # entry sees the same operations, without (n, 1) by (1, k) broadcasts
+    wt = np.multiply.outer(a, lam * u)
+    wt += nu[:, None]
+    wt += offset[:, None]
+    w = wt.T
+    if lam == 0.0:
+        theta, s = _inner_solve(w[:2], a, problem.kappa, phi_prime)
+        n = u.shape[0]
+        theta, s = np.repeat(theta[:1], n, axis=0), np.repeat(s[:1], n)
+    else:
+        theta, s = _inner_solve(w, a, problem.kappa, phi_prime)
+    inner = phi(s) + problem.kappa * _neg_entropy(theta) - row_sum(w * theta)
     value = float(inner.mean() + lam * c + nu @ p)
     grad = np.empty(problem.k)
     grad[0] = c - float(np.mean(u * s))
@@ -359,6 +382,15 @@ def _primal_from(theta: np.ndarray, s: np.ndarray, problem: DesignProblem):
 
 
 def _solve(problem: DesignProblem, x0: Optional[np.ndarray]) -> DesignSolution:
+    """Maximize the dual with L-BFGS-B, then polish it with Newton steps.
+
+    Each point is solved once where it can be: the dual value and gradient
+    of every point solved are kept under the bytes of its x, since
+    L-BFGS-B's line search comes back to its iterate, and the (n, k) policy
+    of the last point solved is kept, since the polish starts at the point
+    where L-BFGS-B stopped, which is nearly always the last one it asked
+    for.  Holding one policy, not one per point, keeps the cache small.
+    """
     c_min, c_max = problem.utility_range()
     c = problem.utility_floor
     if c > c_max + CONSTRAINT_TOL:
@@ -387,9 +419,23 @@ def _solve(problem: DesignProblem, x0: Optional[np.ndarray]) -> DesignSolution:
     if x0 is None:
         x0 = np.zeros(problem.k)
     bounds = [(0.0, None)] + [(None, None)] * (problem.k - 1)
+    values = {}  # x bytes -> (value, grad) of every point solved
+    last = {}  # the last point solved: x bytes -> (theta, s)
+
+    def solve_at(x):
+        key = x.tobytes()
+        if key not in last:
+            last.clear()  # before the solve, so that two policies are never held
+            value, grad, theta, s = _dual_state(x, problem, phi, phi_prime, offset)
+            values[key] = value, grad
+            last[key] = theta, s
+        return key
 
     def neg_dual(x):
-        value, grad, _, _ = _dual_state(x, problem, phi, phi_prime, offset)
+        key = x.tobytes()
+        if key not in values:
+            solve_at(x)
+        value, grad = values[key]
         return -value, -grad
 
     import scipy.optimize  # about 0.6 s to load; commands that solve no design skip it
@@ -408,7 +454,8 @@ def _solve(problem: DesignProblem, x0: Optional[np.ndarray]) -> DesignSolution:
     # Newton polish on the KKT system: drive the dual gradient to zero,
     # holding lambda at zero when the utility constraint is slack
     def residual(x):
-        _, grad, theta, s = _dual_state(x, problem, phi, phi_prime, offset)
+        key = solve_at(x)
+        grad, (theta, s) = values[key][1], last[key]
         r = -grad  # primal residuals: (utility slack, column deviations)
         if x[0] <= 0.0 and r[0] >= 0.0:
             r = r.copy()

@@ -242,6 +242,19 @@ def _make_cohort(config: RunConfig, seed: int) -> Cohort:
 # ---------------------------------------------------------------------------
 
 
+def _observed(cohort: Cohort, treated: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.where(treated, cohort.y1, cohort.y0)`` bit for bit, written to ``out``.
+
+    The select is y0 ^ ((y0 ^ y1) * treated) on int64 views: no branch and
+    no temporary, at about a third of ``np.where``'s time on a random mask.
+    """
+    y0, bits = cohort.y0.view(np.int64), out.view(np.int64)
+    np.bitwise_xor(y0, cohort.y1.view(np.int64), out=bits)
+    bits *= treated
+    bits ^= y0
+    return out
+
+
 def _bias_rep(rep: int):
     """One fixed-design replication: fresh noise and arrivals, fixed policies.
 
@@ -264,8 +277,15 @@ def _bias_rep(rep: int):
 
     def realize(theta, stream):
         trace = _served(cohort, theta, spec, ctx["seed"], stream, ctx["arm"], rep)
-        z = trace.z
-        return trace.queues, z, np.where(z, cohort.y1, cohort.y0)
+        if "y" not in ctx:
+            # One y buffer per arm and process, read by each estimator before
+            # the next world overwrites it.  Made here, after the first
+            # world's draws, it sits above them in the heap: the space they
+            # free stays below a live block, so the allocator keeps it for
+            # the next worlds instead of returning it to the system and
+            # faulting fresh pages in for each of them.
+            ctx["y"] = np.empty(cohort.n)
+        return trace.queues, trace.z, _observed(cohort, trace.treated, ctx["y"])
 
     queues, z, y = realize(ctx["theta_endo"], STREAM_BIAS_ENDOGENOUS_QUEUES)
     pi = ctx["pi_endo"]

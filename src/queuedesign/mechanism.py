@@ -79,10 +79,10 @@ def sample_queues(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _draw_queues(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """``sample_queues`` from a checked policy's row cumsum, unchecked."""
     u = rng.uniform(size=cum.shape[0])
-    labels = np.ones(cum.shape[0], dtype=int)
-    for j in range(cum.shape[1]):
+    labels = np.add(cum[:, 0] < u, 1, dtype=int)
+    for j in range(1, cum.shape[1]):
         labels += cum[:, j] < u
-    return np.minimum(labels, cum.shape[1])
+    return np.minimum(labels, cum.shape[1], out=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,8 @@ class QueueSpec:
 def arrival_periods(arrival: np.ndarray, tau: int) -> np.ndarray:
     """Review period in 1..tau at which each arrival time enters the pool."""
     s = np.ceil(np.asarray(arrival, dtype=float)).astype(int)
-    return np.clip(s, 1, tau)
+    np.maximum(s, 1, out=s)
+    return np.minimum(s, tau, out=s)
 
 
 def rationed_shares(budgets: np.ndarray, alpha_target: np.ndarray, p: np.ndarray) -> np.ndarray:

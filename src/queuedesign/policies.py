@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._bitexact import stable_order
 from .mechanism import validate_policy
+
+_EXP_MAX = float(np.log(np.finfo(float).max))  # np.expm1 overflows above this
 
 
 def rct_policy(n: int, p: np.ndarray) -> np.ndarray:
@@ -26,7 +29,7 @@ def rct_policy(n: int, p: np.ndarray) -> np.ndarray:
 
 def _descending_order(utilities: np.ndarray) -> np.ndarray:
     # stable: ties broken by unit index so assignments are reproducible
-    return np.argsort(-np.asarray(utilities, dtype=float), kind="stable")
+    return stable_order(-np.asarray(utilities, dtype=float))
 
 
 def assortative_policy(
@@ -116,6 +119,9 @@ def greedy_softmax_policy(
     column sums to p_k*n, iteratively capping entries at min(cap, r_i) and
     renormalizing the uncapped mass.  If the caps cannot absorb the whole
     column target the loop stops with a short column (every entry capped).
+    A scale at which the n scores of column 1 could sum past the largest
+    float is refused: a * max(u) must not exceed log(float max / 2n), the 2
+    absorbing rounding in exp and in the sum.
     """
     a = float(scale)
     if a <= 0.0:
@@ -124,6 +130,12 @@ def greedy_softmax_policy(
     if not (0.0 < m <= 1.0):
         raise ValueError("cap must lie in (0, 1]")
     u = np.asarray(utilities, dtype=float)
+    limit = _EXP_MAX - np.log(2.0 * u.shape[0])
+    if a * np.max(u) > limit:
+        raise ValueError(
+            f"greedy scale {a:g} overflows: scale * max(utility) = {a * np.max(u):.6g} "
+            f"exceeds log(float max / 2n) = {limit:.6g} at n = {u.shape[0]}"
+        )
     p = np.asarray(p, dtype=float)
     n, k = u.shape[0], p.shape[0]
     theta = np.zeros((n, k))

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -218,8 +219,8 @@ def exit_case_args(case, tmp_path):
         "mechanism": {"k": 3, "p": [0.4, 0.3, 0.3]},
         "execution": {"bias_replications": 4},
     }, "three_queues.yaml")
-    # expm1(1000 * h) overflows for h > 0.71 and the greedy fill's rows turn
-    # NaN: run_pareto refuses the policy rather than write a row of NaN
+    # expm1(1000 * h) would overflow for h > 0.71: the greedy policy refuses
+    # the scale before it scores any unit
     greedy_overflow = write_config(tmp_path, {
         "cohort": {"n": 2000},
         "design": {"c_grid_size": 1, "greedy_scales": [1000.0]},
@@ -250,7 +251,7 @@ EXIT_CODES = [
     ("negative cohort.n", 1, "stderr", "cohort.n"),
     ("invalid yaml", 1, "stderr", "Error: "),
     ("bias on three queues", 1, "stderr", "k=2"),
-    ("overflowing greedy scale", 1, "stderr", "policy entries must be nonnegative"),
+    ("overflowing greedy scale", 1, "stderr", "Error: greedy scale 1000 overflows"),
     ("zero threads", 1, "stderr", "execution.threads"),
     ("negative seed", 1, "stderr", "execution.seed"),
     ("uncreatable out", 1, "stderr", "Error: "),
@@ -272,6 +273,15 @@ class TestExitCodes:
         assert text in {"stdout": out, "stderr": err}[stream]
         if code == 1:
             assert err.startswith("Error: ")
+
+
+    def test_overflowing_greedy_scale_warns_nothing(self, tmp_path):
+        # the scale is refused before np.expm1 runs: no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = run_main(exit_case_args("overflowing greedy scale", tmp_path))
+        assert got == 1
+        assert err.startswith("Error: greedy scale 1000 overflows") and err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -1,9 +1,11 @@
 """Tests for assignment heuristics and the constrained design optimizers."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +33,7 @@ from queuedesign.policies import (
     rct_policy,
     switch_policy,
 )
-from queuedesign.propensity import alpha_vector
+from queuedesign.propensity import alpha_from_target, alpha_vector
 
 
 def random_utilities(n, seed):
@@ -185,6 +187,46 @@ class TestPolicies:
         u = np.sort(random_utilities(30, seed=5))
         theta = greedy_softmax_policy(u, np.array([0.4, 0.6]), scale=4.0)
         assert np.all(np.diff(theta[:, 0]) >= -1e-12)
+
+    @staticmethod
+    def largest_greedy_scale(u):
+        # the largest scale the overflow guard lets through for these utilities
+        limit = float(np.log(np.finfo(float).max)) - np.log(2.0 * u.shape[0])
+        largest = limit / np.max(u)
+        while largest * np.max(u) > limit:
+            largest = np.nextafter(largest, 0.0)
+        return largest
+
+    def test_greedy_softmax_refuses_an_overflowing_scale(self):
+        u = np.array([0.2, 0.5, 0.8])
+        p = np.array([0.5, 0.5])
+        largest = self.largest_greedy_scale(u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.expm1 must not run on it
+            with pytest.raises(ValueError, match="greedy scale 1000 overflows"):
+                greedy_softmax_policy(u, p, scale=1000.0)
+            with pytest.raises(ValueError, match="greedy scale"):
+                greedy_softmax_policy(u, p, scale=np.nextafter(largest, np.inf))
+            theta = greedy_softmax_policy(u, p, scale=largest)
+        # the top unit fills its cap, the next one takes the rest of queue 1
+        assert theta[2, 0] == 1.0 and theta[1, 0] == 0.5
+        assert np.allclose(theta.mean(axis=0), p)
+
+    def test_greedy_softmax_refuses_a_scale_whose_scores_sum_past_float_max(self):
+        # no single score overflows at 709.78 / 0.999, but the two top scores
+        # sum to inf: every share would be 0 and column 1 all zero
+        u = np.array([0.5, 0.999, 0.999])
+        p = np.array([0.5, 0.5])
+        largest = self.largest_greedy_scale(u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # neither expm1 nor the sum may overflow
+            with pytest.raises(ValueError, match="greedy scale"):
+                greedy_softmax_policy(u, p, scale=709.78 / 0.999)
+            with pytest.raises(ValueError, match="greedy scale"):
+                greedy_softmax_policy(u, p, scale=np.nextafter(largest, np.inf))
+            theta = greedy_softmax_policy(u, p, scale=largest)
+        assert theta[1, 0] == theta[2, 0] and np.isclose(theta[1, 0], 0.75)
+        assert np.allclose(theta.mean(axis=0), p)
 
     def test_greedy_softmax_parameter_validation(self):
         u = np.array([0.5, 0.6])
@@ -595,6 +637,84 @@ class TestInnerSolveBitExact:
         ref_theta, ref_s = inner_solve_100_steps(w, alpha, 1e-5, phi_prime)
         assert same_bits(theta, ref_theta)
         assert same_bits(s, ref_s)
+
+
+def phi_prime_counter(phi_prime, calls):
+    def counted(s):
+        calls.append(1)
+        return phi_prime(s)
+    return counted
+
+
+class TestEachPointSolvedOnce:
+    """At lambda = 0 the dual solves two rows, and no point is solved twice."""
+
+    @pytest.mark.parametrize("objective", ["exogenous", "endogenous"])
+    def test_zero_lambda_two_rows_match_the_full_width_solve(self, objective):
+        rng = np.random.default_rng([77, len(objective)])
+        p2 = np.array([0.5, 0.5])
+        alphas = (
+            alpha_vector(0.5, p2),  # strict: alpha = (1, 0)
+            alpha_from_target(np.array([0.8, 0.2]), p2),
+            alpha_from_target(np.array([0.9, 0.5, 0.2]), np.full(3, 1 / 3)),
+        )
+        capped = 0
+        for alpha in alphas:
+            k = alpha.p.shape[0]
+            for n in (2, 3, 9, 17, 1000, 32000):
+                u = 0.1 + 0.8 * rng.uniform(size=n)
+                prob = DesignProblem(
+                    utilities=u, alpha=alpha, utility_floor=0.1, objective=objective,
+                )
+                a = alpha.alpha
+                phi, phi_prime, offset = _phi_functions(objective, a)
+                for x in (np.zeros(k), np.append(0.0, rng.normal(size=k - 1))):
+                    _, _, theta, s = design._dual_state(x, prob, phi, phi_prime, offset)
+                    # the full-width solve of the w the dual builds
+                    lam, nu = x[0], np.append(x[1:], 0.0)
+                    w = lam * u[:, None] * a[None, :] + nu[None, :] + offset[None, :]
+                    calls = []
+                    ref_theta, ref_s = _inner_solve(
+                        w, a, prob.kappa, phi_prime_counter(phi_prime, calls)
+                    )
+                    assert same_bits(theta, ref_theta), (n, x)
+                    assert same_bits(s, ref_s), (n, x)
+                    capped += len(calls) > 100
+        if objective == "exogenous":
+            # w = 0 at alpha = (1, 0) has its root at exactly 0: every lane
+            # runs the whole 100-step bisection
+            assert capped >= 6
+
+    @pytest.mark.parametrize("objective", ["exogenous", "endogenous"])
+    def test_no_solve_evaluates_a_point_twice(self, objective, monkeypatch):
+        solve = optimize_exogenous if objective == "exogenous" else optimize_endogenous
+        prob = make_problem(n=300, k=3, seed=78, objective=objective)
+        c = prob.c_rct + 0.6 * (prob.utility_range()[1] - prob.c_rct)
+        prob = dataclasses.replace(prob, utility_floor=c)
+        points, asks = [], []
+        dual_state = design._dual_state
+        minimize = scipy.optimize.minimize
+
+        def counted(x, *rest):
+            points.append(x.tobytes())
+            return dual_state(x, *rest)
+
+        def asked(fun, x0, **options):
+            def fun_asked(x):
+                asks.append(x.tobytes())
+                return fun(x)
+            return minimize(fun_asked, x0, **options)
+
+        monkeypatch.setattr(design, "_dual_state", counted)
+        monkeypatch.setattr(scipy.optimize, "minimize", asked)
+        sol = solve(prob)
+        assert sol.iterations > 0 and len(asks) > 1
+        if objective == "endogenous":
+            # its line search asks for one point twice: the kept value answers
+            assert len(set(asks)) < len(asks)
+        # the polish starts where L-BFGS-B stopped, its last point here, and
+        # takes that point's kept policy: no point is solved twice
+        assert len(set(points)) == len(points)
 
 
 class TestExpAssumptions:

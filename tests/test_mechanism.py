@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queuedesign.cohorts import Cohort, generate_bias_cohort, generate_cohort
+from queuedesign.experiments import _observed
 from queuedesign.mechanism import (
     AllocationTrace,
     QueueSpec,
+    _draw_queues,
     _serve,
     allocate,
     arrival_periods,
@@ -488,3 +490,82 @@ class TestStableRanks:
         ranks = np.empty(keys.shape[0], dtype=np.int64)
         ranks[np.argsort(keys, kind="stable")] = np.arange(keys.shape[0])
         assert np.array_equal(stable_ranks(keys), ranks)
+
+
+class TestPerWorldFastForms:
+    """Each fast form on the per-world path against the code it replaced."""
+
+    @staticmethod
+    def draw_queues_ones(cum, rng):
+        u = rng.uniform(size=cum.shape[0])
+        labels = np.ones(cum.shape[0], dtype=int)
+        for j in range(cum.shape[1]):
+            labels += cum[:, j] < u
+        return np.minimum(labels, cum.shape[1])
+
+    class Uniforms:
+        """An rng whose one uniform draw is given."""
+
+        def __init__(self, u):
+            self.u = u
+
+        def uniform(self, size):
+            assert size == self.u.shape[0]
+            return self.u.copy()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_draw_queues_matches_the_ones_buffer_loop(self, k):
+        rng = np.random.default_rng([65, k])
+        theta = rng.dirichlet(np.ones(k), size=4000)
+        theta[:200] = np.eye(k)[rng.integers(0, k, size=200)]
+        # entries down to the -1e-12 that validate_policy lets through, so a
+        # row's cumsum can step down
+        small = rng.uniform(-1e-12, 0.0, size=(1000, k))
+        theta[200:1200] = np.where(rng.uniform(size=(1000, k)) < 0.5, small, theta[200:1200])
+        cum = row_cumsum(theta)
+        u = rng.uniform(size=4000)
+        u[:500] = np.nextafter(cum[:500, -1], np.inf)  # above the last cumsum
+        u[500:1000] = cum[500:1000, rng.integers(0, k)]  # on a cumsum: not below it
+        u[1000:1200] = np.nextafter(cum[1000:1200, 0], -np.inf)
+        got = _draw_queues(cum, self.Uniforms(u))
+        expected = self.draw_queues_ones(cum, self.Uniforms(u))
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert np.any(got == k) and np.all((got >= 1) & (got <= k))
+
+    @pytest.mark.parametrize("tau", [1, 2, 12, 52])
+    def test_arrival_periods_match_clip(self, tau):
+        marks = np.concatenate([[0.0, -0.0], np.arange(1.0, tau + 1.0)])
+        arrivals = np.concatenate([
+            marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf),
+            np.random.default_rng([66, tau]).uniform(0.0, tau, size=1000), [5e-324],
+        ])
+        expected = np.clip(np.ceil(arrivals).astype(int), 1, tau)
+        got = arrival_periods(arrivals, tau)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    def test_observed_outcome_matches_where(self):
+        rng = np.random.default_rng(67)
+        n = 5000
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                            np.finfo(float).max, -np.finfo(float).tiny])
+        y0 = rng.normal(size=n)
+        y1 = y0 - 0.1
+        y0[:81] = np.repeat(special, 9)
+        y1[:81] = np.tile(special, 9)
+        y1[81:90] = -y0[81:90]
+        y1[90:100] = y0[90:100]
+        bits = y1.view(np.int64)
+        bits[100:110] ^= 1  # neighbours in the last bit
+        nan_payload = np.array([0x7FF8000000000123, -0x0007FFFFFFFFFEDD], dtype=np.int64)
+        y0[110:112] = nan_payload.view(float)
+        cohort = dataclasses.make_dataclass("Outcomes", ["y0", "y1"])(y0, y1)
+        for treated in (rng.uniform(size=n) < 0.5, np.zeros(n, bool), np.ones(n, bool)):
+            out = np.empty(n)
+            got = _observed(cohort, treated, out)
+            assert got is out
+            expected = np.where(treated, y1, y0)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            assert np.array_equal(np.where(treated.astype(float), y1, y0).view(np.int64),
+                                  got.view(np.int64))
