@@ -28,7 +28,6 @@ import numpy as np
 from ._bitexact import stable_ranks
 
 DGP_TAGS = ("bernoulli", "partially_linear")
-ESTIMATOR_METHODS = ("dr_ate", "pliv", "iv_ratio")
 
 
 def default_h_law(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -191,43 +190,3 @@ def residual_variance(
         return pi * (h + psi) * (1 - h - psi) + (1 - pi) * h * (1 - h)
     return outcome_variances(dgp_tag, psi, h)[0]
 
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Point estimate with a standard error and a two-sided 95% interval."""
-
-    point: float
-    se: float
-    ci_low: float
-    ci_high: float
-    n: int
-    method: str
-    bootstrap_reps: Optional[int] = None
-
-    def __post_init__(self):
-        if self.method not in ESTIMATOR_METHODS:
-            raise ValueError(f"method must be one of {ESTIMATOR_METHODS}")
-        if not np.isfinite(self.point):
-            raise ValueError("point estimate must be finite")
-        if not (np.isfinite(self.se) and self.se >= 0.0):
-            raise ValueError("se must be finite and nonnegative")
-        if self.ci_low > self.ci_high:
-            raise ValueError("ci_low must not exceed ci_high")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.bootstrap_reps is not None and self.bootstrap_reps < 1:
-            raise ValueError("bootstrap_reps must be positive when given")
-
-
-def wald_report(point: float, se: float, n: int, method: str) -> EstimateReport:
-    """Package a point estimate with the normal-approximation 95% interval."""
-    point = float(point)
-    se = float(se)
-    return EstimateReport(
-        point=point,
-        se=se,
-        ci_low=point - 1.96 * se,
-        ci_high=point + 1.96 * se,
-        n=int(n),
-        method=method,
-    )

@@ -5,9 +5,11 @@ estimation, execution); every field has a validated default so a minimal
 config can be empty.  Each field's annotation is its type rule, applied
 once when a block is built: integer fields take integral numbers, float
 fields take real numbers, neither takes a boolean or a string, and lists
-become tuples of typed entries.  Validation thus returns the typed values
-the drivers read, and its errors always name the offending key as
-``block.field`` so sweep scripts fail loudly and early.
+become tuples of typed entries.  The block then checks its ranges, and a
+RunConfig checks the rules that tie its blocks together, so every config
+that exists holds the typed, checked values the drivers read.  Errors
+always name the offending key as ``block.field`` so sweep scripts fail
+loudly and early.
 """
 
 import numbers
@@ -72,7 +74,8 @@ def _typed(key: str, hint, value):
 
 
 class _Block:
-    """A config block whose fields are stored as their annotations type them."""
+    """A config block whose fields are stored as their annotations type them,
+    then checked by the block's ``_validate``."""
 
     block: ClassVar[str]
 
@@ -80,6 +83,7 @@ class _Block:
         for f in fields(self):
             value = _typed(f"{self.block}.{f.name}", f.type, getattr(self, f.name))
             object.__setattr__(self, f.name, value)
+        self._validate()
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ class CohortConfig(_Block):
     psi: float = -0.1
     dgp: str = "bernoulli"
 
-    def validate(self):
+    def _validate(self):
         _require(self.n >= 1, "cohort.n", "must be a positive integer")
         _require(self.tau >= 1, "cohort.tau", "must be a positive integer")
         _require(self.dgp in DGP_TAGS, "cohort.dgp", f"must be one of {DGP_TAGS}")
@@ -110,7 +114,7 @@ class MechanismConfig(_Block):
     mode: str = "strict"
     alpha_target: Optional[tuple[float, ...]] = None  # rationed mode only
 
-    def validate(self):
+    def _validate(self):
         _require(self.k >= 1, "mechanism.k", "must be a positive integer")
         p = np.asarray(self.p)
         _require(
@@ -141,7 +145,7 @@ class DesignConfig(_Block):
         (0.95, 0.0), (0.95, 0.5), (0.95, 0.9),
     )
 
-    def validate(self):
+    def _validate(self):
         _require(self.objective in OBJECTIVES, "design.objective", f"must be one of {OBJECTIVES}")
         _require(self.c_grid_size >= 1, "design.c_grid_size", "must be >= 1")
         _require(
@@ -180,7 +184,7 @@ class EstimationConfig(_Block):
     bootstrap_reps: int = 10_000
     relevance_floor: float = 1e-8
 
-    def validate(self):
+    def _validate(self):
         _require(
             self.nuisance_method in NUISANCE_METHODS,
             "estimation.nuisance_method",
@@ -201,7 +205,7 @@ class ExecutionConfig(_Block):
     threads: int = 1
     out_dir: str = "out"
 
-    def validate(self):
+    def _validate(self):
         _require(self.seed >= 0, "execution.seed", "must be a nonnegative integer")
         for name in ("bias_replications", "propensity_reps", "treated_mass_reps", "threads"):
             _require(getattr(self, name) >= 1, f"execution.{name}", "must be >= 1")
@@ -222,14 +226,11 @@ class RunConfig:
     estimation: EstimationConfig = field(default_factory=EstimationConfig)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
 
-    def validate(self) -> "RunConfig":
-        for block in fields(self):
-            getattr(self, block.name).validate()
+    def __post_init__(self):
         # QueueSpec owns the rules that tie mechanism fields together; its
         # budgets are always automatic, so whatever it rejects is about alpha_target
         mech, n, tau = self.mechanism, self.cohort.n, self.cohort.tau
         _check("mechanism.alpha_target", lambda: mech.queue_spec(n, tau))
-        return self
 
 
 _BLOCKS = {f.name: f.type for f in fields(RunConfig)}
@@ -253,13 +254,13 @@ def config_from_dict(data: Optional[dict]) -> RunConfig:
             if key not in known:
                 raise ConfigError(f"config key '{name}.{key}': unknown field")
         blocks[name] = cls(**block_data)
-    return RunConfig(**blocks).validate()
+    return RunConfig(**blocks)
 
 
 def load_config(path: Optional[str]) -> RunConfig:
     """Read a YAML config file; a missing path means all defaults."""
     if path is None:
-        return RunConfig().validate()
+        return RunConfig()
     with open(path, "r") as fh:
         data = yaml.safe_load(fh)
     return config_from_dict(data)
@@ -274,4 +275,4 @@ def apply_overrides(
     """Apply the --seed/--out/--threads command-line overrides."""
     given = dict(seed=seed, out_dir=out_dir, threads=threads)
     execu = replace(config.execution, **{k: v for k, v in given.items() if v is not None})
-    return replace(config, execution=execu).validate()
+    return replace(config, execution=execu)

@@ -27,12 +27,15 @@ from typing import Optional
 
 import numpy as np
 
-from .cohorts import EstimateReport, residual_variance, wald_report
+from .cohorts import residual_variance
 from .errors import BoundaryPropensity, PositivityError, RelevanceError, RunFailure
 from .propensity import AlphaVector, instrument_variance, marginal_propensity
 
 SIGMA_FLOOR = 1e-6
 NUISANCE_METHODS = ("oracle", "binned", "polynomial")
+NUISANCE_BINS = 20  # quantile bins of the binned fit before any coarsening
+NUISANCE_DEGREE = 3  # per-arm polynomial degree of the polynomial fit
+POSITIVITY_GAMMA = 0.01  # DR refuses propensities outside [gamma, 1 - gamma]
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +57,8 @@ class NuisanceSet:
     mu1: np.ndarray
     m: np.ndarray
     sigma: np.ndarray
-    fit_tag: str
 
     def __post_init__(self):
-        if self.fit_tag not in NUISANCE_METHODS:
-            raise ValueError(f"fit_tag must be one of {NUISANCE_METHODS}")
         if len({np.shape(v) for v in (self.mu0, self.mu1, self.m, self.sigma)}) > 1:
             raise ValueError("mu0, mu1, m and sigma must have equal shapes")
 
@@ -74,7 +74,7 @@ def oracle_nuisances(
     """
     h = np.asarray(h, dtype=float)
     sigma = np.maximum(residual_variance(dgp_tag, psi, h, pi), SIGMA_FLOOR)
-    return NuisanceSet(mu0=h, mu1=h + psi, m=h + psi * pi, sigma=sigma, fit_tag="oracle")
+    return NuisanceSet(mu0=h, mu1=h + psi, m=h + psi * pi, sigma=sigma)
 
 
 def _bin_of(x, edges):
@@ -94,16 +94,15 @@ def fit_nuisances(
     y: np.ndarray,
     at: np.ndarray,
     method: str = "binned",
-    bins: int = 20,
-    degree: int = 3,
 ) -> NuisanceSet:
     """Fit nuisances on an independent sample; return their values at ``at``.
 
     The caller is responsible for passing a split disjoint from the
     estimation sample, whose risk scores are ``at``.  ``binned`` uses
-    quantile bins of h with per-arm bin means, automatically coarsening
-    (halving the bin count) until every bin contains both treatment arms;
-    ``polynomial`` fits least-squares polynomials in h per arm.  sigma is
+    ``NUISANCE_BINS`` quantile bins of h with per-arm bin means,
+    automatically coarsening (halving the bin count) until every bin
+    contains both treatment arms; ``polynomial`` fits least-squares
+    polynomials of degree ``NUISANCE_DEGREE`` in h per arm.  sigma is
     fit by the same method applied to squared residuals against the pooled
     fit m-hat, then floored.  A sample too thin for either fit raises
     ``RunFailure``.
@@ -115,7 +114,7 @@ def fit_nuisances(
     if not (h.shape == z.shape == y.shape):
         raise ValueError("h, z, y must have matching shapes")
     if method == "binned":
-        b = int(bins)
+        b = NUISANCE_BINS
         while b >= 1:
             edges = np.unique(np.quantile(h, np.linspace(0, 1, b + 1)))
             if len(edges) < 2:
@@ -133,7 +132,6 @@ def fit_nuisances(
                     mu1=(s1 / c1)[idx],
                     m=m_vals[idx],
                     sigma=np.maximum(sr / cp, SIGMA_FLOOR)[idx],
-                    fit_tag="binned",
                 )
             b //= 2
         raise RunFailure(
@@ -141,7 +139,7 @@ def fit_nuisances(
             "even with a single bin"
         )
     if method == "polynomial":
-        deg = int(degree)
+        deg = NUISANCE_DEGREE
         if (z == 1).sum() <= deg or (z == 0).sum() <= deg:
             raise RunFailure("too few observations per arm for the polynomial degree")
         poly = np.polynomial.polynomial
@@ -152,7 +150,6 @@ def fit_nuisances(
             mu1=poly.polyval(at, poly.polyfit(h[z == 1], y[z == 1], deg)),
             m=poly.polyval(at, m_coeffs),
             sigma=np.maximum(poly.polyval(at, poly.polyfit(h, resid2, deg)), SIGMA_FLOOR),
-            fit_tag="polynomial",
         )
     raise ValueError("method must be 'binned' or 'polynomial'")
 
@@ -170,6 +167,36 @@ def split_indices(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class EstimateReport:
+    """Point estimate with a standard error and a two-sided 95% interval."""
+
+    point: float
+    se: float
+    ci_low: float
+    ci_high: float
+    n: int
+
+    def __post_init__(self):
+        if not np.isfinite(self.point):
+            raise ValueError("point estimate must be finite")
+        if not (np.isfinite(self.se) and self.se >= 0.0):
+            raise ValueError("se must be finite and nonnegative")
+        if self.ci_low > self.ci_high:
+            raise ValueError("ci_low must not exceed ci_high")
+        if self.n < 1:
+            raise ValueError("n must be positive")
+
+
+def wald_report(point: float, se: float, n: int) -> EstimateReport:
+    """Package a point estimate with the normal-approximation 95% interval."""
+    point = float(point)
+    se = float(se)
+    return EstimateReport(
+        point=point, se=se, ci_low=point - 1.96 * se, ci_high=point + 1.96 * se, n=int(n),
+    )
+
+
 def dr_influence(
     z: np.ndarray, y: np.ndarray, pi: np.ndarray, nuisances: NuisanceSet
 ) -> np.ndarray:
@@ -183,30 +210,28 @@ def estimate_dr_ate(
     y: np.ndarray,
     pi: np.ndarray,
     nuisances: NuisanceSet,
-    gamma: float = 0.01,
     bootstrap_reps: Optional[int] = None,
     seed: int = 0,
 ) -> EstimateReport:
     """Doubly robust ATE with augmented inverse-propensity weighting.
 
     ``pi`` holds the design's marginal treatment probabilities at the units.
-    Positivity gamma <= pi_i <= 1 - gamma must hold for every unit: a
-    violation means the design treats some units (almost) deterministically
-    and the ATE is not identified from it, so the error names the offenders
-    rather than returning an arbitrarily noisy number.
+    Positivity gamma <= pi_i <= 1 - gamma, with gamma = ``POSITIVITY_GAMMA``,
+    must hold for every unit: a violation means the design treats some units
+    (almost) deterministically and the ATE is not identified from it, so the
+    error names the offenders rather than returning an arbitrarily noisy
+    number.
     """
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     pi = np.asarray(pi, dtype=float)
     n = z.shape[0]
-    if not (0.0 <= gamma < 0.5):
-        raise ValueError("gamma must lie in [0, 0.5)")
-    bad = np.nonzero((pi < gamma) | (pi > 1 - gamma))[0]
+    bad = np.nonzero((pi < POSITIVITY_GAMMA) | (pi > 1 - POSITIVITY_GAMMA))[0]
     if bad.size:
         shown = ", ".join(str(int(b)) for b in bad[:10])
         more = "" if bad.size <= 10 else f" (+{bad.size - 10} more)"
         raise PositivityError(
-            f"positivity violated at gamma={gamma}: units [{shown}]{more} have "
+            f"positivity violated at gamma={POSITIVITY_GAMMA}: units [{shown}]{more} have "
             "propensities outside [gamma, 1-gamma]; the design is too "
             "deterministic for ATE estimation"
         )
@@ -214,12 +239,9 @@ def estimate_dr_ate(
     point = float(phi.mean())
     if bootstrap_reps is None:
         se = float(phi.std(ddof=1) / np.sqrt(n))
-        return wald_report(point, se, n, "dr_ate")
+        return wald_report(point, se, n)
     boot = multiplier_bootstrap(phi, reps=bootstrap_reps, seed=seed)
-    return EstimateReport(
-        point=point, se=boot.se, ci_low=boot.ci_low, ci_high=boot.ci_high,
-        n=n, method="dr_ate", bootstrap_reps=int(bootstrap_reps),
-    )
+    return EstimateReport(point=point, se=boot.se, ci_low=boot.ci_low, ci_high=boot.ci_high, n=n)
 
 
 def estimate_pliv(
@@ -261,7 +283,7 @@ def estimate_pliv(
     # is instrument_information(theta, alpha, sig) from the variance above
     info = float(np.mean(ivar / sig))
     se = float(np.sqrt(1.0 / info / n))
-    return wald_report(point, se, n, "pliv")
+    return wald_report(point, se, n)
 
 
 def estimate_iv_ratio(
@@ -280,7 +302,7 @@ def estimate_iv_ratio(
     point = float(np.mean(r * y)) / den
     phi = r * (y - point * z) / den
     se = float(phi.std(ddof=1) / np.sqrt(n))
-    return wald_report(point, se, n, "iv_ratio")
+    return wald_report(point, se, n)
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +368,11 @@ def variance_pliv_formula(theta: np.ndarray, alpha: AlphaVector, sigma: np.ndarr
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    point: float
+    """Bootstrap standard error and 95% interval of a sample mean."""
+
     se: float
     ci_low: float
     ci_high: float
-    reps: int
 
 
 def _perturbed_means(centered: np.ndarray, reps: int, seed: int) -> np.ndarray:
@@ -386,9 +408,5 @@ def multiplier_bootstrap(
     perturbed = _perturbed_means(centered, reps, seed)
     lo, hi = np.quantile(perturbed, [0.025, 0.975])
     return BootstrapResult(
-        point=point,
-        se=float(perturbed.std(ddof=1)),
-        ci_low=point + float(lo),
-        ci_high=point + float(hi),
-        reps=int(reps),
+        se=float(perturbed.std(ddof=1)), ci_low=point + float(lo), ci_high=point + float(hi),
     )

@@ -26,7 +26,6 @@ import os
 import numpy as np
 
 from .cohorts import (
-    ESTIMATOR_METHODS,
     Cohort,
     default_h_law,
     generate_bias_cohort,
@@ -78,6 +77,7 @@ PROPENSITY_COLUMNS = (
     "n", "k", "mc_pi_tilde", "alpha_formula", "abs_dev", "treated_mass", "mass_cap",
 )
 ESTIMATES_COLUMNS = ("estimator", "point", "se", "ci_low", "ci_high", "n", "seed", "status")
+ESTIMATOR_METHODS = ("dr_ate", "pliv", "iv_ratio")  # the estimate command's rows, in order
 
 # seed streams, one per draw site; the module docstring lists them
 STREAM_BIAS_COVARIATES = 100
@@ -473,7 +473,7 @@ def run_estimate(config: RunConfig):
     theta = rct_policy(n, p)
     trace = _served(cohort, theta, spec, seed, STREAM_ESTIMATE_QUEUES)
     z = trace.z
-    y = np.where(z, cohort.y1, cohort.y0)
+    y = _observed(cohort, trace.treated, np.empty(n))
     pi = marginal_propensity(theta, alpha)
     r = alpha.alpha[trace.queues - 1] - pi
     ivar = instrument_variance(theta, alpha)

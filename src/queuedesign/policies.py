@@ -109,26 +109,20 @@ def switch_policy(
     return validate_policy(theta)
 
 
-def greedy_softmax_policy(
-    utilities: np.ndarray, p: np.ndarray, scale: float, cap: float = 1.0
-) -> np.ndarray:
+def greedy_softmax_policy(utilities: np.ndarray, p: np.ndarray, scale: float) -> np.ndarray:
     """Sequential softmax-style fill of queues 1..K-1, residual to queue K.
 
     For each queue k in priority order, units score exp(a*u_i*r_i) - 1 on
     their remaining probability mass r_i; scores are normalized so the
-    column sums to p_k*n, iteratively capping entries at min(cap, r_i) and
-    renormalizing the uncapped mass.  If the caps cannot absorb the whole
-    column target the loop stops with a short column (every entry capped).
-    A scale at which the n scores of column 1 could sum past the largest
-    float is refused: a * max(u) must not exceed log(float max / 2n), the 2
-    absorbing rounding in exp and in the sum.
+    column sums to p_k*n, iteratively capping entries at r_i and
+    renormalizing the uncapped mass, so an entry may reach 1.  A scale at
+    which the n scores of column 1 could sum past the largest float is
+    refused: a * max(u) must not exceed log(float max / 2n), the 2 absorbing
+    rounding in exp and in the sum.
     """
     a = float(scale)
     if a <= 0.0:
         raise ValueError("scale must be positive")
-    m = float(cap)
-    if not (0.0 < m <= 1.0):
-        raise ValueError("cap must lie in (0, 1]")
     u = np.asarray(utilities, dtype=float)
     limit = _EXP_MAX - np.log(2.0 * u.shape[0])
     if a * np.max(u) > limit:
@@ -143,20 +137,19 @@ def greedy_softmax_policy(
     for col in range(k - 1):
         target = p[col] * n
         scores = np.expm1(a * u * resid)
-        caps = np.minimum(m, resid)
         alloc = np.zeros(n)
         free = scores > 0.0
         remaining = target
-        # waterfill: proportional shares, pinning any entry that hits its cap
+        # waterfill: proportional shares, pinning any entry that hits its cap r_i
         while remaining > 1e-15 and free.any():
             total = scores[free].sum()
             share = scores * (remaining / total)
-            over = free & (share >= caps - 1e-15)
+            over = free & (share >= resid - 1e-15)
             if not over.any():
                 alloc[free] = share[free]
                 break
-            alloc[over] = caps[over]
-            remaining -= caps[over].sum()
+            alloc[over] = resid[over]
+            remaining -= resid[over].sum()
             free &= ~over
         theta[:, col] = alloc
         resid = resid - alloc

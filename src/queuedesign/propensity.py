@@ -62,10 +62,6 @@ class AlphaVector:
         if abs(float(alpha @ p) - self.beta) > 1e-12:
             raise ValueError("sum_k alpha_k p_k must equal beta")
 
-    @property
-    def k(self) -> int:
-        return self.alpha.shape[0]
-
 
 def alpha_vector(beta: float, p: np.ndarray) -> AlphaVector:
     """Water-filling service probabilities for capacity beta and shares p."""
@@ -166,12 +162,4 @@ class PropensityTable:
             raise ValueError("marginal must equal sum_k theta_ik * queue_conditional_ik")
         if np.any(np.isfinite(marginal[~usable])):
             raise ValueError("marginal must be NaN where a needed cell is absent")
-
-    @property
-    def n(self) -> int:
-        return self.queue_conditional.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.queue_conditional.shape[1]
 

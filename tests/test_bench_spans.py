@@ -44,8 +44,8 @@ def bench_run(monkeypatch):
             sys.modules[name] = module
 
 
-@pytest.mark.parametrize("workload", sorted(SHRUNK))
-def test_traced_call_records_the_workloads_spans(workload, bench_run, tmp_path):
+def traced_run(workload, bench_run, tmp_path):
+    """The tracer of one traced driver call on the workload's shrunk config."""
     spec = bench_run.WORKLOADS[workload]
     data = yaml.safe_load((BENCH / "configs" / f"{workload}.yaml").read_text())
     for block, keys in SHRUNK[workload].items():
@@ -60,6 +60,21 @@ def test_traced_call_records_the_workloads_spans(workload, bench_run, tmp_path):
         tables = result if len(spec.outputs) > 1 else (result,)
         for (name, columns), rows in zip(spec.outputs, tables):
             cli.write_csv(str(tmp_path / name), getattr(experiments, columns), rows)
-    counts = bench_run.call_counts(tracer.spans)
+    return tracer
+
+
+@pytest.mark.parametrize("workload", sorted(SHRUNK))
+def test_traced_call_records_the_workloads_spans(workload, bench_run, tmp_path):
+    spec = bench_run.WORKLOADS[workload]
+    counts = bench_run.call_counts(traced_run(workload, bench_run, tmp_path).spans)
     assert [name for name in spec.present if not counts.get(name)] == []
     assert {name: counts[name] for name in spec.absent if counts.get(name)} == {}
+
+
+def test_estimators_open_no_child_span_on_the_bias_run(bench_run, tmp_path):
+    # an estimator's own helpers stay inside its span: the report type lives
+    # in ``estimation``, so no ``cohorts`` span opens per estimate
+    spans = traced_run("bias-32k", bench_run, tmp_path).spans
+    estimators = {sp.id for sp in spans if sp.name in ("estimation.iv", "estimation.dr")}
+    assert len(estimators) == 2 * 3  # two estimators on each of 3 replications
+    assert [sp.name for sp in spans if sp.parent in estimators] == []

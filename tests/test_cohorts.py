@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from queuedesign.cohorts import (
-    Cohort,
-    EstimateReport,
-    generate_bias_cohort,
-    generate_cohort,
-    wald_report,
-)
+from queuedesign.cohorts import Cohort, generate_bias_cohort, generate_cohort
 from queuedesign._bitexact import stable_ranks
 
 
@@ -165,22 +159,3 @@ class TestValidation:
                 dgp_tag="bernoulli",
                 arrival_ranks=np.array([0]),
             )
-
-
-class TestEstimateReport:
-    def test_wald_interval_is_exact(self):
-        r = wald_report(0.25, 0.1, n=100, method="dr_ate")
-        assert r.ci_low == 0.25 - 1.96 * 0.1
-        assert r.ci_high == 0.25 + 1.96 * 0.1
-
-    def test_rejects_negative_se(self):
-        with pytest.raises(ValueError, match="se"):
-            EstimateReport(0.1, -0.01, 0.0, 0.2, 10, "pliv")
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            EstimateReport(0.1, 0.01, 0.0, 0.2, 10, "ols")
-
-    def test_rejects_inverted_interval(self):
-        with pytest.raises(ValueError, match="ci_low"):
-            EstimateReport(0.1, 0.01, 0.3, 0.2, 10, "pliv")

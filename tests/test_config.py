@@ -1,14 +1,20 @@
 """Configuration loading, defaults, and per-key validation messages."""
 
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 import re
 import typing
 from pathlib import Path
 
 import pytest
 
+import queuedesign
 from queuedesign.config import (
+    CohortConfig,
     ConfigError,
+    MechanismConfig,
     RunConfig,
     apply_overrides,
     config_from_dict,
@@ -49,8 +55,8 @@ class TestDefaults:
         assert cfg.execution.threads == 1
 
     def test_none_and_missing_blocks_are_defaults(self):
-        assert config_from_dict(None) == RunConfig().validate()
-        assert config_from_dict({"cohort": None}) == RunConfig().validate()
+        assert config_from_dict(None) == RunConfig()
+        assert config_from_dict({"cohort": None}) == RunConfig()
 
     def test_frozen(self):
         cfg = config_from_dict({})
@@ -109,6 +115,21 @@ class TestValidationMessages:
     def test_bad_value_names_key(self, data, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             config_from_dict(data)
+
+    # a block checks its ranges, and a RunConfig its cross-field rule, when
+    # built: no unchecked config exists for a driver to read
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            (lambda: CohortConfig(n=0), "cohort.n"),
+            (lambda: RunConfig(mechanism=MechanismConfig(alpha_target=(0.6, 0.4))),
+             "mechanism.alpha_target"),
+        ],
+        ids=["block", "run"],
+    )
+    def test_direct_construction_is_checked(self, build, key):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            build()
 
     REMOVED_KEYS = [
         # negative entropy is the only regularizer, so there is no knob
@@ -173,7 +194,7 @@ class TestYamlLoading:
         assert cfg.execution.out_dir == "results"
 
     def test_missing_path_means_defaults(self):
-        assert load_config(None) == RunConfig().validate()
+        assert load_config(None) == RunConfig()
 
     def test_nested_lists_become_tuples(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -275,3 +296,66 @@ class TestKnobCensus:
     def test_the_census_reads_every_experiment(self):
         assert len(SHIPPED) + len(PINNED) == 21
         assert sum(len(dataclasses.fields(b.type)) for b in dataclasses.fields(RunConfig)) == 25
+
+
+# every defaulted library parameter, and why its default stays
+LIBRARY_DEFAULTS = {
+    "cli.main(argv)": "the console script calls it bare, so it reads sys.argv",
+    "cohorts.Cohort.arrival_ranks": "generate_bias_cohort passes the ranks it drew",
+    "cohorts.Cohort.confounder": "only partially linear cohorts record U",
+    "cohorts.generate_cohort(seed)": "0 keeps a direct call reproducible",
+    "cohorts.generate_bias_cohort(h)": "bias fixes h; estimate and pareto draw it",
+    "cohorts.generate_bias_cohort(seed)": "0 keeps a direct call reproducible",
+    "config.apply_overrides(seed)": "None: --seed was not given",
+    "config.apply_overrides(out_dir)": "None: --out was not given",
+    "config.apply_overrides(threads)": "None: --threads was not given",
+    "counterfactual.mc_propensities(seed)": "0 keeps a direct call reproducible",
+    "counterfactual.mc_propensities(forced)": "bench/tracer.py reads it",
+    "design.DesignProblem.kappa": "bias.csv pins the endogenous kappa its exogenous solve keeps",
+    "design.DesignProblem.objective": "exogenous, as the design.objective key",
+    "design.optimize_exogenous(x0)": "pareto_sweep warm-starts; a cold solve passes none",
+    "design.optimize_endogenous(x0)": "pareto_sweep warm-starts; a cold solve passes none",
+    "estimation.estimate_dr_ate(bootstrap_reps)":
+        "bias passes None and estimate passes the config value",
+    "estimation.estimate_dr_ate(seed)": "read only by the bootstrap, which estimate seeds",
+    "estimation.estimate_pliv(relevance_floor)": "as the estimation.relevance_floor key",
+    "estimation.fit_nuisances(method)": "estimate passes estimation.nuisance_method",
+    "estimation.multiplier_bootstrap(reps)": "the paper's 10,000 multiplier draws",
+    "estimation.multiplier_bootstrap(seed)": "0 keeps a direct call reproducible",
+    "estimation.split_indices(seed)": "0 keeps a direct call reproducible",
+    "mechanism.QueueSpec.mode": "strict, as the mechanism.mode key",
+    "mechanism.QueueSpec.alpha_target": "strict mode takes no target",
+    "mechanism.validate_policy(k)": "only mc_propensities knows the queue count to check",
+    "policies.assortative_policy(best_first)": "the design asks for both extremes",
+}
+
+
+def library_defaults() -> set[str]:
+    """Each defaulted parameter of a public function and each defaulted init
+    field of a public dataclass in ``queuedesign``.  The config blocks'
+    fields are keys, which ``TestKnobCensus`` holds."""
+    found = set()
+    for info in pkgutil.iter_modules(queuedesign.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"queuedesign.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                found |= {f"{info.name}.{name}({p.name})"
+                          for p in inspect.signature(obj).parameters.values()
+                          if p.default is not p.empty}
+            elif dataclasses.is_dataclass(obj) and info.name != "config":
+                found |= {f"{info.name}.{name}.{f.name}" for f in dataclasses.fields(obj)
+                          if f.init and (f.default is not dataclasses.MISSING
+                                         or f.default_factory is not dataclasses.MISSING)}
+    return found
+
+
+class TestLibraryDefaultCensus:
+    """A library default that no caller relies on is a knob no run sets."""
+
+    def test_every_default_is_on_the_allow_list(self):
+        assert library_defaults() == set(LIBRARY_DEFAULTS)
+        assert len(LIBRARY_DEFAULTS) == 26

@@ -169,19 +169,11 @@ class TestPolicies:
     def test_greedy_softmax_column_sums_and_cap(self):
         u = random_utilities(80, seed=3)
         p = np.array([0.3, 0.4, 0.3])
-        theta = greedy_softmax_policy(u, p, scale=3.0, cap=1.0)
+        theta = greedy_softmax_policy(u, p, scale=3.0)
         assert np.allclose(theta.sum(axis=0)[:2], p[:2] * 80, atol=1e-9)
         assert np.all(theta <= 1.0 + 1e-12)
         assert np.all(theta >= -1e-15)
         assert np.allclose(theta.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_greedy_softmax_respects_tight_cap(self):
-        u = random_utilities(40, seed=4)
-        p = np.array([0.5, 0.5])
-        theta = greedy_softmax_policy(u, p, scale=2.0, cap=0.3)
-        assert np.all(theta[:, 0] <= 0.3 + 1e-12)
-        # 40 caps of 0.3 can absorb at most 12 of the 20 column targets
-        assert theta[:, 0].sum() <= 0.5 * 40 + 1e-9
 
     def test_greedy_softmax_monotone_in_utility_first_column(self):
         u = np.sort(random_utilities(30, seed=5))
@@ -232,8 +224,6 @@ class TestPolicies:
         u = np.array([0.5, 0.6])
         with pytest.raises(ValueError, match="scale"):
             greedy_softmax_policy(u, np.array([0.5, 0.5]), scale=0.0)
-        with pytest.raises(ValueError, match="cap"):
-            greedy_softmax_policy(u, np.array([0.5, 0.5]), scale=1.0, cap=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from queuedesign.cohorts import Cohort, generate_cohort
 from queuedesign.errors import BoundaryPropensity, PositivityError, RelevanceError, RunFailure
 from queuedesign.estimation import (
+    EstimateReport,
     NuisanceSet,
     dr_influence,
     estimate_dr_ate,
@@ -22,6 +23,7 @@ from queuedesign.estimation import (
     split_indices,
     variance_dr_formula,
     variance_pliv_formula,
+    wald_report,
 )
 from queuedesign.mechanism import QueueSpec, allocate, sample_queues
 from queuedesign.propensity import (
@@ -75,6 +77,26 @@ def exogenous_linear_cohort(n, psi, seed):
 
 
 # ---------------------------------------------------------------------------
+# reports
+# ---------------------------------------------------------------------------
+
+
+class TestEstimateReport:
+    def test_wald_interval_is_exact(self):
+        r = wald_report(0.25, 0.1, n=100)
+        assert r.ci_low == 0.25 - 1.96 * 0.1
+        assert r.ci_high == 0.25 + 1.96 * 0.1
+
+    def test_rejects_negative_se(self):
+        with pytest.raises(ValueError, match="se"):
+            EstimateReport(0.1, -0.01, 0.0, 0.2, 10)
+
+    def test_rejects_inverted_interval(self):
+        with pytest.raises(ValueError, match="ci_low"):
+            EstimateReport(0.1, 0.01, 0.3, 0.2, 10)
+
+
+# ---------------------------------------------------------------------------
 # nuisance fitting
 # ---------------------------------------------------------------------------
 
@@ -86,14 +108,14 @@ class TestFitNuisances:
         z = (rng.uniform(size=500) < 0.5).astype(float)
         y = np.full(500, 0.37)
         hq = rng.uniform(0.1, 0.9, size=50)
-        nuis = fit_nuisances(h, z, y, hq, method="binned", bins=16)
+        nuis = fit_nuisances(h, z, y, hq, method="binned")
         assert np.allclose(nuis.mu0, 0.37, atol=1e-12)
         assert np.allclose(nuis.mu1, 0.37, atol=1e-12)
         assert np.allclose(nuis.m, 0.37, atol=1e-12)
         # zero residuals leave only the floor
         assert np.all(nuis.sigma == 1e-6)
         # and the DR estimate of a null effect is zero to rounding
-        nuis = fit_nuisances(h, z, y, h, method="binned", bins=16)
+        nuis = fit_nuisances(h, z, y, h, method="binned")
         rep = estimate_dr_ate(z, y, np.full(500, 0.5), nuis)
         assert rep.point == pytest.approx(0.0, abs=1e-12)
         assert rep.se <= 1e-12
@@ -106,10 +128,9 @@ class TestFitNuisances:
         mu1 = 0.2 + 0.1 * h + 0.15 * h**3
         y = np.where(z == 1, mu1, mu0)
         hq = np.linspace(0.15, 0.85, 20)
-        nuis = fit_nuisances(h, z, y, hq, method="polynomial", degree=3)
+        nuis = fit_nuisances(h, z, y, hq, method="polynomial")
         assert np.allclose(nuis.mu0, 0.1 + 0.3 * hq - 0.2 * hq**2, atol=1e-8)
         assert np.allclose(nuis.mu1, 0.2 + 0.1 * hq + 0.15 * hq**3, atol=1e-8)
-        assert nuis.fit_tag == "polynomial"
 
     def test_binned_mse_decreases_with_fit_sample_size(self):
         # true mu0(h) = h for the bernoulli DGP; more data, finer accuracy
@@ -120,7 +141,7 @@ class TestFitNuisances:
             rng = np.random.default_rng(np.random.SeedSequence([seed, 12]))
             z = (rng.uniform(size=n) < 0.5).astype(float)
             y = realized_outcomes(cohort, z)
-            nuis = fit_nuisances(cohort.h, z, y, hq, method="binned", bins=20)
+            nuis = fit_nuisances(cohort.h, z, y, hq, method="binned")
             return float(np.mean((nuis.mu0 - hq) ** 2))
 
         small = np.mean([fit_mse(1_000, s) for s in range(3)])
@@ -133,8 +154,7 @@ class TestFitNuisances:
         z = np.zeros(40)
         z[[5, 31]] = 1.0
         y = rng.uniform(size=40)
-        nuis = fit_nuisances(h, z, y, np.array([0.5]), method="binned", bins=16)
-        assert nuis.fit_tag == "binned"
+        nuis = fit_nuisances(h, z, y, np.array([0.5]), method="binned")
         # with two treated units the fit must have coarsened to wide bins;
         # wherever we query inside their bin, mu1 is a mean of observed y
         assert np.isfinite(nuis.mu1).all()
@@ -145,16 +165,16 @@ class TestFitNuisances:
         y = np.zeros(30)
         # too little data is a run's finding, not a programming error
         with pytest.raises(RunFailure, match="empty treatment arm"):
-            fit_nuisances(h, z, y, h, method="binned", bins=8)
+            fit_nuisances(h, z, y, h, method="binned")
         with pytest.raises(RunFailure, match="too few observations per arm"):
-            fit_nuisances(h, z, y, h, method="polynomial", degree=3)
+            fit_nuisances(h, z, y, h, method="polynomial")
 
     def test_constant_h_collapses_to_global_means(self):
         h = np.full(60, 0.5)
         z = np.array([1.0, 0.0] * 30)
         rng = np.random.default_rng(3)
         y = rng.uniform(size=60)
-        nuis = fit_nuisances(h, z, y, np.array([0.5]), method="binned", bins=10)
+        nuis = fit_nuisances(h, z, y, np.array([0.5]), method="binned")
         assert np.isclose(nuis.mu1[0], y[z == 1].mean())
         assert np.isclose(nuis.mu0[0], y[z == 0].mean())
 
@@ -185,15 +205,10 @@ class TestFitNuisances:
         # Var of Uniform(-0.2h, 0.2h) is (0.4h)^2 / 12
         assert np.allclose(nuis.sigma, (0.4 * lin.h) ** 2 / 12.0)
 
-    def test_nuisance_tag_validated(self):
-        v = np.zeros(3)
-        with pytest.raises(ValueError, match="fit_tag"):
-            NuisanceSet(mu0=v, mu1=v, m=v, sigma=v, fit_tag="guess")
-
     def test_nuisance_values_share_one_shape(self):
         v = np.zeros(3)
         with pytest.raises(ValueError, match="equal shapes"):
-            NuisanceSet(mu0=v, mu1=v, m=v, sigma=np.zeros(2), fit_tag="oracle")
+            NuisanceSet(mu0=v, mu1=v, m=v, sigma=np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +226,8 @@ class TestDrAte:
         pi[17] = 0.9999
         nuis = oracle_nuisances(h, "bernoulli", PSI, 0.5)
         with pytest.raises(PositivityError) as err:
-            estimate_dr_ate(np.zeros(n), np.zeros(n), pi, nuis, gamma=0.01)
+            estimate_dr_ate(np.zeros(n), np.zeros(n), pi, nuis)
         assert "3" in str(err.value) and "17" in str(err.value)
-
-    def test_gamma_range_checked(self):
-        nuis = oracle_nuisances(np.full(4, 0.5), "bernoulli", PSI, 0.5)
-        with pytest.raises(ValueError, match="gamma"):
-            estimate_dr_ate(np.zeros(4), np.zeros(4), np.full(4, 0.5), nuis, gamma=0.6)
 
     def test_exact_when_nuisances_are_exact_and_noise_free(self):
         # constant potential outcomes: every influence value equals the effect
@@ -229,7 +239,6 @@ class TestDrAte:
             mu1=np.full(n, 0.55),
             m=np.full(n, 0.425),
             sigma=np.full(n, 1.0),
-            fit_tag="oracle",
         )
         rep = estimate_dr_ate(z, y, np.full(n, 0.5), nuis)
         assert rep.point == pytest.approx(0.25, abs=1e-12)
@@ -257,7 +266,6 @@ class TestDrAte:
             points[rep] = wald.point
             covered_wald[rep] = wald.ci_low <= PSI <= wald.ci_high
             covered_boot[rep] = boot.ci_low <= PSI <= boot.ci_high
-            assert boot.bootstrap_reps == 800
             assert boot.point == pytest.approx(wald.point, abs=1e-12)
         mc_se = points.std(ddof=1) / np.sqrt(reps)
         assert abs(points.mean() - PSI) <= 3 * mc_se
@@ -289,7 +297,7 @@ class TestDrAte:
             trace = allocate(sub, queues[idx], spec)
             reports.append((sub, trace.z, realized_outcomes(sub, trace.z)))
         (fit_c, fit_z, fit_y), (est_c, est_z, est_y) = reports
-        nuis = fit_nuisances(fit_c.h, fit_z, fit_y, est_c.h, method="binned", bins=20)
+        nuis = fit_nuisances(fit_c.h, fit_z, fit_y, est_c.h, method="binned")
         rep = estimate_dr_ate(est_z, est_y, np.full(n // 2, 0.5), nuis)
         assert abs(rep.point - PSI) <= 4 * rep.se
 
@@ -317,9 +325,7 @@ class TestPliv:
         cohort, theta, alpha, queues, z, _ = self.make_run(n, seed=12)
         g = 0.2 + 0.4 * cohort.h**2
         y = g + PSI * z
-        nuis = NuisanceSet(
-            mu0=g, mu1=g + PSI, m=g + PSI * 0.5, sigma=np.full(n, 0.3), fit_tag="oracle"
-        )
+        nuis = NuisanceSet(mu0=g, mu1=g + PSI, m=g + PSI * 0.5, sigma=np.full(n, 0.3))
         rep = pliv(z, y, queues, theta, alpha, nuis)
         assert rep.point == pytest.approx(PSI, abs=1e-10)
 
@@ -331,7 +337,6 @@ class TestPliv:
         y = PSI * z
         rep = estimate_iv_ratio(y, z, r)
         assert rep.point == pytest.approx(PSI, abs=1e-12)
-        assert rep.method == "iv_ratio"
 
     def test_iv_ratio_zero_denominator_is_an_error(self):
         with pytest.raises(RelevanceError, match="relevance"):
@@ -346,7 +351,6 @@ class TestPliv:
             mu1=base.mu1,
             m=base.m,
             sigma=10.0 * base.sigma,
-            fit_tag="oracle",
         )
         r1 = pliv(z, y, queues, theta, alpha, base)
         r2 = pliv(z, y, queues, theta, alpha, scaled)
@@ -376,7 +380,7 @@ class TestPliv:
         # instrument values +-0.25 cancel and the denominator is exactly 0
         alpha = alpha_from_target([0.75, 0.25], [0.5, 0.5])
         zero = np.zeros(2)
-        nuis = NuisanceSet(mu0=zero, mu1=zero, m=zero, sigma=np.full(2, 0.3), fit_tag="oracle")
+        nuis = NuisanceSet(mu0=zero, mu1=zero, m=zero, sigma=np.full(2, 0.3))
         with pytest.raises(RunFailure, match="covariance is zero") as info:
             pliv(np.ones(2), np.ones(2), np.array([1, 2]), rct_theta(2), alpha, nuis)
         assert info.value.status == "precondition_error"
@@ -401,7 +405,7 @@ class TestPliv:
         fit_idx, est_idx = split_indices(n, seed=17)
         nuis = fit_nuisances(
             cohort.h[fit_idx], z[fit_idx], y[fit_idx], cohort.h[est_idx],
-            method="binned", bins=25,
+            method="binned",
         )
         rep = pliv(z[est_idx], y[est_idx], queues[est_idx], theta[est_idx], alpha, nuis)
         assert abs(rep.point - PSI) <= 5 * rep.se
@@ -615,7 +619,7 @@ class TestMultiplierBootstrap:
 
     def test_degenerate_influence_zero_width(self):
         out = multiplier_bootstrap(np.full(100, 0.42), reps=500, seed=0)
-        assert out.point == pytest.approx(0.42, abs=1e-12)
+        assert out.ci_low == pytest.approx(0.42, abs=1e-12)
         assert out.se <= 1e-15
         assert out.ci_high - out.ci_low <= 1e-15
 
