@@ -101,7 +101,7 @@ def generate_cohort(
     n: int,
     tau: int,
     psi: float,
-    seed: int = 0,
+    seed: int,
 ) -> Cohort:
     """Draw a bernoulli-outcome cohort with exogenous uniform arrivals.
 
@@ -129,8 +129,8 @@ def generate_bias_cohort(
     n: int,
     tau: int,
     psi: float,
+    seed: int,
     h: Optional[np.ndarray] = None,
-    seed: int = 0,
 ) -> Cohort:
     """Draw a partially linear cohort whose arrival order is confounded.
 

@@ -95,7 +95,7 @@ def mc_propensities(
     theta: np.ndarray,
     spec: QueueSpec,
     reps: int,
-    seed: int = 0,
+    seed: int,
     forced: bool = True,
 ) -> PropensityTable:
     """Monte Carlo queue-conditional propensities for one policy.
@@ -133,9 +133,4 @@ def mc_propensities(
             hits[rows, queues - 1] += _serve(spec, s, stable_ranks(a), queues)
     with np.errstate(invalid="ignore"):
         qc = np.where(visits > 0, hits / np.maximum(visits, 1), np.nan)
-    needed = theta > 0.0
-    ok = np.all(np.isfinite(qc) | ~needed, axis=1)
-    marginal = np.where(
-        ok, np.einsum("ik,ik->i", np.where(needed, theta, 0.0), np.nan_to_num(qc)), np.nan
-    )
-    return PropensityTable(queue_conditional=qc, marginal=marginal, theta=theta)
+    return PropensityTable(queue_conditional=qc, theta=theta)

@@ -75,8 +75,8 @@ class DesignProblem:
     utilities: np.ndarray
     alpha: AlphaVector
     utility_floor: float
+    objective: str
     kappa: Optional[float] = None
-    objective: str = "exogenous"
 
     def __post_init__(self):
         u = np.asarray(self.utilities, dtype=float)

@@ -93,7 +93,7 @@ def fit_nuisances(
     z: np.ndarray,
     y: np.ndarray,
     at: np.ndarray,
-    method: str = "binned",
+    method: str,
 ) -> NuisanceSet:
     """Fit nuisances on an independent sample; return their values at ``at``.
 
@@ -154,7 +154,7 @@ def fit_nuisances(
     raise ValueError("method must be 'binned' or 'polynomial'")
 
 
-def split_indices(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Random 50/50 partition into (nuisance, estimation) index sets."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
     perm = rng.permutation(n)
@@ -251,7 +251,7 @@ def estimate_pliv(
     pi: np.ndarray,
     ivar: np.ndarray,
     nuisances: NuisanceSet,
-    relevance_floor: float = 1e-8,
+    relevance_floor: float,
 ) -> EstimateReport:
     """Partially linear IV estimate using the variance-weighted queue residual.
 
@@ -390,9 +390,7 @@ def _perturbed_means(centered: np.ndarray, reps: int, seed: int) -> np.ndarray:
     return out
 
 
-def multiplier_bootstrap(
-    influence: np.ndarray, reps: int = 10_000, seed: int = 0
-) -> BootstrapResult:
+def multiplier_bootstrap(influence: np.ndarray, reps: int, seed: int) -> BootstrapResult:
     """Gaussian-multiplier bootstrap for a sample-mean statistic.
 
     Each replicate perturbs the centered influence values with iid standard

@@ -347,10 +347,11 @@ def run_bias(config: RunConfig):
     specs = {}
     for top, _ in cfg_d.bias_arms:
         second = (beta - top * p[0]) / p[1]
-        if not 0.0 <= second <= 1.0:
+        # second < top, as rationing needs, is the same as top > beta
+        if not (top > beta and 0.0 <= second <= 1.0):
             raise ConfigError(
                 f"config key 'design.bias_arms': alpha top {top} cannot satisfy "
-                f"the budget identity with beta={beta}"
+                f"the budget identity with beta={beta} and a lower second rate"
             )
         specs[top] = QueueSpec.auto(
             n, k=mech.k, p=p, beta=beta, tau=tau,

@@ -127,7 +127,7 @@ class QueueSpec:
     beta: float
     tau: int
     budgets: np.ndarray
-    mode: str = "strict"
+    mode: str
     alpha_target: Optional[np.ndarray] = None
     alpha: AlphaVector = field(init=False, repr=False, compare=False)
     caps: np.ndarray = field(init=False, repr=False, compare=False)
@@ -179,7 +179,7 @@ class QueueSpec:
         p: np.ndarray,
         beta: float,
         tau: int,
-        mode: str = "strict",
+        mode: str,
         alpha_target: Optional[np.ndarray] = None,
     ) -> "QueueSpec":
         """Build a spec with budgets sized for a cohort of n units."""

@@ -32,9 +32,7 @@ def _descending_order(utilities: np.ndarray) -> np.ndarray:
     return stable_order(-np.asarray(utilities, dtype=float))
 
 
-def assortative_policy(
-    utilities: np.ndarray, p: np.ndarray, best_first: bool = True
-) -> np.ndarray:
+def assortative_policy(utilities: np.ndarray, p: np.ndarray, best_first: bool) -> np.ndarray:
     """Deterministic utility-sorted assignment with fractional boundaries.
 
     Units sorted by utility fill queues 1..K in order, queue k receiving

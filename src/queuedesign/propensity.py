@@ -134,32 +134,26 @@ class PropensityTable:
     """
 
     queue_conditional: np.ndarray
-    marginal: np.ndarray
     theta: np.ndarray
 
     def __post_init__(self):
         qc = np.asarray(self.queue_conditional, dtype=float)
-        marginal = np.asarray(self.marginal, dtype=float)
         theta = np.asarray(self.theta, dtype=float)
         object.__setattr__(self, "queue_conditional", qc)
-        object.__setattr__(self, "marginal", marginal)
         object.__setattr__(self, "theta", theta)
         if qc.ndim != 2:
             raise ValueError("queue_conditional must be an (n, K) matrix")
-        n, k = qc.shape
-        if theta.shape != (n, k) or marginal.shape != (n,):
-            raise ValueError("theta and marginal must match queue_conditional")
+        if theta.shape != qc.shape:
+            raise ValueError("theta must match queue_conditional")
         finite = np.isfinite(qc)
         if np.any((qc[finite] < -1e-9) | (qc[finite] > 1.0 + 1e-9)):
             raise ValueError("queue-conditional propensities must lie in [0, 1]")
-        # Aggregation consistency where every needed cell is present.
-        needed = self.theta > 0.0
-        usable = np.all(finite | ~needed, axis=1)
-        contrib = np.where(needed, np.where(finite, qc, np.nan), 0.0)
-        implied = np.einsum("ik,ik->i", np.where(needed, theta, 0.0), np.nan_to_num(contrib))
-        ok = np.isfinite(marginal[usable])
-        if not np.all(ok) or np.max(np.abs(implied[usable] - marginal[usable]), initial=0.0) > 1e-9:
-            raise ValueError("marginal must equal sum_k theta_ik * queue_conditional_ik")
-        if np.any(np.isfinite(marginal[~usable])):
-            raise ValueError("marginal must be NaN where a needed cell is absent")
 
+    @property
+    def marginal(self) -> np.ndarray:
+        qc, theta = self.queue_conditional, self.theta
+        needed = theta > 0.0
+        ok = np.all(np.isfinite(qc) | ~needed, axis=1)
+        return np.where(
+            ok, np.einsum("ik,ik->i", np.where(needed, theta, 0.0), np.nan_to_num(qc)), np.nan
+        )

@@ -88,8 +88,7 @@ def exact_table(qc: np.ndarray, theta: np.ndarray) -> PropensityTable:
             "queue-conditional propensities must be nonincreasing in the "
             "queue index for exact tables"
         )
-    marginal = np.einsum("ik,ik->i", theta, qc)
-    return PropensityTable(queue_conditional=qc, marginal=marginal, theta=theta)
+    return PropensityTable(queue_conditional=qc, theta=theta)
 
 
 def exact_oracle(theta: np.ndarray, spec: QueueSpec) -> ExactOracle:

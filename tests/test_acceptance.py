@@ -3,9 +3,9 @@
 Each test pins one end-to-end behavior at realistic scale and asserts a
 wall-clock budget next to the statistical tolerance, so a regression in
 either correctness or cost fails loudly.  The endogeneity study is the slow
-one: 330-373 s of its 900 s budget on a 2-core Linux VM (Python 3.11.7,
-numpy 2.4.6, 2026-10-18).  Everything else finishes within
-seconds.  The CLI tests run ``python -m queuedesign`` from this checkout's
+one: 173-186 s of its 900 s budget on a 2-core Linux VM (Python 3.11.7,
+numpy 2.4.6, 2026-10-22, in two full-suite runs pinned to one core).
+Everything else finishes within seconds.  The CLI tests run ``python -m queuedesign`` from this checkout's
 ``src``, so the suite needs no install.
 
 Run the gate alone with:
@@ -92,7 +92,7 @@ class TestQueueingLimits:
         alpha = alpha_vector(0.5, p)
         np.testing.assert_allclose(alpha.alpha, [1.0, 0.5, 0.0], atol=1e-12)
 
-        spec = QueueSpec.auto(n, k=3, p=p, beta=0.5, tau=1)
+        spec = QueueSpec.auto(n, k=3, p=p, beta=0.5, tau=1, mode="strict")
         table = mc_propensities(
             rct_policy(n, p), spec, reps=reps, seed=42, forced=True,
         )
@@ -106,7 +106,7 @@ class TestQueueingLimits:
         start = time.monotonic()
         n, reps = 2000, 50
         p = np.full(3, 1.0 / 3.0)
-        spec = QueueSpec.auto(n, k=3, p=p, beta=0.5, tau=1)
+        spec = QueueSpec.auto(n, k=3, p=p, beta=0.5, tau=1, mode="strict")
         theta = rct_policy(n, p)
         mass = np.zeros(3)
         for rep in range(reps):
@@ -139,7 +139,7 @@ class TestExactOracle:
             cohort = generate_cohort(n, 1, 0.1, seed=trial)
             spec = QueueSpec(
                 k=2, p=np.array([0.5, 0.5]), beta=b / n, tau=1,
-                budgets=np.array([b]),
+                budgets=np.array([b]), mode="strict",
             )
             dec = late_decomposition(exact_oracle(theta, spec), cohort)
             assert abs(dec.iv_ratio - dec.weighted_average) <= 1e-10
@@ -155,7 +155,7 @@ class TestExactOracle:
         cohort = generate_cohort(3, 1, 0.1, seed=9)
         theta = np.full((3, 2), 0.5)
         spec = QueueSpec(
-            k=2, p=np.array([0.5, 0.5]), beta=1 / 3, tau=1, budgets=np.array([1])
+            k=2, p=np.array([0.5, 0.5]), beta=1 / 3, tau=1, budgets=np.array([1]), mode="strict"
         )
         table = exact_oracle(theta, spec).table
         target = np.array([7 / 12, 1 / 12])
@@ -178,7 +178,7 @@ class TestDrCalibration:
         n, reps, beta = 2000, 1000, 0.5
         p = np.array([0.5, 0.5])
         alpha = alpha_vector(beta, p)
-        spec = QueueSpec.auto(n, k=2, p=p, beta=beta, tau=1)
+        spec = QueueSpec.auto(n, k=2, p=p, beta=beta, tau=1, mode="strict")
         theta = rct_policy(n, p)
         pi = marginal_propensity(theta, alpha)
 
@@ -232,7 +232,7 @@ def optimized_k3(request):
     h = default_h_law(np.random.default_rng(np.random.SeedSequence([707, 0])), n)
     c_rct = beta * float(h.mean())
     floor = c_rct + 0.5 * (feasible_utility_range(h, alpha)[1] - c_rct)
-    theta = optimize_exogenous(DesignProblem(h, alpha, floor)).policy
+    theta = optimize_exogenous(DesignProblem(h, alpha, floor, "exogenous")).policy
     return h, theta, spec
 
 

@@ -303,37 +303,33 @@ LIBRARY_DEFAULTS = {
     "cli.main(argv)": "the console script calls it bare, so it reads sys.argv",
     "cohorts.Cohort.arrival_ranks": "generate_bias_cohort passes the ranks it drew",
     "cohorts.Cohort.confounder": "only partially linear cohorts record U",
-    "cohorts.generate_cohort(seed)": "0 keeps a direct call reproducible",
     "cohorts.generate_bias_cohort(h)": "bias fixes h; estimate and pareto draw it",
-    "cohorts.generate_bias_cohort(seed)": "0 keeps a direct call reproducible",
     "config.apply_overrides(seed)": "None: --seed was not given",
     "config.apply_overrides(out_dir)": "None: --out was not given",
     "config.apply_overrides(threads)": "None: --threads was not given",
-    "counterfactual.mc_propensities(seed)": "0 keeps a direct call reproducible",
     "counterfactual.mc_propensities(forced)": "bench/tracer.py reads it",
     "design.DesignProblem.kappa": "bias.csv pins the endogenous kappa its exogenous solve keeps",
-    "design.DesignProblem.objective": "exogenous, as the design.objective key",
     "design.optimize_exogenous(x0)": "pareto_sweep warm-starts; a cold solve passes none",
     "design.optimize_endogenous(x0)": "pareto_sweep warm-starts; a cold solve passes none",
     "estimation.estimate_dr_ate(bootstrap_reps)":
         "bias passes None and estimate passes the config value",
     "estimation.estimate_dr_ate(seed)": "read only by the bootstrap, which estimate seeds",
-    "estimation.estimate_pliv(relevance_floor)": "as the estimation.relevance_floor key",
-    "estimation.fit_nuisances(method)": "estimate passes estimation.nuisance_method",
-    "estimation.multiplier_bootstrap(reps)": "the paper's 10,000 multiplier draws",
-    "estimation.multiplier_bootstrap(seed)": "0 keeps a direct call reproducible",
-    "estimation.split_indices(seed)": "0 keeps a direct call reproducible",
-    "mechanism.QueueSpec.mode": "strict, as the mechanism.mode key",
     "mechanism.QueueSpec.alpha_target": "strict mode takes no target",
+    "mechanism.QueueSpec.auto(alpha_target)": "strict mode takes no target",
     "mechanism.validate_policy(k)": "only mc_propensities knows the queue count to check",
-    "policies.assortative_policy(best_first)": "the design asks for both extremes",
 }
 
 
+def _defaulted(qualname: str, fn) -> set[str]:
+    return {f"{qualname}({p.name})" for p in inspect.signature(fn).parameters.values()
+            if p.default is not p.empty}
+
+
 def library_defaults() -> set[str]:
-    """Each defaulted parameter of a public function and each defaulted init
-    field of a public dataclass in ``queuedesign``.  The config blocks'
-    fields are keys, which ``TestKnobCensus`` holds."""
+    """Each defaulted parameter of a public function or of a public method
+    (classmethods too) of a public class, and each defaulted init field of a
+    public dataclass in ``queuedesign``.  The config blocks' fields are keys,
+    which ``TestKnobCensus`` holds."""
     found = set()
     for info in pkgutil.iter_modules(queuedesign.__path__):
         if info.name.startswith("_"):
@@ -343,10 +339,14 @@ def library_defaults() -> set[str]:
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
             if inspect.isfunction(obj):
-                found |= {f"{info.name}.{name}({p.name})"
-                          for p in inspect.signature(obj).parameters.values()
-                          if p.default is not p.empty}
-            elif dataclasses.is_dataclass(obj) and info.name != "config":
+                found |= _defaulted(f"{info.name}.{name}", obj)
+            if not inspect.isclass(obj):
+                continue
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    found |= _defaulted(f"{info.name}.{name}.{attr}", member)
+            if dataclasses.is_dataclass(obj) and info.name != "config":
                 found |= {f"{info.name}.{name}.{f.name}" for f in dataclasses.fields(obj)
                           if f.init and (f.default is not dataclasses.MISSING
                                          or f.default_factory is not dataclasses.MISSING)}
@@ -358,4 +358,4 @@ class TestLibraryDefaultCensus:
 
     def test_every_default_is_on_the_allow_list(self):
         assert library_defaults() == set(LIBRARY_DEFAULTS)
-        assert len(LIBRARY_DEFAULTS) == 26
+        assert len(LIBRARY_DEFAULTS) == 16

@@ -252,9 +252,9 @@ class TestDesignProblem:
         with pytest.raises(ValueError, match="objective"):
             DesignProblem(u, alpha, 0.1, objective="both")
         with pytest.raises(ValueError, match="kappa"):
-            DesignProblem(u, alpha, 0.1, kappa=-1.0)
+            DesignProblem(u, alpha, 0.1, "exogenous", kappa=-1.0)
         with pytest.raises(ValueError, match="utilities"):
-            DesignProblem(np.array([0.0, 0.5]), alpha, 0.1)
+            DesignProblem(np.array([0.0, 0.5]), alpha, 0.1, "exogenous")
 
     def test_default_kappa_tracks_objective_scale(self):
         prob = make_problem(beta=0.5, k=2)
@@ -275,7 +275,7 @@ class TestDesignProblem:
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
         u = random_utilities(10, seed=6)
         with pytest.raises(TypeError, match="regularizer"):
-            DesignProblem(u, alpha, 0.1, regularizer="neg_entropy")
+            DesignProblem(u, alpha, 0.1, "exogenous", regularizer="neg_entropy")
         assert not hasattr(design, "REGULARIZERS")
         assert not hasattr(design, "_project_simplex")
 
@@ -334,7 +334,7 @@ class TestOptimizeExogenous:
     def test_constant_alpha_rejected(self):
         alpha = alpha_vector(0.5, np.array([1.0]))
         u = random_utilities(20, seed=10)
-        prob = DesignProblem(u, alpha, 0.1)
+        prob = DesignProblem(u, alpha, 0.1, "exogenous")
         with pytest.raises(ValueError, match="constant|equal"):
             optimize_exogenous(prob)
 

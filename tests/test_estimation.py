@@ -1,7 +1,5 @@
 """Tests for nuisance fitting, the three estimators, and the bootstrap."""
 
-import inspect
-
 import numpy as np
 import pytest
 import scipy.stats
@@ -9,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queuedesign.cohorts import Cohort, generate_cohort
+from queuedesign.config import EstimationConfig
 from queuedesign.errors import BoundaryPropensity, PositivityError, RelevanceError, RunFailure
 from queuedesign.estimation import (
     EstimateReport,
@@ -53,11 +52,13 @@ def realized_outcomes(cohort, z):
     return np.where(z > 0.5, cohort.y1, cohort.y0)
 
 
-def pliv(z, y, queues, theta, alpha, nuis, **kwargs):
-    """``estimate_pliv`` with the design's per-unit values built from (theta, alpha)."""
+def pliv(z, y, queues, theta, alpha, nuis):
+    """``estimate_pliv`` with the design's per-unit values built from (theta, alpha),
+    at the configured relevance floor."""
     pi = marginal_propensity(theta, alpha)
     r = alpha.alpha[np.asarray(queues) - 1] - pi
-    return estimate_pliv(z, y, r, pi, instrument_variance(theta, alpha), nuis, **kwargs)
+    return estimate_pliv(z, y, r, pi, instrument_variance(theta, alpha), nuis,
+                         relevance_floor=EstimationConfig().relevance_floor)
 
 
 def exogenous_linear_cohort(n, psi, seed):
@@ -184,7 +185,7 @@ class TestFitNuisances:
             fit_nuisances(h, np.zeros(10), np.zeros(10), h, method="forest")
         assert not isinstance(info.value, RunFailure)
         with pytest.raises(ValueError, match="matching shapes") as info:
-            fit_nuisances(h, np.zeros(9), np.zeros(10), h)
+            fit_nuisances(h, np.zeros(9), np.zeros(10), h, method="binned")
         assert not isinstance(info.value, RunFailure)
 
     def test_split_indices_partition(self):
@@ -248,7 +249,7 @@ class TestDrAte:
     def test_monte_carlo_unbiased_covered_and_normal(self):
         # RCT at beta = 1/2: the marginal propensity is exactly 1/2 by symmetry
         n, reps = 2_000, 1_000
-        spec = QueueSpec.auto(n=n, k=2, p=(0.5, 0.5), beta=0.5, tau=1)
+        spec = QueueSpec.auto(n=n, k=2, p=(0.5, 0.5), beta=0.5, tau=1, mode="strict")
         theta = rct_theta(n)
         pi = np.full(n, 0.5)
         points = np.empty(reps)
@@ -277,7 +278,7 @@ class TestDrAte:
 
     def test_split_fitted_nuisances_recover_effect(self):
         n = 6_000
-        spec = QueueSpec.auto(n=n // 2, k=2, p=(0.5, 0.5), beta=0.5, tau=1)
+        spec = QueueSpec.auto(n=n // 2, k=2, p=(0.5, 0.5), beta=0.5, tau=1, mode="strict")
         cohort = generate_cohort(n, tau=1, psi=PSI, seed=10)
         theta = rct_theta(n)
         rng = np.random.default_rng(np.random.SeedSequence([778, 0]))
@@ -310,7 +311,7 @@ class TestDrAte:
 class TestPliv:
     def make_run(self, n, seed, psi=PSI):
         cohort = exogenous_linear_cohort(n, psi, seed)
-        spec = QueueSpec.auto(n=n, k=2, p=(0.5, 0.5), beta=0.5, tau=1)
+        spec = QueueSpec.auto(n=n, k=2, p=(0.5, 0.5), beta=0.5, tau=1, mode="strict")
         theta = rct_theta(n)
         alpha = alpha_vector(0.5, np.array([0.5, 0.5]))
         rng = np.random.default_rng(np.random.SeedSequence([779, seed]))
@@ -427,7 +428,7 @@ def tiny_instance(n, k, beta, seed, tau=1):
         dgp_tag="partially_linear",
     )
     theta = rng.dirichlet(np.ones(k), size=n)
-    spec = QueueSpec.auto(n=n, k=k, p=np.full(k, 1.0 / k), beta=beta, tau=tau)
+    spec = QueueSpec.auto(n=n, k=k, p=np.full(k, 1.0 / k), beta=beta, tau=tau, mode="strict")
     return cohort, theta, spec
 
 
@@ -446,7 +447,7 @@ class TestLateDecomposition:
             dgp_tag="partially_linear",
         )
         theta = rct_theta(n)
-        spec = QueueSpec.auto(n=n, k=2, p=(0.5, 0.5), beta=1.0 / 3.0, tau=1)
+        spec = QueueSpec.auto(n=n, k=2, p=(0.5, 0.5), beta=1.0 / 3.0, tau=1, mode="strict")
         oracle = exact_oracle(theta, spec)
         late = late_decomposition(oracle, cohort)
         # forced-queue propensities are 7/12 and 1/12, so every unit is a
@@ -500,7 +501,6 @@ class TestLateDecomposition:
         # hand-built world table that treats under queue 2 but not queue 1
         table = PropensityTable(
             queue_conditional=np.array([[0.5, 0.5]]),
-            marginal=np.array([0.5]),
             theta=np.array([[0.5, 0.5]]),
         )
         worlds = WorldTable(
@@ -613,10 +613,6 @@ class TestVarianceFormulas:
 
 
 class TestMultiplierBootstrap:
-    def test_default_rep_count(self):
-        params = inspect.signature(multiplier_bootstrap).parameters
-        assert params["reps"].default == 10_000
-
     def test_degenerate_influence_zero_width(self):
         out = multiplier_bootstrap(np.full(100, 0.42), reps=500, seed=0)
         assert out.ci_low == pytest.approx(0.42, abs=1e-12)
@@ -656,4 +652,4 @@ class TestMultiplierBootstrap:
 
     def test_reps_must_be_positive(self):
         with pytest.raises(ValueError, match="reps"):
-            multiplier_bootstrap(np.ones(10), reps=0)
+            multiplier_bootstrap(np.ones(10), reps=0, seed=0)

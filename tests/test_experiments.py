@@ -311,6 +311,17 @@ class TestRunBias:
         with pytest.raises(ConfigError, match=r"design\.bias_arms.*budget identity"):
             experiments.run_bias(cfg)
 
+    @pytest.mark.parametrize("top", [0.3, 0.5])
+    def test_alpha_top_at_or_below_beta_rejected(self, top):
+        # with k = 2 the second rate (beta - top p1) / p2 is below top iff
+        # top > beta; else the rates rise with the queue index or are equal
+        cfg = config_from_dict({
+            "cohort": {"n": 200, "dgp": "partially_linear"},
+            "design": {"bias_arms": [[top, 0.5]]},
+        })
+        with pytest.raises(ConfigError, match=r"design\.bias_arms.*beta=0\.5"):
+            experiments.run_bias(cfg)
+
 
 class TestRunPropensityCheck:
     def test_rows_and_convergence_direction(self):
@@ -452,7 +463,7 @@ class TestServed:
     def test_draws_on_its_key_then_allocates(self):
         cohort = generate_cohort(400, 2, -0.1, seed=5)
         spec = QueueSpec(k=3, p=np.array([0.5, 0.3, 0.2]), beta=0.4, tau=2,
-                         budgets=np.array([80, 80]))
+                         budgets=np.array([80, 80]), mode="strict")
         theta = np.random.default_rng(6).dirichlet(np.ones(3), size=400)
         key = (7, experiments.STREAM_TREATED_MASS_QUEUES, 400, 2)
         trace = experiments._served(cohort, theta, spec, *key)

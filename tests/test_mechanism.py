@@ -85,14 +85,14 @@ class TestAllocate:
         # queue-1 units are served even though they arrived later
         cohort = toy_cohort([0.1, 0.2, 0.3, 0.4], tau=1)
         spec = QueueSpec(k=2, p=np.array([0.5, 0.5]), beta=0.5, tau=1,
-                         budgets=np.array([2]))
+                         budgets=np.array([2]), mode="strict")
         trace = allocate(cohort, np.array([2, 1, 2, 1]), spec)
         assert trace.z.tolist() == [0.0, 1.0, 0.0, 1.0]
 
     def test_fifo_within_queue_across_periods(self):
         cohort = toy_cohort([0.2, 0.4, 0.6, 0.8], tau=2)
         spec = QueueSpec(k=1, p=np.array([1.0]), beta=0.5, tau=2,
-                         budgets=np.array([1, 1]))
+                         budgets=np.array([1, 1]), mode="strict")
         trace = allocate(cohort, np.ones(4, dtype=int), spec)
         # period 1 serves unit 0, period 2 unit 1 ahead of the later arrivals
         assert trace.treated.tolist() == [True, True, False, False]
@@ -100,14 +100,14 @@ class TestAllocate:
     def test_saturating_budget_treats_everyone(self):
         cohort = toy_cohort([0.3, 0.7, 0.9], tau=1)
         spec = QueueSpec(k=2, p=np.array([0.5, 0.5]), beta=0.9, tau=1,
-                         budgets=np.array([3]))
+                         budgets=np.array([3]), mode="strict")
         trace = allocate(cohort, np.array([1, 2, 2]), spec)
         assert trace.treated.all()
 
     def test_arrival_tie_broken_by_unit_id(self):
         cohort = toy_cohort([0.5, 0.5, 0.5], tau=1)
         spec = QueueSpec(k=1, p=np.array([1.0]), beta=0.4, tau=1,
-                         budgets=np.array([1]))
+                         budgets=np.array([1]), mode="strict")
         trace = allocate(cohort, np.ones(3, dtype=int), spec)
         assert trace.treated.tolist() == [True, False, False]
 
@@ -115,7 +115,7 @@ class TestAllocate:
         # one unit per period; period-1 capacity is wasted, not rolled over
         cohort = toy_cohort([1.5], tau=2)
         spec = QueueSpec(k=1, p=np.array([1.0]), beta=0.5, tau=2,
-                         budgets=np.array([1, 0]))
+                         budgets=np.array([1, 0]), mode="strict")
         trace = allocate(cohort, np.ones(1, dtype=int), spec)
         assert not trace.treated.any()
 
@@ -130,7 +130,7 @@ class TestAllocate:
             cohort = toy_cohort(arrivals, tau)
             spec = QueueSpec(
                 k=int(k), p=np.full(k, 1.0 / k), beta=0.5, tau=int(tau),
-                budgets=budgets.astype(int),
+                budgets=budgets.astype(int), mode="strict",
             )
             queues = rng.integers(1, k + 1, n)
             trace = allocate(cohort, queues, spec)
@@ -163,7 +163,7 @@ class TestAllocate:
             cohort = toy_cohort(arrivals, tau)
             spec = QueueSpec(
                 k=int(k), p=np.full(k, 1.0 / k), beta=0.5, tau=int(tau),
-                budgets=budgets,
+                budgets=budgets, mode="strict",
             )
             queues = rng.integers(1, k + 1, n)
             probe = int(rng.integers(0, n))
@@ -192,6 +192,22 @@ class TestRationed:
         # memoryless rounding would pin shares at (4, 2) forever; the carry
         # keeps every cumulative allotment within one slot of its target
         assert np.max(np.abs(cum - target)) < 1.0
+
+    def test_negative_quotas_take_slots_back_from_donors(self):
+        # The carries of the two low-rate queues run negative; their quotas
+        # clip to 0, so in period 47 the floors sum to b + 1.  The donor loop
+        # takes the slot back, skipping the queues whose floor is 0.
+        alpha = np.array([0.96667426, 0.80422525, 0.73520144, 0.14419109, 0.01627206])
+        p = np.array([0.04340495, 0.41507411, 0.42264794, 0.03158044, 0.08729255])
+        p = p / p.sum()
+        budgets = np.array([7, 3, 9, 4, 10, 2, 1, 9, 6, 9, 7, 0, 10, 4, 3, 6, 4, 3, 2, 8,
+                            10, 6, 6, 7, 7, 6, 8, 6, 6, 3, 2, 0, 6, 3, 10, 5, 6, 0, 7, 6,
+                            7, 7, 2, 4, 1, 4, 1])
+        spec = QueueSpec(k=5, p=p, beta=float(alpha @ p), tau=47, budgets=budgets,
+                         mode="rationed", alpha_target=alpha)
+        assert np.array_equal(spec.caps.sum(axis=1), budgets)
+        assert np.all(spec.caps >= 0)
+        assert spec.caps[-3:].tolist() == [[0, 0, 1, 0, 0], [1, 2, 1, 0, 0], [0, 1, 0, 0, 0]]
 
     def test_calibration_of_realized_service_rates(self):
         n, tau = 2000, 4
@@ -254,7 +270,7 @@ class TestClosedFormServe:
         budgets[rng.random(tau) < 0.2] = 0
         p = np.full(k, 1.0 / k)
         if mode == "strict":
-            spec = QueueSpec(k=k, p=p, beta=0.5, tau=tau, budgets=budgets)
+            spec = QueueSpec(k=k, p=p, beta=0.5, tau=tau, budgets=budgets, mode="strict")
         else:
             alpha = np.sort(rng.uniform(0.1, 0.9, k))[::-1]
             if k > 1 and rng.random() < 0.25:
@@ -314,7 +330,7 @@ class TestSpecDerivedValues:
     TARGET3 = np.array([0.9, 0.5, 0.2])
 
     def test_alpha_is_the_disciplines_alpha(self):
-        strict = QueueSpec.auto(300, k=3, p=self.P3, beta=0.5, tau=4)
+        strict = QueueSpec.auto(300, k=3, p=self.P3, beta=0.5, tau=4, mode="strict")
         expected = alpha_vector(0.5, self.P3)
         assert strict.alpha.alpha.tobytes() == expected.alpha.tobytes()
         assert strict.alpha.beta == expected.beta
@@ -333,7 +349,7 @@ class TestSpecDerivedValues:
 
     @pytest.mark.parametrize("n, tau", [(300, 1), (301, 6), (2000, 52)])
     def test_strict_caps_give_every_queue_the_budget(self, n, tau):
-        spec = QueueSpec.auto(n, k=3, p=self.P3, beta=0.5, tau=tau)
+        spec = QueueSpec.auto(n, k=3, p=self.P3, beta=0.5, tau=tau, mode="strict")
         assert spec.caps.shape == (tau, 3)
         for q in range(3):
             assert np.array_equal(spec.caps[:, q], spec.budgets)
@@ -347,7 +363,7 @@ class TestSpecDerivedValues:
         # the propensity check writes cumsum(alpha * p) as its mass cap in
         # both modes; in strict mode it is min(beta, c_k) to the bit
         p = np.asarray(p)
-        spec = QueueSpec.auto(100, k=p.shape[0], p=p, beta=beta, tau=1)
+        spec = QueueSpec.auto(100, k=p.shape[0], p=p, beta=beta, tau=1, mode="strict")
         mass_limit = np.cumsum(spec.alpha.alpha * p)
         assert mass_limit.tobytes() == np.minimum(beta, np.cumsum(p)).tobytes()
 
@@ -396,7 +412,7 @@ class TestPolicies:
 def test_treated_mass_cumulative_by_tier():
     cohort = toy_cohort([0.5, 0.6, 1.5, 1.7, 1.8], tau=2)
     spec = QueueSpec(k=3, p=np.full(3, 1 / 3), beta=0.4, tau=2,
-                     budgets=np.array([1, 2]))
+                     budgets=np.array([1, 2]), mode="strict")
     trace = allocate(cohort, np.array([1, 2, 1, 2, 3]), spec)
     # period 1 serves unit 0 (queue 1); period 2 serves unit 2 (queue 1),
     # then unit 1, the earlier of the two queue-2 units
@@ -420,7 +436,7 @@ class TestAllocationTrace:
     def test_refuses_service_beyond_the_total_budget(self):
         # strict: each queue may take the whole budget of 1, but not both
         spec = QueueSpec(k=2, p=np.array([0.5, 0.5]), beta=0.5, tau=1,
-                         budgets=np.array([1]))
+                         budgets=np.array([1]), mode="strict")
         queues = np.array([1, 2])
         AllocationTrace(queues=queues, treated=np.array([False, True]), spec=spec)
         with pytest.raises(ValueError, match="total budget"):
