@@ -28,8 +28,9 @@ def row_sum(x: np.ndarray) -> np.ndarray:
 
 
 def row_cumsum(x: np.ndarray) -> np.ndarray:
-    """``np.cumsum(x, axis=1)`` of a 2-d float array."""
-    out = np.empty_like(x)
+    """``np.cumsum(x, axis=1)`` of a 2-d float array, stored column-major
+    so that each column is contiguous."""
+    out = np.empty_like(x, order="F")
     out[:, 0] = x[:, 0]
     for j in range(1, x.shape[1]):
         np.add(out[:, j - 1], x[:, j], out=out[:, j])

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bitexact import row_cumsum, stable_order, stable_ranks
+from ._bitexact import row_cumsum, stable_order
 from .mechanism import (
     QueueSpec,
     _draw_queues,
@@ -130,7 +130,7 @@ def mc_propensities(
             visits += 1
         else:
             visits[rows, queues - 1] += 1
-            hits[rows, queues - 1] += _serve(spec, s, stable_ranks(a), queues)
+            hits[rows, queues - 1] += _serve(spec, s, a, queues)
     with np.errstate(invalid="ignore"):
         qc = np.where(visits > 0, hits / np.maximum(visits, 1), np.nan)
     return PropensityTable(queue_conditional=qc, theta=theta)

@@ -83,7 +83,7 @@ class DesignProblem:
         object.__setattr__(self, "utilities", u)
         if u.ndim != 1 or u.shape[0] < 1:
             raise ValueError("utilities must be a nonempty vector")
-        if np.any(u <= 0.0) or np.any(u >= 1.0):
+        if not (np.all(u > 0.0) and np.all(u < 1.0)):
             raise ValueError("utilities must lie strictly inside (0, 1)")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")

@@ -320,7 +320,7 @@ def dr_variance_terms(
     cohort's units; their mean is ``variance_dr_formula``.
     """
     pi = marginal_propensity(theta, alpha)
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
+    if not (np.all(pi > 0.0) and np.all(pi < 1.0)):
         raise BoundaryPropensity("propensities on the boundary: DR variance undefined")
     return var1 / pi + var0 / (1.0 - pi) + (cate - cate.mean()) ** 2
 

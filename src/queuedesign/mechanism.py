@@ -22,8 +22,9 @@ estimators read, and ``caps``, the (tau, K) slots per period and queue.
 
 Arrival times live on [0, tau]; a unit with arrival time a enters the pool at
 review period max(1, ceil(a)) and remains waiting until served or the horizon
-ends.  Ties in arrival time are broken by unit id, so every allocation is a
-deterministic function of (queues, arrivals, budgets).
+ends.  FIFO order is the cohort's key order (``Cohort.key``, its arrival times
+or a key that orders them), with ties broken by unit id, so every allocation
+is a deterministic function of (queues, keys, arrivals, budgets).
 
 Within a queue, the units served by any period are a FIFO prefix: an earlier
 period's arrival outranks every later one, and the best-ranked waiting unit is
@@ -33,8 +34,10 @@ B(tau) + min over u <= tau of [A(u) - B(u)] units by the horizon, where
 A(0) = B(0) = 0 (the backlog identity of Lindley, 1952).  Each rationed queue
 is one such system; in strict mode each tier 1..q is one, since the budget
 serves it ahead of the rest, and queue q's count is tier q's minus tier q-1's.
-``_serve`` marks that many best-ranked units of each queue as served, so a
-world costs O(tau * k + n), with no loop over periods.
+``_serve`` counts each queue's arrivals per period from its members, and
+selects that many first units of the queue by key (a partial sort, Hoare's
+FIND), so a world costs O(tau * k + n), with no loop over periods and no
+full sort.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._bitexact import row_cumsum, row_sum
+from ._bitexact import row_cumsum, row_sum, stable_order
 from .cohorts import Cohort
 from .propensity import AlphaVector, alpha_from_target, alpha_vector
 
@@ -77,8 +80,12 @@ def sample_queues(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _draw_queues(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``sample_queues`` from a checked policy's row cumsum, unchecked."""
-    u = rng.uniform(size=cum.shape[0])
+    """``sample_queues`` from a checked policy's row cumsum, unchecked.
+
+    ``rng.random`` draws the bits of ``rng.uniform()``, 0 + 1 * d, and
+    ``row_cumsum`` stores each column contiguously for the compares.
+    """
+    u = rng.random(cum.shape[0])
     labels = np.add(cum[:, 0] < u, 1, dtype=int)
     for j in range(1, cum.shape[1]):
         labels += cum[:, j] < u
@@ -138,7 +145,7 @@ class QueueSpec:
         object.__setattr__(self, "p", p)
         if self.k < 1 or p.shape != (self.k,):
             raise ValueError("p must have one share per queue")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
             raise ValueError("queue shares p must form a probability vector")
         if not (0.0 < self.beta < 1.0):
             raise ValueError("beta must lie strictly inside (0, 1)")
@@ -276,6 +283,14 @@ class AllocationTrace:
         return self.queues.shape[0]
 
 
+def _slots(spec: QueueSpec) -> np.ndarray:
+    """At [u, q-1], the slots queue q may fill by period u = 0..tau."""
+    tau, k = spec.caps.shape
+    slots = np.zeros((tau + 1, k), dtype=np.int64)
+    np.cumsum(spec.caps, axis=0, out=slots[1:])
+    return slots
+
+
 def _period_tables(spec: QueueSpec, s: np.ndarray, queues: np.ndarray):
     """``cell = s * k + queues - 1``, and at [u, q-1] the queue-q units arrived
     (``arrived``) and slots to fill (``slots``) by period u = 0..tau."""
@@ -284,36 +299,57 @@ def _period_tables(spec: QueueSpec, s: np.ndarray, queues: np.ndarray):
     cell += queues
     cell -= 1
     arrived = np.bincount(cell, minlength=(tau + 1) * k).reshape(tau + 1, k).cumsum(axis=0)
-    slots = np.zeros((tau + 1, k), dtype=np.int64)
-    np.cumsum(spec.caps, axis=0, out=slots[1:])
-    return cell, arrived, slots
+    return cell, arrived, _slots(spec)
 
 
-def _serve(spec: QueueSpec, s: np.ndarray, ranks: np.ndarray, queues: np.ndarray) -> np.ndarray:
+def _serve(
+    spec: QueueSpec, s: Optional[np.ndarray], key: np.ndarray, queues: np.ndarray
+) -> np.ndarray:
     """Which units of one world the spec's service discipline serves.
 
-    ``ranks`` must be the FIFO ranks of the arrivals that gave ``s``.  The
-    module docstring derives each queue's served count by the horizon; the
-    served units are that many best-ranked units of the queue, found by one
-    partial sort.
+    ``key`` must order the units as FIFO does: (key, id) order never puts a
+    later period's arrival, by ``s``, ahead of an earlier one.  At tau = 1
+    every unit arrives in period 1, and ``s`` is not read (it may be None).
+    Each queue's arrivals per period are counted from its members, and the
+    module docstring derives its served count by the horizon from them.
+    The served units are that many first units of the queue in (key, id)
+    order, found by one selection; a tie at the cut, a signed zero or a NaN
+    key falls back to the stable sort.
     """
-    arrived, slots = _period_tables(spec, s, queues)[1:]  # frees cell before the loop
+    tau, k = spec.caps.shape
+    members = [np.flatnonzero(queues == q) for q in range(1, k + 1)]
+    arrived = np.zeros((tau + 1, k), dtype=np.int64)
+    for q, idx in enumerate(members):
+        arrived[1:, q] = idx.size if tau == 1 else np.bincount(s[idx], minlength=tau + 1)[1:]
+    arrived = arrived.cumsum(axis=0)
     if spec.mode == "strict":
         arrived = arrived.cumsum(axis=1)  # tiers 1..q
+    slots = _slots(spec)
     served = slots[-1] + (arrived - slots).min(axis=0)
     if spec.mode == "strict":
         served = np.diff(served, prepend=0)
-    treated = np.zeros(s.shape[0], dtype=bool)
+    treated = np.zeros(queues.shape[0], dtype=bool)
     for q in np.flatnonzero(served):
-        idx = np.flatnonzero(queues == q + 1)
-        treated[idx[np.argpartition(ranks[idx], served[q] - 1)[:served[q]]]] = True
+        idx, m = members[q], served[q]
+        if m < idx.size:
+            mine = key[idx]
+            first = np.argpartition(mine, m - 1)[:m]
+            # argpartition puts the m-th smallest key (NaN sorts last) at
+            # first[-1].  When only the m selected keys are at or below it, it
+            # is strictly below every key left out, and no tie-break between
+            # keys can choose another set.
+            if np.count_nonzero(mine <= mine[first[-1]]) != m:
+                first = stable_order(mine)[:m]
+            idx = idx[first]
+        treated[idx] = True
     return treated
 
 
 def allocate(cohort: Cohort, queues: np.ndarray, spec: QueueSpec) -> AllocationTrace:
     """Run the service mechanism for one realized queue assignment.
 
-    FIFO order is the cohort's ``arrival_ranks``.
+    FIFO order is the cohort's ``key`` order; at tau = 1 its arrival times
+    are not read, since every unit arrives in period 1.
     """
     queues = np.asarray(queues, dtype=int)
     if queues.shape != (cohort.n,):
@@ -322,8 +358,8 @@ def allocate(cohort: Cohort, queues: np.ndarray, spec: QueueSpec) -> AllocationT
         raise ValueError(f"queue labels must lie in 1..{spec.k}")
     if cohort.tau != spec.tau:
         raise ValueError("cohort horizon and spec horizon disagree")
-    s = arrival_periods(cohort.arrival, spec.tau)
-    treated = _serve(spec, s, cohort.arrival_ranks, queues)
+    s = None if spec.tau == 1 else arrival_periods(cohort.arrival, spec.tau)
+    treated = _serve(spec, s, cohort.key, queues)
     return AllocationTrace(queues=queues, treated=treated, spec=spec)
 
 

@@ -51,11 +51,12 @@ class AlphaVector:
         object.__setattr__(self, "p", p)
         if alpha.ndim != 1 or alpha.shape != p.shape:
             raise ValueError("alpha and p must be 1-d arrays of equal length")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        # negated comparisons, so a NaN fails them
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
             raise ValueError("p must be a probability vector over queues")
-        if np.any(alpha < -1e-12) or np.any(alpha > 1.0 + 1e-12):
+        if not (np.all(alpha >= -1e-12) and np.all(alpha <= 1.0 + 1e-12)):
             raise ValueError("alpha entries must lie in [0, 1]")
-        if np.any(np.diff(alpha) > 1e-12):
+        if not np.all(np.diff(alpha) <= 1e-12):
             raise ValueError("alpha must be nonincreasing in the queue index")
         if np.any(alpha[p == 0.0] != 0.0):
             raise ValueError("queues with zero mass must have alpha = 0")
@@ -68,7 +69,7 @@ def alpha_vector(beta: float, p: np.ndarray) -> AlphaVector:
     p = np.asarray(p, dtype=float)
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie strictly inside (0, 1)")
-    if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    if not (p.ndim == 1 and np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
         raise ValueError("p must be a probability vector over queues")
     c = np.concatenate(([0.0], np.cumsum(p)))
     pos = np.maximum(beta - c, 0.0)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from queuedesign.cohorts import Cohort, generate_bias_cohort, generate_cohort
+from queuedesign import cohorts
+from queuedesign.cohorts import Cohort, default_h_law, generate_bias_cohort, generate_cohort
+from queuedesign.mechanism import QueueSpec, allocate
 from queuedesign._bitexact import stable_ranks
 
 
@@ -87,9 +89,37 @@ class TestBiasCohort:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 2000, 32_000])
     @pytest.mark.parametrize("tau", [1, 12, 52])
     def test_carried_ranks_are_the_arrival_ranks(self, n, tau):
+        # the key, -U, ranks the units as the grid arrival derived from it
         for seed in (0, 5, 505):
             c = generate_bias_cohort(n, tau, psi=-0.1, seed=seed)
             assert np.array_equal(c.arrival_ranks, stable_ranks(c.arrival))
+            assert np.array_equal(c.arrival_ranks, stable_ranks(c.key))
+
+    @pytest.mark.parametrize("h", [None, 5e-324, 1e-310, 1e-320, 0.5])
+    def test_one_pass_draw_is_the_broadcast_uniform(self, h):
+        # the confounder draw gives rng.uniform(-0.2h, 0.2h)'s bits
+        n = 500
+        for seed in range(100):
+            given = None if h is None else np.full(n, h)
+            c = generate_bias_cohort(n, 4, psi=-0.1, seed=seed, h=given)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+            hs = default_h_law(rng, n) if h is None else given
+            u = rng.uniform(-0.2 * hs, 0.2 * hs)
+            assert np.array_equal(c.confounder.view(np.int64), u.view(np.int64))
+
+    def test_a_tau_1_draw_ranks_nothing(self, monkeypatch):
+        # the arrival grid and the ranks are derived only when read, and
+        # allocation at tau = 1 reads neither
+        def refuse(keys):
+            raise AssertionError("ranked")
+
+        monkeypatch.setattr(cohorts, "stable_ranks", refuse)
+        c = generate_bias_cohort(1000, 1, psi=-0.1, seed=3)
+        spec = QueueSpec.auto(1000, k=2, p=np.array([0.5, 0.5]), beta=0.4, tau=1,
+                              mode="strict")
+        allocate(c, np.random.default_rng(3).integers(1, 3, size=1000), spec)
+        with pytest.raises(AssertionError, match="ranked"):
+            c.arrival
 
     def test_effect_is_exactly_psi(self):
         c = generate_bias_cohort(5_000, 4, psi=-0.1, seed=9)
@@ -148,14 +178,12 @@ class TestValidation:
         drawn = generate_cohort(500, 3, psi=-0.1, seed=42)
         assert np.array_equal(drawn.arrival_ranks, stable_ranks(drawn.arrival))
 
-    def test_rejects_arrival_ranks_of_another_length(self):
-        with pytest.raises(ValueError, match="arrival_ranks"):
+    def test_rejects_a_cohort_with_nothing_to_order_its_arrivals(self):
+        with pytest.raises(ValueError, match="arrival times or a confounder"):
             Cohort(
                 h=np.array([0.5, 0.5]),
-                arrival=np.array([0.1, 0.2]),
                 y0=np.zeros(2),
                 y1=np.zeros(2),
                 tau=1,
-                dgp_tag="bernoulli",
-                arrival_ranks=np.array([0]),
+                dgp_tag="partially_linear",
             )

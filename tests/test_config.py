@@ -301,7 +301,7 @@ class TestKnobCensus:
 # every defaulted library parameter, and why its default stays
 LIBRARY_DEFAULTS = {
     "cli.main(argv)": "the console script calls it bare, so it reads sys.argv",
-    "cohorts.Cohort.arrival_ranks": "generate_bias_cohort passes the ranks it drew",
+    "cohorts.Cohort.arrival": "a bias draw's arrival is the grid its confounder orders",
     "cohorts.Cohort.confounder": "only partially linear cohorts record U",
     "cohorts.generate_bias_cohort(h)": "bias fixes h; estimate and pareto draw it",
     "config.apply_overrides(seed)": "None: --seed was not given",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from queuedesign import mechanism
 from queuedesign.cohorts import Cohort, generate_bias_cohort, generate_cohort
 from queuedesign.experiments import _observed
 from queuedesign.mechanism import (
@@ -21,7 +22,7 @@ from queuedesign.mechanism import (
     validate_policy,
 )
 from queuedesign.propensity import alpha_from_target, alpha_vector
-from queuedesign._bitexact import row_cumsum, stable_ranks
+from queuedesign._bitexact import row_cumsum, stable_order, stable_ranks
 
 from naive_allocation import naive_allocate_rationed, naive_allocate_strict
 
@@ -323,6 +324,60 @@ class TestClosedFormServe:
         assert seen >= self.EDGES | ({"zero shares"} if mode == "rationed" else set())
 
 
+class TestServeSelection:
+    """``_serve`` selects each queue's first units by key, and falls back to
+    the stable sort when the cut is not strict: a tie at the cut, a -0.0
+    against a +0.0, or a NaN key."""
+
+    @staticmethod
+    def keys(rng, n, case):
+        if case == "tied":
+            return np.round(rng.uniform(0.0, 1.0, n), 1)
+        if case == "signed_zeros":
+            return rng.choice([-0.0, 0.0, -1.0, 1.0], size=n)
+        if case == "nans":
+            keys = rng.uniform(0.0, 1.0, n)
+            keys[rng.random(n) < 0.2] = np.nan
+            return keys
+        return rng.uniform(0.0, 1.0, n)
+
+    @pytest.mark.parametrize("case", ["distinct", "tied", "signed_zeros", "nans"])
+    @pytest.mark.parametrize("tau", [1, 12])
+    @pytest.mark.parametrize("mode", ["strict", "rationed"])
+    def test_matches_naive_period_loop(self, monkeypatch, mode, tau, case):
+        fallbacks = []
+
+        def counted(keys):
+            fallbacks.append(keys.size)
+            return stable_order(keys)
+
+        monkeypatch.setattr(mechanism, "stable_order", counted)
+        rng = np.random.default_rng([1961, tau, len(case), mode == "strict"])
+        k, p = 3, np.full(3, 1 / 3)
+        target = np.array([0.9, 0.5, 0.2])
+        for trial in range(40):
+            n = int(rng.integers(5, 60))
+            key = self.keys(rng, n, case)
+            ranks = stable_ranks(key)
+            # periods rise with FIFO rank, so the key orders the arrivals
+            s = 1 + ranks * tau // n
+            queues = rng.integers(1, k + 1, n)
+            budgets = rng.integers(0, 2 * n // tau + 3, tau)
+            if mode == "strict":
+                spec = QueueSpec(k=k, p=p, beta=0.5, tau=tau, budgets=budgets, mode=mode)
+                naive = naive_allocate_strict(s, ranks, queues, budgets)
+            else:
+                spec = QueueSpec(k=k, p=p, beta=float(target @ p), tau=tau, budgets=budgets,
+                                 mode=mode, alpha_target=target)
+                naive = naive_allocate_rationed(s, ranks, queues, spec.caps)
+            served = _serve(spec, None if tau == 1 else s, key, queues)
+            assert np.array_equal(served, naive > 0), f"trial {trial}"
+        if case == "distinct":
+            assert not fallbacks
+        else:
+            assert fallbacks
+
+
 class TestSpecDerivedValues:
     """``QueueSpec`` builds alpha and the per-queue capacity table once."""
 
@@ -443,18 +498,20 @@ class TestAllocationTrace:
             AllocationTrace(queues=queues, treated=np.array([True, True]), spec=spec)
 
 
-def test_allocate_reads_drawn_ranks_as_built_ones():
-    # a bias cohort carries the FIFO ranks its draw made; rebuilt without
-    # them, the cohort ranks its arrivals itself, and allocate serves the same
-    cohort = generate_bias_cohort(40, 3, -0.1, seed=64)
-    bare = dataclasses.replace(cohort, arrival_ranks=None)
-    assert np.array_equal(bare.arrival_ranks, cohort.arrival_ranks)
+@pytest.mark.parametrize("tau", [1, 3])
+def test_allocate_serves_a_keyed_cohort_as_its_arrival_times(tau):
+    # a bias cohort is keyed by -U; rebuilt from the arrival grid that key
+    # derives, the cohort is keyed by arrival, and allocate serves the same
+    cohort = generate_bias_cohort(40, tau, -0.1, seed=64)
+    timed = Cohort(h=cohort.h, arrival=cohort.arrival, y0=cohort.y0, y1=cohort.y1,
+                   tau=tau, dgp_tag="partially_linear", confounder=cohort.confounder)
+    assert np.array_equal(timed.arrival_ranks, cohort.arrival_ranks)
     queues = np.random.default_rng(64).integers(1, 3, size=40)
     for mode, target in (("strict", None), ("rationed", np.array([0.7, 0.3]))):
-        spec = QueueSpec.auto(40, k=2, p=np.array([0.5, 0.5]), beta=0.5, tau=3,
+        spec = QueueSpec.auto(40, k=2, p=np.array([0.5, 0.5]), beta=0.5, tau=tau,
                               mode=mode, alpha_target=target)
-        given = allocate(cohort, queues, spec)
-        assert np.array_equal(given.treated, allocate(bare, queues, spec).treated)
+        keyed = allocate(cohort, queues, spec)
+        assert np.array_equal(keyed.treated, allocate(timed, queues, spec).treated)
 
 
 def test_arrival_ranks_break_ties_by_id():
@@ -528,6 +585,9 @@ class TestPerWorldFastForms:
         def uniform(self, size):
             assert size == self.u.shape[0]
             return self.u.copy()
+
+        def random(self, size):
+            return self.uniform(size)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_draw_queues_matches_the_ones_buffer_loop(self, k):
